@@ -487,27 +487,17 @@ let exact_scan_rule = Mf_core.Mapping.Specialized
 let exact_scan_instance n =
   Gen.chain (Rng.create 1) (Gen.default ~tasks:n ~types:3 ~machines:6)
 
-(* One rule-aware LP-bound oracle per subtree search — the Dfs factory
-   contract (parallel subtrees must not share mutable LP state). *)
-let exact_node_bound_factory ~rule inst () =
-  let t = Mf_lp.Node_bound.create ~rule inst in
-  {
-    Mf_exact.Dfs.nb_push = (fun ~task ~machine -> Mf_lp.Node_bound.push t ~task ~machine);
-    nb_pop = (fun () -> Mf_lp.Node_bound.pop t);
-    nb_bound = (fun ~cutoff -> Mf_lp.Node_bound.bound t ~cutoff);
-    nb_pivots = (fun () -> (Mf_lp.Node_bound.stats t).Mf_lp.Node_bound.pivots);
-  }
-
-(* The LP-bound-arm measurement the regress check replays. *)
+(* The LP-bound-arm measurement the regress check replays: the search
+   result, its wall time and the summed node-LP oracle counters (one
+   rule-aware oracle per subtree search, the Dfs factory contract). *)
 let exact_lp_run ?jobs ~budget n =
   let inst = exact_scan_instance n in
+  let node_bound, nb_stats = Mf_solve.Engine.node_bound_factory ~rule:exact_scan_rule inst in
   let t0 = Unix.gettimeofday () in
   let r =
-    Mf_exact.Dfs.solve ~node_budget:budget ?jobs
-      ~node_bound:(exact_node_bound_factory ~rule:exact_scan_rule inst)
-      ~rule:exact_scan_rule inst
+    Mf_exact.Dfs.solve ~node_budget:budget ?jobs ~node_bound ~rule:exact_scan_rule inst
   in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Unix.gettimeofday () -. t0, nb_stats ())
 
 let bench_exact () =
   section "Exact search: branch-and-bound vs the static-bound baseline";
@@ -550,7 +540,7 @@ let bench_exact () =
       (fun n ->
         let i = exact_scan_instance n in
         let r = Dfs.solve ~node_budget:scan_budget ~rule i in
-        let lp, _ = exact_lp_run ~budget:scan_budget n in
+        let lp, _, _ = exact_lp_run ~budget:scan_budget n in
         Printf.printf "  %4d | %12d %7b | %12d %7b %10d %10d | %6.1fx\n" n r.Dfs.nodes
           r.Dfs.optimal lp.Dfs.nodes lp.Dfs.optimal lp.Dfs.stats.Dfs.lp_solves
           lp.Dfs.stats.Dfs.lp_prunes
@@ -571,14 +561,14 @@ let bench_exact () =
   let regress_rows =
     List.map
       (fun n ->
-        let r, _ = exact_lp_run ~budget:exact_regress_budget n in
-        (n, r))
+        let r, _, nb = exact_lp_run ~budget:exact_regress_budget n in
+        (n, r, nb))
       exact_regress_sizes
   in
   (* -- deterministic parallel root splitting, LP-bound arm ----------- *)
   let cores = Mf_parallel.Pool.default_jobs () in
   let jn = if !quick then 18 else 22 in
-  let serial, serial_s = exact_lp_run ~jobs:1 ~budget:scan_budget jn in
+  let serial, serial_s, _ = exact_lp_run ~jobs:1 ~budget:scan_budget jn in
   let jmode = if cores = 1 then "overhead" else "speedup" in
   Printf.printf
     "  --jobs determinism of the LP-bound search on the closed n=%d instance\n\
@@ -598,7 +588,7 @@ let bench_exact () =
   let jrows =
     List.map
       (fun jobs ->
-        let r, secs = exact_lp_run ~jobs ~budget:scan_budget jn in
+        let r, secs, _ = exact_lp_run ~jobs ~budget:scan_budget jn in
         let identical =
           r.Dfs.period = serial.Dfs.period
           && Mf_core.Mapping.to_array r.Dfs.mapping
@@ -674,7 +664,7 @@ let bench_exact () =
     \    \"periods_bit_equal\": %b },\n\
     \  \"regress\": {\n\
     \    \"budget\": %d,\n\
-    \    \"tolerances\": { \"nodes_ratio\": 1.15, \"lp_solves_ratio\": 1.15 },\n\
+    \    \"tolerances\": { \"nodes_ratio\": 1.15, \"lp_solves_ratio\": 1.15, \"pivots_ratio\": 1.5 },\n\
     \    \"rows\": [\n%s\n    ]\n\
     \  }\n\
      }\n"
@@ -707,10 +697,10 @@ let bench_exact () =
     exact_regress_budget
     (String.concat ",\n"
        (List.map
-          (fun (n, (r : Dfs.result)) ->
+          (fun (n, (r : Dfs.result), (nb : Mf_lp.Node_bound.stats)) ->
             Printf.sprintf
-              "      { \"n\": %d, \"nodes\": %d, \"lp_solves\": %d, \"optimal\": %b }" n
-              r.Dfs.nodes r.Dfs.stats.Dfs.lp_solves r.Dfs.optimal)
+              "      { \"n\": %d, \"nodes\": %d, \"lp_solves\": %d, \"pivots\": %d, \"optimal\": %b }"
+              n r.Dfs.nodes r.Dfs.stats.Dfs.lp_solves nb.Mf_lp.Node_bound.pivots r.Dfs.optimal)
           regress_rows));
   close_out oc;
   Printf.printf "  (machine-readable copy written to %s)\n" json
@@ -1244,13 +1234,16 @@ let regress_exact () =
     let tol = sub_object reg "tolerances" in
     let nodes_ratio = num_field tol "nodes_ratio" in
     let solves_ratio = num_field tol "lp_solves_ratio" in
+    let pivots_ratio = num_field tol "pivots_ratio" in
     List.iter
       (fun row ->
         let n = int_of_float (num_field row "n") in
         let ref_nodes = num_field row "nodes" in
         let ref_solves = num_field row "lp_solves" in
+        let ref_pivots = num_field row "pivots" in
         let ref_opt = bool_field row "optimal" in
-        let r, _ = exact_lp_run ~budget n in
+        let r, _, nb = exact_lp_run ~budget n in
+        let pivots = nb.Mf_lp.Node_bound.pivots in
         regress_check
           (Printf.sprintf "exact n=%d: LP-bound search closes" n)
           (r.Dfs.optimal || not ref_opt) "no longer optimal";
@@ -1263,7 +1256,14 @@ let regress_exact () =
           (Printf.sprintf "exact n=%d: lp_solves %d within %.2fx of %.0f" n
              r.Dfs.stats.Dfs.lp_solves solves_ratio ref_solves)
           (float_of_int r.Dfs.stats.Dfs.lp_solves <= (ref_solves *. solves_ratio) +. 0.5)
-          "lp-solve regression")
+          "lp-solve regression";
+        (* Node-LP pivots: the warm-start health gate — a change that
+           quietly sends node LPs back to cold solves multiplies them. *)
+        regress_check
+          (Printf.sprintf "exact n=%d: node-LP pivots %d within %.2fx of %.0f" n pivots
+             pivots_ratio ref_pivots)
+          (float_of_int pivots <= (ref_pivots *. pivots_ratio) +. 0.5)
+          "node-LP pivot regression")
       (array_objects reg "rows")
 
 (* ------------------------------------------------------------------ *)

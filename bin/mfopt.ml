@@ -349,12 +349,12 @@ let exact_cmd =
             (match r.Mf_lp.Splitting.path with `Float -> "float" | `Rational -> "rational");
           Some lb
     in
-    let node_bound, nb_pivots =
+    let node_bound, nb_stats =
       if no_node_lp || Instance.task_count inst < Mf_solve.Engine.lp_bound_threshold then
-        (None, fun () -> 0)
+        (None, fun () -> Mf_lp.Node_bound.zero_stats)
       else
-        let factory, pivots = Mf_solve.Engine.node_bound_factory ~rule inst in
-        (Some factory, pivots)
+        let factory, stats = Mf_solve.Engine.node_bound_factory ~rule inst in
+        (Some factory, stats)
     in
     let t0 = Unix.gettimeofday () in
     match
@@ -376,10 +376,17 @@ let exact_cmd =
       Printf.printf "       prunes: %d bound, %d dominance (%d states), %d symmetry skips\n"
         s.Mf_exact.Dfs.bound_prunes s.Mf_exact.Dfs.dominance_prunes
         s.Mf_exact.Dfs.dominance_states s.Mf_exact.Dfs.symmetry_skips;
-      if s.Mf_exact.Dfs.lp_solves > 0 then
-        Printf.printf "       node LP: %d solves, %d prunes, %d pivots, %d no-goods\n"
-          s.Mf_exact.Dfs.lp_solves s.Mf_exact.Dfs.lp_prunes (nb_pivots ())
-          s.Mf_exact.Dfs.nogood_records
+      if s.Mf_exact.Dfs.lp_solves > 0 then begin
+        let module NB = Mf_lp.Node_bound in
+        let o = nb_stats () in
+        Printf.printf "       node LP: %d evaluations, %d prunes, %d no-goods\n"
+          s.Mf_exact.Dfs.lp_solves s.Mf_exact.Dfs.lp_prunes s.Mf_exact.Dfs.nogood_records;
+        Printf.printf
+          "       oracle: %d solves (%d warm starts, %d fallbacks, %d repairs), %d reuses, \
+           %d pivots, %d factorizations\n"
+          o.NB.solves o.NB.warm_starts o.NB.fallbacks o.NB.repairs o.NB.reuses o.NB.pivots
+          o.NB.factorizations
+      end
     | exception Invalid_argument msg -> Printf.printf "exact solver unavailable: %s\n" msg
   in
   let doc = "Solve an instance exactly with the branch-and-bound engine." in

@@ -69,7 +69,10 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
      enough to keep fill low, tight enough for stability. *)
   let threshold = F.of_float 0.01
 
-  let factorize ~dim ~col ~(basis : int array) =
+  (* [repair = None] raises [Singular] at the first step without an
+     acceptable pivot; [Some report] substitutes a unit column there
+     and calls [report] (see [factorize_repair]). *)
+  let eliminate repair ~dim ~col ~(basis : int array) =
     if Array.length basis <> dim then invalid_arg "Lu.factorize: basis length";
     let pivrow = Array.make dim (-1) in
     let rowpos = Array.make dim (-1) in
@@ -81,7 +84,10 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
     let u_diag = Array.make dim F.zero in
     (* Column order: increasing entry count, ties by basis position.
        Together with the min-row-count pivot rule this approximates the
-       Markowitz merit (r-1)(c-1) without dynamic count maintenance. *)
+       Markowitz merit (r-1)(c-1) without dynamic count maintenance.
+       Empty columns, which can never pivot, go last: a repair then
+       completes the basis with the rows the other columns leave
+       uncovered instead of taking a row one of them needs. *)
     let counts = Array.make dim 0 in
     let row_counts = Array.make dim 0 in
     for p = 0 to dim - 1 do
@@ -91,10 +97,11 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
           row_counts.(r) <- row_counts.(r) + 1);
       counts.(p) <- !c
     done;
+    let key = Array.map (fun c -> if c = 0 then max_int else c) counts in
     let order = Array.init dim Fun.id in
     Array.sort
       (fun p q ->
-        let d = compare counts.(p) counts.(q) in
+        let d = compare key.(p) key.(q) in
         if d <> 0 then d else compare p q)
       order;
     let w = Array.make dim F.zero in
@@ -109,6 +116,9 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
     let steps = Array.make dim 0 in
     let stack = Array.make dim 0 in
     let spos = Array.make dim 0 in
+    (* Lowest row not yet pivoted: rows are only ever covered, so the
+       repair's search resumes where the previous one stopped. *)
+    let uncovered = ref 0 in
     for k = 0 to dim - 1 do
       let p = order.(k) in
       cpos.(k) <- p;
@@ -206,31 +216,50 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
           if F.compare a !cmax > 0 then cmax := a
         end
       done;
-      if F.compare !cmax F.eps <= 0 then begin
-        (* Clean the work vector before reporting, so a caller catching
-           [Singular] can retry factorize on the same scratch object. *)
-        for ti = 0 to !nt - 1 do
-          w.(touched.(ti)) <- F.zero;
-          intouch.(touched.(ti)) <- false
-        done;
-        raise (Singular k)
-      end;
-      let bar = if exact then F.zero else F.mul threshold !cmax in
-      let best = ref (-1) in
-      for ti = 0 to !nt - 1 do
-        let r = touched.(ti) in
-        if rowpos.(r) < 0 && F.compare (F.abs w.(r)) bar > 0 then
-          if
-            !best < 0
-            ||
-            let d = compare row_counts.(r) row_counts.(!best) in
-            d < 0 || (d = 0 && r < !best)
-          then best := r
-      done;
-      let pr = !best in
+      let pr, d =
+        if F.compare !cmax F.eps > 0 then begin
+          let bar = if exact then F.zero else F.mul threshold !cmax in
+          let best = ref (-1) in
+          for ti = 0 to !nt - 1 do
+            let r = touched.(ti) in
+            if rowpos.(r) < 0 && F.compare (F.abs w.(r)) bar > 0 then
+              if
+                !best < 0
+                ||
+                let d = compare row_counts.(r) row_counts.(!best) in
+                d < 0 || (d = 0 && r < !best)
+              then best := r
+          done;
+          (!best, w.(!best))
+        end
+        else begin
+          (* Clean the work vector (and empty the touched list, so the L
+             pass below has nothing to gather) before reporting, so a
+             caller catching [Singular] can retry factorize on the same
+             work buffers. *)
+          for ti = 0 to !nt - 1 do
+            w.(touched.(ti)) <- F.zero;
+            intouch.(touched.(ti)) <- false
+          done;
+          nt := 0;
+          match repair with
+          | None -> raise (Singular k)
+          | Some report ->
+            (* Basis repair: eliminate the unit column of the lowest
+               uncovered row instead.  That row is unpivoted, so the unit
+               column reaches no earlier step: no U entries, no L
+               multipliers, pivot 1. *)
+            while rowpos.(!uncovered) >= 0 do
+              incr uncovered
+            done;
+            report ~pos:p ~row:!uncovered;
+            u_ind.(k) <- [||];
+            u_val.(k) <- [||];
+            (!uncovered, F.one)
+        end
+      in
       pivrow.(k) <- pr;
       rowpos.(pr) <- k;
-      let d = w.(pr) in
       u_diag.(k) <- d;
       let ln = ref 0 in
       for ti = 0 to !nt - 1 do
@@ -275,6 +304,9 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
       wrow = Array.make dim F.zero;
       zstep = Array.make dim F.zero;
     }
+
+  let factorize ~dim ~col ~basis = eliminate None ~dim ~col ~basis
+  let factorize_repair ~repair ~dim ~col ~basis = eliminate (Some repair) ~dim ~col ~basis
 
   (* x := B^-1 rhs.  [rhs] is row-indexed and is not modified; the result
      is written to [out], indexed by basis position. *)

@@ -27,6 +27,24 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
       @raise Invalid_argument when [basis] has the wrong length. *)
   val factorize : dim:int -> col:(int -> (int -> F.t -> unit) -> unit) -> basis:int array -> t
 
+  (** [factorize_repair ~repair ~dim ~col ~basis] is {!factorize} that
+      never raises [Singular]: at an elimination step with no acceptable
+      pivot it factorises the unit column of the lowest-index row not
+      yet pivoted in place of [basis.(pos)], and calls
+      [repair ~pos ~row] with that position and row.  The factors are
+      those of [basis] with every reported position replaced by the
+      unit column [e_row] — the caller updates its basis to name that
+      row's artificial.  Substitutions are reported in elimination
+      order, and equal inputs give equal substitutions (the
+      column order and the pivot rule are deterministic).  Columns may
+      be empty ([col] calling [f] never), which always repairs. *)
+  val factorize_repair :
+    repair:(pos:int -> row:int -> unit) ->
+    dim:int ->
+    col:(int -> (int -> F.t -> unit) -> unit) ->
+    basis:int array ->
+    t
+
   val dim : t -> int
 
   (** Etas absorbed since factorisation. *)

@@ -83,8 +83,10 @@ let solve_relaxation_certified model =
         } )
     | FS.Infeasible | FS.Unbounded | FS.Stalled ->
       (* The float path failed (or lied): certify with the exact solver,
-         warm-started from the float basis so phase 1 — the dominant
-         rational cost — is skipped whenever that basis is realizable. *)
+         warm-started from the float basis.  The basis is repaired where
+         it is singular; phase 2 runs straight away when the repaired
+         basis is feasible, and otherwise phase 1 runs from it — never a
+         cold restart of the dominant rational cost. *)
       let a, b, c = rat_of_std std in
       let rd = RS.solve_sparse_from_basis ~a ~b ~c ~basis:d.FS.basis () in
       let stats =

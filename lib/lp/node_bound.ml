@@ -23,10 +23,10 @@ type t = {
   (* basis_stack.(d): optimal basis of the last LP solved at depth d.
      Nodes at equal depth share the uncommitted task set (the search
      assigns tasks in a fixed order), so their LPs have identical shape
-     and the sibling's basis is a strong warm start.  A basis the solver
-     cannot realize (wrong dimension after an unwind, or referencing a
-     column the current locks exclude) falls back to the cold solve —
-     staleness costs pivots, never soundness. *)
+     and the sibling's basis is a strong warm start.  The solver
+     re-optimizes from any basis — a column the current locks empty is
+     repaired by an artificial, an infeasible vertex gets a phase 1
+     from there — so staleness costs pivots, never soundness. *)
   basis_stack : int array option array;
   (* sol_stack.(d): primal optimum, deflated bound and journal tail of
      the last LP solved at depth d.  The journal tail (compared
@@ -42,15 +42,41 @@ type t = {
   mutable warm : int;
   mutable pivots : int;
   mutable factz : int;
+  mutable fallbacks : int;
+  mutable repairs : int;
 }
 
 type stats = {
-  solves : int;  (** LP solves actually performed *)
-  reuses : int;  (** evaluations answered by the parent's optimum, no solve *)
-  warm_starts : int;  (** solves started from a recorded sibling basis *)
-  pivots : int;  (** simplex iterations across all solves *)
-  factorizations : int;  (** LU factorizations across all solves *)
+  solves : int;
+  reuses : int;
+  warm_starts : int;
+  pivots : int;
+  factorizations : int;
+  fallbacks : int;
+  repairs : int;
 }
+
+let zero_stats =
+  {
+    solves = 0;
+    reuses = 0;
+    warm_starts = 0;
+    pivots = 0;
+    factorizations = 0;
+    fallbacks = 0;
+    repairs = 0;
+  }
+
+let add_stats a b =
+  {
+    solves = a.solves + b.solves;
+    reuses = a.reuses + b.reuses;
+    warm_starts = a.warm_starts + b.warm_starts;
+    pivots = a.pivots + b.pivots;
+    factorizations = a.factorizations + b.factorizations;
+    fallbacks = a.fallbacks + b.fallbacks;
+    repairs = a.repairs + b.repairs;
+  }
 
 let create ?(rule = Mapping.General) inst =
   let n = Instance.task_count inst and m = Instance.machines inst in
@@ -78,6 +104,8 @@ let create ?(rule = Mapping.General) inst =
     warm = 0;
     pivots = 0;
     factz = 0;
+    fallbacks = 0;
+    repairs = 0;
   }
 
 let push t ~task ~machine =
@@ -260,6 +288,40 @@ let parent_solves_child t =
       if !reusable then Some (psol, pbound, !ps) else None
     | _ -> None)
 
+(* Starting basis for a solve at the current depth: the last optimal
+   basis recorded here or, failing that, the depth above's mapped into
+   this LP.  Every node at depth d commits the same task (the search
+   assigns tasks in a fixed order), so the map is fixed: drop that
+   task's rate-column block and its flow row's artificial, and shift the
+   ids past them.  The mapped basis can come out a position short or
+   long; the solver repairs a missing position and drops a surplus. *)
+let start_basis t ~nu =
+  match (t.basis_stack.(t.depth), t.frames) with
+  | (Some _ as b), _ -> b
+  | None, [] -> None
+  | None, (task, _, _, _) :: _ -> (
+    match t.basis_stack.(t.depth - 1) with
+    | None -> None
+    | Some pbasis ->
+      let m = t.m in
+      (* the task's slot in the parent LP *)
+      let ps = ref 0 in
+      for j = 0 to task - 1 do
+        if not t.committed.(j) then incr ps
+      done;
+      let ps = !ps in
+      let pcols = ((nu + 1) * m) + 1 + m and cols = (nu * m) + 1 + m in
+      let map j =
+        if j < (nu + 1) * m then
+          let s = j / m in
+          if s < ps then j else if s = ps then -1 else j - m
+        else if j < pcols then j - m
+        else
+          let r = j - pcols in
+          if r < ps then cols + r else if r = ps then -1 else cols + r - 1
+      in
+      Some (Array.of_list (List.filter (fun j -> j >= 0) (List.map map (Array.to_list pbasis)))))
+
 let bound t ~cutoff =
   let n = t.n and m = t.m in
 
@@ -315,14 +377,16 @@ let bound t ~cutoff =
     c.(nu * m) <- -1.0;
     let iter_budget = 200 + (20 * rows) in
     let detail =
-      match t.basis_stack.(t.depth) with
-      | Some basis when Array.length basis = rows ->
+      match start_basis t ~nu with
+      | Some basis ->
         t.warm <- t.warm + 1;
         FS.solve_sparse_from_basis ~iter_budget ~a ~b ~c ~basis ()
-      | _ -> FS.solve_sparse_detailed ~iter_budget ~a ~b ~c ()
+      | None -> FS.solve_sparse_detailed ~iter_budget ~a ~b ~c ()
     in
     t.pivots <- t.pivots + detail.FS.iterations;
     t.factz <- t.factz + detail.FS.factorizations;
+    t.fallbacks <- t.fallbacks + detail.FS.fallbacks;
+    t.repairs <- t.repairs + detail.FS.repairs;
     (match detail.FS.outcome with
     | FS.Optimal _ -> t.basis_stack.(t.depth) <- Some detail.FS.basis
     | _ -> ());
@@ -430,4 +494,6 @@ let stats (t : t) =
     warm_starts = t.warm;
     pivots = t.pivots;
     factorizations = t.factz;
+    fallbacks = t.fallbacks;
+    repairs = t.repairs;
   }

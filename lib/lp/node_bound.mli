@@ -25,10 +25,14 @@
     Each solve is warm-started from the basis recorded by the previous
     solve at the same depth (a per-depth basis stack): sibling nodes
     share their uncommitted task set, so their LPs have identical shape
-    and differ only in load and lock coefficients.  A basis the solver
-    cannot realize falls back to the cold two-phase solve inside
-    {!Simplex.Make.solve_sparse_from_basis} — staleness costs pivots,
-    never soundness.  All arithmetic is the deterministic float
+    and differ only in load and lock coefficients.  A depth with no
+    recorded basis starts from the depth above's, mapped into its rows
+    and columns (every node at one depth commits the same task, so the
+    map is fixed).  {!Simplex.Make.solve_sparse_from_basis}
+    re-optimizes from whatever basis it gets — repairing positions the
+    new locks make singular, and running phase 1 from the stale vertex
+    when it is infeasible — so staleness costs pivots, never soundness.
+    All arithmetic is the deterministic float
     simplex: for a fixed prefix the bound is a pure function of the
     instance and rule, independent of thread schedule — parallel
     searches using one oracle per subtree stay byte-identical across
@@ -74,9 +78,28 @@ val solves : t -> int
 type stats = {
   solves : int;  (** LP solves actually performed *)
   reuses : int;  (** evaluations answered by the parent's optimum, no solve *)
-  warm_starts : int;  (** solves started from a recorded sibling basis *)
+  warm_starts : int;
+      (** solves {e started} from a recorded basis — this depth's last
+          optimum or the depth above's, mapped — successful or not: an
+          attempt count.  [warm_starts - fallbacks] of them finished
+          from their starting basis; the other [solves - warm_starts]
+          started cold. *)
   pivots : int;  (** simplex iterations across all solves *)
   factorizations : int;  (** LU factorizations across all solves *)
+  fallbacks : int;
+      (** warm starts that restarted from the all-artificial basis
+          after a numerical breakdown ({!Simplex.Make.detail}) *)
+  repairs : int;
+      (** starting-basis positions the solver replaced by an artificial:
+          singular under the current locks, or missing from a mapped
+          basis *)
 }
 
 val stats : t -> stats
+
+(** The all-zero counters, the unit of {!add_stats}. *)
+val zero_stats : stats
+
+(** Fieldwise sum, for totals over the per-subtree oracles of one
+    search. *)
+val add_stats : stats -> stats -> stats

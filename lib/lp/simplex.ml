@@ -45,6 +45,8 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
     factorizations : int;
     eta_updates : int;
     refactorizations : int;
+    fallbacks : int;
+    repairs : int;
   }
 
   let exact = F.compare F.eps F.zero = 0 && F.compare F.rel_eps F.zero = 0
@@ -115,9 +117,26 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
     mutable factz : int;  (* LU factorizations (revised path) *)
     mutable etaups : int;  (* product-form eta updates (revised path) *)
     mutable refz : int;  (* refactorizations after the first (revised path) *)
+    mutable fallbacks : int;  (* restarts from the all-artificial basis *)
+    mutable repairs : int;  (* basis positions replaced by LU repair *)
   }
 
-  let fresh_counters () = { iters = 0; degen = 0; bland = 0; factz = 0; etaups = 0; refz = 0 }
+  let fresh_counters () =
+    { iters = 0; degen = 0; bland = 0; factz = 0; etaups = 0; refz = 0; fallbacks = 0; repairs = 0 }
+
+  let detail_of counters ~basis outcome =
+    {
+      outcome;
+      basis;
+      iterations = counters.iters;
+      degenerate = counters.degen;
+      bland_pivots = counters.bland;
+      factorizations = counters.factz;
+      eta_updates = counters.etaups;
+      refactorizations = counters.refz;
+      fallbacks = counters.fallbacks;
+      repairs = counters.repairs;
+    }
 
   (* One phase of the simplex: pivot until optimal/unbounded or the
      budget runs out.  [weights] are the Devex reference weights, kept as
@@ -306,8 +325,7 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
         if Array.exists is_neg_abs c then Unbounded
         else Optimal (Array.make n F.zero, F.zero)
       in
-      { outcome; basis = [||]; iterations = 0; degenerate = 0; bland_pivots = 0;
-        factorizations = 0; eta_updates = 0; refactorizations = 0 }
+      detail_of (fresh_counters ()) ~basis:[||] outcome
     end
     else begin
       let cols = n + rows in
@@ -355,18 +373,7 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
       in
       let counters = fresh_counters () in
       let weights = if pricing = Devex then Array.make cols 1.0 else no_weights in
-      let finish outcome =
-        {
-          outcome;
-          basis = Array.copy basis;
-          iterations = counters.iters;
-          degenerate = counters.degen;
-          bland_pivots = counters.bland;
-          factorizations = counters.factz;
-          eta_updates = counters.etaups;
-          refactorizations = counters.refz;
-        }
-      in
+      let finish outcome = detail_of counters ~basis:(Array.copy basis) outcome in
       (* Phase 1: minimize the sum of artificials.  Reduced costs start
          as [1] on artificials, reduced against the artificial basis:
          z_j = -(sum of rows) on structural columns, 0 on artificials. *)
@@ -545,18 +552,7 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
           end
         done;
         let counters = fresh_counters () in
-        let finish outcome =
-          {
-            outcome;
-            basis = Array.copy basis;
-            iterations = counters.iters;
-            degenerate = counters.degen;
-            bland_pivots = counters.bland;
-            factorizations = counters.factz;
-            eta_updates = counters.etaups;
-            refactorizations = counters.refz;
-          }
-        in
+        let finish outcome = detail_of counters ~basis:(Array.copy basis) outcome in
         match
           iterate t z2 basis norms znorm no_weights counters
             ~eligible:(fun j -> j < n)
@@ -597,16 +593,22 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
 
   let eta_cap = 64
 
+  (* Column ids: [0, ncols) structural, [ncols, ncols + dim) the
+     artificials (unit columns, one per row), and [ncols + dim] the
+     auxiliary column x0 of a phase 1 started from a primal-infeasible
+     basis.  x0 is never priced and never handed back to the caller. *)
   type rstate = {
     dim : int;  (* constraint rows *)
     ncols : int;  (* structural columns *)
     amat : Sp.t;  (* scaled, sign-flipped structural matrix *)
     bvec : F.t array;  (* scaled, flipped rhs (componentwise >= 0) *)
-    basis : int array;  (* basis position -> column id *)
+    basis : int array;  (* basis position -> column id (-1: to be repaired) *)
     vpos : int array;  (* column id -> basis position, -1 if nonbasic *)
     xb : F.t array;  (* basic values, by basis position *)
     mutable fac : Lufac.t;
     weights : float array;  (* Devex reference weights, machine floats *)
+    mutable x0_ind : int array;  (* x0's column, sparse, scaled frame *)
+    mutable x0_val : F.t array;
     rhsbuf : F.t array;  (* row-space gather buffer *)
     wbuf : F.t array;  (* FTRAN image of the entering column *)
     ybuf : F.t array;  (* BTRAN duals *)
@@ -618,7 +620,12 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
   }
 
   let[@inline] col_iter st j f =
-    if j < st.ncols then Sp.iter_col st.amat j f else f (j - st.ncols) F.one
+    if j < st.ncols then Sp.iter_col st.amat j f
+    else if j < st.ncols + st.dim then f (j - st.ncols) F.one
+    else
+      for k = 0 to Array.length st.x0_ind - 1 do
+        f st.x0_ind.(k) st.x0_val.(k)
+      done
 
   let refactorize st =
     (match Lufac.factorize ~dim:st.dim ~col:(col_iter st) ~basis:st.basis with
@@ -847,8 +854,9 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
 
   (* Scale + flip the input into the internal standard form shared by the
      cold and warm sparse entry points: rows equilibrated by powers of
-     two, negative-rhs rows negated, artificials implicit. *)
-  let make_rstate ~(a : Sp.t) ~b ~pricing =
+     two, negative-rhs rows negated, artificials implicit, the
+     all-artificial basis installed. *)
+  let make_rstate ~(a : Sp.t) ~b =
     let rows = Sp.rows a in
     let n = Sp.cols a in
     let abs v = if F.compare v F.zero < 0 then F.neg v else v in
@@ -883,18 +891,19 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
           let v = F.mul scale.(i) b.(i) in
           if flip.(i) then F.neg v else v)
     in
-    let all_cols = n + rows in
+    let all_cols = n + rows + 1 in
     {
       dim = rows;
       ncols = n;
       amat;
       bvec;
       basis = Array.init rows (fun i -> n + i);
-      vpos =
-        Array.init all_cols (fun j -> if j >= n then j - n else -1);
+      vpos = Array.make all_cols (-1);  (* filled by [factorize_start] *)
       xb = Array.copy bvec;
       fac = Lufac.factorize ~dim:0 ~col:(fun _ _ -> ()) ~basis:[||];
-      weights = (if pricing = Devex then Array.make all_cols 1.0 else [||]);
+      weights = Array.make all_cols 1.0;
+      x0_ind = [||];
+      x0_val = [||];
       rhsbuf = Array.make rows F.zero;
       wbuf = Array.make rows F.zero;
       ybuf = Array.make rows F.zero;
@@ -905,17 +914,21 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
       eta_fill = 0;
     }
 
+  (* The reported basis never names x0: a solve that stops with x0 still
+     basic (a phase-1 stall or breakdown) reports the lowest nonbasic
+     artificial in its place, which a later warm start repairs if need
+     be. *)
   let finish_rev st outcome =
-    {
-      outcome;
-      basis = Array.copy st.basis;
-      iterations = st.counters.iters;
-      degenerate = st.counters.degen;
-      bland_pivots = st.counters.bland;
-      factorizations = st.counters.factz;
-      eta_updates = st.counters.etaups;
-      refactorizations = st.counters.refz;
-    }
+    let basis = Array.copy st.basis in
+    let x0 = st.ncols + st.dim in
+    if st.vpos.(x0) >= 0 then begin
+      let r = ref 0 in
+      while st.vpos.(st.ncols + !r) >= 0 do
+        incr r
+      done;
+      basis.(st.vpos.(x0)) <- st.ncols + !r
+    end;
+    detail_of st.counters ~basis outcome
 
   let phase2_cost st c j = if j < st.ncols then c.(j) else F.zero
 
@@ -940,8 +953,12 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
      structural nonbasic column with a usable entry, and exchange at a
      zero step.  Rows with no such entry are redundant; their artificial
      stays basic at zero, barred from entering and kicked out by the
-     ratio test if an entering column ever touches the row. *)
+     ratio test if an entering column ever touches the row.  x0 always
+     leaves: failing a structural column, a nonbasic artificial takes
+     its place (the pivot row of a nonsingular basis is nonzero on some
+     row, and that row's artificial cannot be basic elsewhere). *)
   let drive_out_artificials st ~relative =
+    let x0 = st.ncols + st.dim in
     for i = 0 to st.dim - 1 do
       if st.basis.(i) >= st.ncols then begin
         Array.fill st.ebuf 0 st.dim F.zero;
@@ -950,7 +967,8 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
         let found = ref (-1) in
         let fval = ref F.zero in
         let j = ref 0 in
-        while !found < 0 && !j < st.ncols do
+        let last = if st.basis.(i) = x0 then x0 else st.ncols in
+        while !found < 0 && !j < last do
           let jj = !j in
           if st.vpos.(jj) < 0 then begin
             let alpha = ref F.zero in
@@ -984,160 +1002,196 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
       end
     done
 
-  let solve_sparse_detailed ?(pricing = Devex) ?(relative = true) ?iter_budget
-      ~(a : Sp.t) ~b ~c () =
-    let rows = Sp.rows a in
-    let n = Sp.cols a in
-    if Array.length b <> rows then invalid_arg "Simplex.solve_sparse: b length mismatch";
-    if Array.length c <> n then invalid_arg "Simplex.solve_sparse: c length mismatch";
-    check_finite_sparse ~a ~b ~c;
-    let is_neg_abs x = F.compare x (F.neg F.eps) < 0 in
-    if rows = 0 then begin
-      let outcome =
-        if Array.exists is_neg_abs c then Unbounded
-        else Optimal (Array.make n F.zero, F.zero)
-      in
-      {
-        outcome;
-        basis = [||];
-        iterations = 0;
-        degenerate = 0;
-        bland_pivots = 0;
-        factorizations = 0;
-        eta_updates = 0;
-        refactorizations = 0;
-      }
-    end
-    else begin
-      let iter_budget =
-        match iter_budget with
-        | Some k -> k
-        | None -> default_budget ~rows ~cols:(n + rows)
-      in
-      let stall_k = Stdlib.max 32 rows in
-      let relative = relative && not exact in
-      let st = make_rstate ~a ~b ~pricing in
+  (* Factorise whatever basis [st] holds in repair mode — a singular,
+     duplicate or missing (-1) position takes the artificial of the
+     lowest uncovered row — and recompute x_B = B^-1 b. *)
+  let factorize_start st =
+    st.fac <-
+      Lufac.factorize_repair ~dim:st.dim
+        ~col:(fun j f -> if j >= 0 then col_iter st j f)
+        ~basis:st.basis
+        ~repair:(fun ~pos ~row ->
+          st.basis.(pos) <- st.ncols + row;
+          st.counters.repairs <- st.counters.repairs + 1);
+    st.counters.factz <- st.counters.factz + 1;
+    st.eta_fill <- 0;
+    Array.fill st.vpos 0 (Array.length st.vpos) (-1);
+    Array.iteri (fun i j -> st.vpos.(j) <- i) st.basis;
+    Lufac.ftran st.fac ~rhs:st.bvec ~out:st.xb
+
+  (* Chvátal's single-artificial start for a primal-infeasible basis:
+     x0 = -(sum of the basic columns at negative positions) has FTRAN
+     image -1 at exactly those positions, so entering it at the most
+     negative position [row], at step -x_B(row), lifts every negative
+     basic value to >= 0 in one exchange. *)
+  let enter_x0 st ~row =
+    let dim = st.dim in
+    Array.fill st.rhsbuf 0 dim F.zero;
+    for i = 0 to dim - 1 do
+      if F.compare st.xb.(i) F.zero < 0 then
+        col_iter st st.basis.(i) (fun r v -> st.rhsbuf.(r) <- F.sub st.rhsbuf.(r) v)
+    done;
+    let nz = ref [] in
+    for r = dim - 1 downto 0 do
+      if F.compare st.rhsbuf.(r) F.zero <> 0 then nz := r :: !nz
+    done;
+    st.x0_ind <- Array.of_list !nz;
+    st.x0_val <- Array.map (fun r -> st.rhsbuf.(r)) st.x0_ind;
+    Lufac.ftran st.fac ~rhs:st.rhsbuf ~out:st.wbuf;
+    let theta = F.div st.xb.(row) st.wbuf.(row) in
+    for i = 0 to dim - 1 do
+      if F.compare st.wbuf.(i) F.zero <> 0 then
+        st.xb.(i) <- F.sub st.xb.(i) (F.mul theta st.wbuf.(i))
+    done;
+    st.xb.(row) <- theta;
+    let x0 = st.ncols + dim in
+    st.vpos.(st.basis.(row)) <- -1;
+    st.basis.(row) <- x0;
+    st.vpos.(x0) <- row;
+    absorb_exchange st ~pos:row;
+    st.counters.iters <- st.counters.iters + 1
+
+  (* The one phase-1/phase-2 routine behind the cold and the warm entry
+     points, started from whatever basis [st] holds (the all-artificial
+     one for a cold solve).  Phase 1 runs only when that basis is not
+     primal feasible: some basic value below -tol (x0 enters first) or a
+     basic artificial above tol; it minimizes the artificials plus x0.
+     [phase1] and [phase2] are the phases' pricing rules.
+     @raise Breakdown on a numerical breakdown. *)
+  let run st ~c ~phase1 ~phase2 ~relative ~iter_budget ~stall_k =
+    let n = st.ncols in
+    factorize_start st;
+    let tol = tol_for ~relative (F.of_int (2 * st.dim)) in
+    let neg_tol = F.neg tol in
+    let worst = ref (-1) and infeasible = ref false in
+    for i = 0 to st.dim - 1 do
+      let v = st.xb.(i) in
+      if F.compare v neg_tol < 0 then begin
+        infeasible := true;
+        if !worst < 0 || F.compare v st.xb.(!worst) < 0 then worst := i
+      end
+      else if st.basis.(i) >= n && F.compare v tol > 0 then infeasible := true
+    done;
+    let run_phase2 () =
       match
-        refactorize st;
-        (* Phase 1: minimize the artificial sum. *)
-        let cost1 j = if j >= st.ncols then F.one else F.zero in
-        let objective1 () =
-          let s = ref F.zero in
-          for i = 0 to st.dim - 1 do
-            if st.basis.(i) >= st.ncols then s := F.add !s st.xb.(i)
-          done;
-          !s
-        in
+        iterate_rev st ~cost:(phase2_cost st c)
+          ~eligible:(fun j -> j < n)
+          ~relative ~pricing:phase2 ~iter_budget ~stall_k
+          ~objective:(phase2_objective st c)
+      with
+      | `Stalled -> finish_rev st Stalled
+      | `Unbounded -> finish_rev st Unbounded
+      | `Optimal ->
+        let x, obj = extract_solution st c in
+        finish_rev st (Optimal (x, obj))
+    in
+    if not !infeasible then run_phase2 ()
+    else begin
+      if !worst >= 0 then enter_x0 st ~row:!worst;
+      let cost1 j = if j >= n then F.one else F.zero in
+      let objective1 () =
+        let s = ref F.zero in
+        for i = 0 to st.dim - 1 do
+          if st.basis.(i) >= n then s := F.add !s st.xb.(i)
+        done;
+        !s
+      in
+      match
         iterate_rev st ~cost:cost1
           ~eligible:(fun _ -> true)
-          ~relative ~pricing ~iter_budget ~stall_k ~objective:objective1
+          ~relative ~pricing:phase1 ~iter_budget ~stall_k ~objective:objective1
       with
-      | exception Breakdown -> finish_rev st Stalled
       | `Stalled -> finish_rev st Stalled
       | `Unbounded ->
         (* Phase 1 is bounded below by 0: a reported ray means the
            thresholds lied.  Same convention as the dense path. *)
         finish_rev st Infeasible
-      | `Optimal -> (
-        let phase1_obj =
-          let s = ref F.zero in
-          for i = 0 to st.dim - 1 do
-            if st.basis.(i) >= st.ncols then s := F.add !s st.xb.(i)
-          done;
-          !s
-        in
-        let feas_tol = tol_for ~relative (F.of_int (2 * rows)) in
-        if F.compare phase1_obj feas_tol > 0 then finish_rev st Infeasible
-        else
-          match
-            drive_out_artificials st ~relative;
-            if pricing = Devex then Array.fill st.weights 0 (n + rows) 1.0;
-            iterate_rev st ~cost:(phase2_cost st c)
-              ~eligible:(fun j -> j < n)
-              ~relative ~pricing ~iter_budget ~stall_k
-              ~objective:(phase2_objective st c)
-          with
-          | exception Breakdown -> finish_rev st Stalled
-          | `Stalled -> finish_rev st Stalled
-          | `Unbounded -> finish_rev st Unbounded
-          | `Optimal ->
-            let x, obj = extract_solution st c in
-            finish_rev st (Optimal (x, obj)))
+      | `Optimal ->
+        if F.compare (objective1 ()) tol > 0 then finish_rev st Infeasible
+        else begin
+          drive_out_artificials st ~relative;
+          Array.fill st.weights 0 (Array.length st.weights) 1.0;
+          run_phase2 ()
+        end
+    end
+
+  let check_sparse ~(a : Sp.t) ~b ~c =
+    if Array.length b <> Sp.rows a then invalid_arg "Simplex.solve_sparse: b length mismatch";
+    if Array.length c <> Sp.cols a then invalid_arg "Simplex.solve_sparse: c length mismatch";
+    check_finite_sparse ~a ~b ~c
+
+  let budget_or iter_budget st =
+    match iter_budget with
+    | Some k -> k
+    | None -> default_budget ~rows:st.dim ~cols:(st.ncols + st.dim)
+
+  (* No constraints: minimum is at the origin unless some cost is
+     negative, in which case that coordinate runs off to infinity. *)
+  let solve_unconstrained ~c =
+    let outcome =
+      if Array.exists (fun x -> F.compare x (F.neg F.eps) < 0) c then Unbounded
+      else Optimal (Array.make (Array.length c) F.zero, F.zero)
+    in
+    detail_of (fresh_counters ()) ~basis:[||] outcome
+
+  let solve_sparse_detailed ?(pricing = Devex) ?(relative = true) ?iter_budget
+      ~(a : Sp.t) ~b ~c () =
+    check_sparse ~a ~b ~c;
+    if Sp.rows a = 0 then solve_unconstrained ~c
+    else begin
+      let st = make_rstate ~a ~b in
+      match
+        run st ~c ~phase1:pricing ~phase2:pricing ~relative:(relative && not exact)
+          ~iter_budget:(budget_or iter_budget st) ~stall_k:(Stdlib.max 32 st.dim)
+      with
+      | d -> d
+      | exception Breakdown -> finish_rev st Stalled
     end
 
   let solve_sparse ~a ~b ~c = (solve_sparse_detailed ~a ~b ~c ()).outcome
 
-  (* Warm start on the sparse path: factorize the proposed basis
-     directly (no elimination pass over a dense tableau), recover x_B by
-     one FTRAN, check primal feasibility, and run phase 2 only.  Any
-     failure — wrong shape, duplicate or singular basis, an infeasible
-     vertex, an artificial carrying real flow — falls back to the full
-     two-phase solve, so the result is always as trustworthy as
+  (* Warm start on the sparse path: install the proposed basis as given
+     — out-of-range or repeated ids, and positions past its end, left
+     empty for the start factorization to repair; surplus entries
+     dropped — and run the shared [run] from it.  Phase 1 from a stale
+     basis is a real search, which Devex steers in fewer pivots; phase 2
+     from a warm basis is typically a handful of pivots, where Bland's
+     first-candidate scan is cheapest (and, on the exact instance,
+     skips Devex's extra rational BTRAN per pivot).  Only a numerical
+     breakdown restarts, cold, from the all-artificial basis (counted in
+     [fallbacks]), so the result is always as trustworthy as
      [solve_sparse]. *)
   let solve_sparse_from_basis ?iter_budget ~(a : Sp.t) ~b ~c ~basis:proposed () =
-    let rows = Sp.rows a in
-    let n = Sp.cols a in
-    if Array.length b <> rows then invalid_arg "Simplex.solve_sparse: b length mismatch";
-    if Array.length c <> n then invalid_arg "Simplex.solve_sparse: c length mismatch";
-    check_finite_sparse ~a ~b ~c;
-    let full () = solve_sparse_detailed ?iter_budget ~a ~b ~c () in
-    let distinct =
-      let seen = Array.make (n + rows) false in
-      Array.for_all
-        (fun col ->
-          col >= 0 && col < n + rows
-          &&
-          if seen.(col) then false
-          else begin
-            seen.(col) <- true;
-            true
-          end)
-        proposed
-    in
-    if rows = 0 then full ()
-    else if Array.length proposed <> rows || not distinct then full ()
+    check_sparse ~a ~b ~c;
+    if Sp.rows a = 0 then solve_unconstrained ~c
     else begin
-      let st = make_rstate ~a ~b ~pricing:Bland in
-      Array.fill st.vpos 0 (n + rows) (-1);
-      Array.blit proposed 0 st.basis 0 rows;
-      Array.iteri (fun i col -> st.vpos.(col) <- i) st.basis;
-      match Lufac.factorize ~dim:st.dim ~col:(col_iter st) ~basis:st.basis with
-      | exception Lu.Singular _ -> full ()
-      | fac -> (
-        st.fac <- fac;
-        st.counters.factz <- st.counters.factz + 1;
-        Lufac.ftran st.fac ~rhs:st.bvec ~out:st.xb;
-        (* Primal feasibility of the proposed vertex: nonnegative basic
-           values, artificials at zero — within the tolerance of the
-           scaled system, whose rhs lives in [0, 2]. *)
-        let vtol = tol_for ~relative:(not exact) (F.of_int (2 * rows)) in
-        let ok = ref true in
-        for i = 0 to rows - 1 do
-          if F.compare st.xb.(i) (F.neg vtol) < 0 then ok := false
-          else if st.basis.(i) >= n && F.compare (F.abs st.xb.(i)) vtol > 0 then
-            ok := false
+      let st = make_rstate ~a ~b in
+      let ids = st.ncols + st.dim in
+      for i = 0 to st.dim - 1 do
+        let j = if i < Array.length proposed then proposed.(i) else -1 in
+        if j >= 0 && j < ids && st.vpos.(j) < 0 then begin
+          st.basis.(i) <- j;
+          st.vpos.(j) <- i
+        end
+        else st.basis.(i) <- -1
+      done;
+      let iter_budget = budget_or iter_budget st in
+      let stall_k = Stdlib.max 32 st.dim in
+      let relative = not exact in
+      match run st ~c ~phase1:Devex ~phase2:Bland ~relative ~iter_budget ~stall_k with
+      | d -> d
+      | exception Breakdown -> (
+        st.counters.fallbacks <- st.counters.fallbacks + 1;
+        for i = 0 to st.dim - 1 do
+          st.basis.(i) <- st.ncols + i
         done;
-        if not !ok then full ()
-        else begin
-          let iter_budget =
-            match iter_budget with
-            | Some k -> k
-            | None -> default_budget ~rows ~cols:(n + rows)
-          in
-          match
-            iterate_rev st ~cost:(phase2_cost st c)
-              ~eligible:(fun j -> j < n)
-              ~relative:(not exact) ~pricing:Bland ~iter_budget
-              ~stall_k:(Stdlib.max 32 rows)
-              ~objective:(phase2_objective st c)
-          with
-          | exception Breakdown -> finish_rev st Stalled
-          | `Stalled -> finish_rev st Stalled
-          | `Unbounded -> finish_rev st Unbounded
-          | `Optimal ->
-            let x, obj = extract_solution st c in
-            finish_rev st (Optimal (x, obj))
-        end)
+        Array.fill st.weights 0 (Array.length st.weights) 1.0;
+        match
+          run st ~c ~phase1:Devex ~phase2:Devex ~relative
+            ~iter_budget:(iter_budget + st.counters.iters) ~stall_k
+        with
+        | d -> d
+        | exception Breakdown -> finish_rev st Stalled)
     end
 
   (* The default entry points run the revised path; the dense tableau

@@ -63,7 +63,9 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
         (** final basis, [basis.(i)] = column basic in row [i]; columns
             [>= n] are phase-1 artificials (redundant rows).  Feed it to
             {!solve_from_basis} of the exact instance to certify a float
-            result without redoing phase 1. *)
+            result from it: the basis is repaired, phase 2 runs when the
+            repaired basis is feasible and phase 1 runs from it
+            otherwise — never a cold restart. *)
     iterations : int;  (** pivots performed, both phases *)
     degenerate : int;  (** pivots with no objective progress *)
     bland_pivots : int;  (** pivots taken under the Bland fallback *)
@@ -76,6 +78,14 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
     refactorizations : int;
         (** factorisations forced after the first of a phase — by the
             eta-file cap, accumulated fill, or a refused eta pivot *)
+    fallbacks : int;
+        (** restarts from the all-artificial basis after a numerical
+            breakdown of a warm start (revised path; 0 on the dense
+            path) *)
+    repairs : int;
+        (** basis positions the start factorisation replaced by an
+            artificial ({!Lu.Make.factorize_repair}): singular, repeated
+            or out-of-range entries of a warm-start basis *)
   }
 
   (** [solve ~a ~b ~c] minimizes [c'x] subject to [a x = b], [x >= 0].
@@ -117,14 +127,11 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
     detail
 
   (** [solve_from_basis ~a ~b ~c ~basis ()] warm-starts from a proposed
-      basis — typically the float solver's final [detail.basis] — by
-      realizing it with direct elimination and running phase 2 only,
-      skipping the artificial-variable phase 1 entirely.  If the basis
-      cannot be realized (singular, primal infeasible, or a basic
-      artificial carrying flow), it silently falls back to the full
-      two-phase solve, so the result is always as trustworthy as
-      {!solve}.  Intended for the exact instance, where phase 1 is the
-      dominant cost of certifying a float answer. *)
+      basis — typically the float solver's final [detail.basis] — and
+      re-optimizes from it whatever it is: {!solve_sparse_from_basis}
+      on the sparse copy of [a].  Intended for the exact instance,
+      where a cold phase 1 is the dominant cost of certifying a float
+      answer. *)
   val solve_from_basis :
     ?iter_budget:int ->
     a:F.t array array ->
@@ -154,10 +161,22 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
     unit ->
     detail
 
-  (** Warm start on the sparse path: factorise the proposed basis
-      directly, recover the basic solution with one FTRAN, and run
-      phase 2 only — falling back to the full two-phase solve whenever
-      the basis cannot be realised, exactly like {!solve_from_basis}. *)
+  (** Warm start on the sparse path, re-optimizing from the proposed
+      basis whatever it is.  Entries that are out of range or repeated,
+      and positions past the array's end, start empty; surplus entries
+      are dropped.  The basis is factorised in repair mode
+      ({!Lu.Make.factorize_repair}): every position without an
+      acceptable pivot takes the artificial of the lowest uncovered
+      row ([detail.repairs]).  A primal-feasible start runs phase 2
+      only.  Otherwise phase 1 runs from the given basis: when some
+      basic value is negative, one auxiliary column
+      x0 = -(sum of the basic columns at negative positions) is pivoted
+      in at the most negative position first (Chvátal's
+      single-artificial start), and phase 1 minimizes the artificials
+      plus x0.  The returned basis never names x0.  Only a numerical
+      breakdown restarts from the all-artificial basis
+      ([detail.fallbacks]); {!solve_sparse_detailed} is this same
+      routine started from that basis.  Every choice is deterministic. *)
   val solve_sparse_from_basis :
     ?iter_budget:int ->
     a:F.t Sparse.repr ->

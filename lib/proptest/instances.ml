@@ -272,3 +272,8 @@ let dyadic_lp_instance ~tasks ~machines ~kmax seed =
             Float.min 0.984375 (Float.round (Instance.f base i u *. 64.0) /. 64.0)))
   in
   Instance.create ~workflow:(Instance.workflow base) ~machines:m ~w ~f
+
+(* The small tier of the lp-differential suite, sized so a cold
+   exact-rational solve stays affordable. *)
+let lp_differential_instance i =
+  dyadic_lp_instance ~tasks:(4 + (i mod 9)) ~machines:(2 + (i mod 4)) ~kmax:(i mod 11) i

@@ -123,3 +123,8 @@ val differential_instance : rule:Mf_core.Mapping.rule -> int -> Mf_core.Instance
     failure rates snapped to the 1/64 grid. *)
 val dyadic_lp_instance :
   tasks:int -> machines:int -> kmax:int -> int -> Mf_core.Instance.t
+
+(** [lp_differential_instance i] is the [i]-th instance of the
+    [lp-differential] small tier (the [warm-start] oracle's pool too):
+    [4 + i mod 9] tasks, [2 + i mod 4] machines, [kmax = i mod 11]. *)
+val lp_differential_instance : int -> Mf_core.Instance.t

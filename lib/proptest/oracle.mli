@@ -16,6 +16,10 @@
       under all three mapping rules on small instances;
     - [lp-vs-exact] — the {!Mf_lp.Splitting} certified bound never
       exceeds the exact optimum;
+    - [warm-start] — {!Mf_lp.Simplex.Make.solve_sparse_from_basis}
+      from a random, the all-artificial, or a perturbed copy's optimal
+      basis agrees with the cold solve, float and exact-rational (see
+      {!warm_start_case});
     - [sim-vs-analytic] — {!Mf_sim.Desim.run} throughput and per-task
       loss rates stay inside z = 6 confidence bands around the analytic
       values (false-positive probability < 1e-9 per check; deterministic
@@ -78,6 +82,18 @@ val run : ?count:int -> seed:int -> t -> outcome
 (** [replay o ~case_seed] re-executes exactly one case — the one a
     corpus or repro file recorded — without shrinking on success. *)
 val replay : t -> case_seed:int -> outcome
+
+(** [warm_start_case ~instance ~start ~seed] runs one case of the
+    [warm-start] oracle on {!Instances.lp_differential_instance}
+    [instance], starting {!Mf_lp.Simplex.Make.solve_sparse_from_basis}
+    from a basis of kind [start]: [0] distinct column ids drawn from
+    [seed], [1] the all-artificial basis, [2] the float optimal basis
+    of a copy perturbed from [seed].  Float and rational warm solves
+    must reach the cold solve's verdict and objective (rel 1e-9 and
+    exactly), return a basis of distinct real column ids (never the
+    auxiliary x0), and the rational one must not restart.  Shared with
+    the [simplex] group of the LP test suite. *)
+val warm_start_case : instance:int -> start:int -> seed:int -> (unit, string) result
 
 (** The canary: a deliberately broken period evaluation (the success
     probability sign flipped in a local copy of the product-count

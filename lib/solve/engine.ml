@@ -119,7 +119,7 @@ let lp_bound_threshold = 14
 (* Adapt Mf_lp.Node_bound to the Dfs oracle record.  One oracle per
    subtree search (the factory contract), accumulated under a mutex:
    subtree searches run on pool domains, and the engine sums the
-   oracles' pivot counters into the outcome stats afterwards. *)
+   oracles' counters into the outcome stats afterwards. *)
 let node_bound_factory ~rule inst =
   let oracles = ref [] and guard = Mutex.create () in
   let factory () =
@@ -132,12 +132,12 @@ let node_bound_factory ~rule inst =
       nb_pivots = (fun () -> (Mf_lp.Node_bound.stats t).Mf_lp.Node_bound.pivots);
     }
   in
-  let pivots () =
+  let stats () =
     List.fold_left
-      (fun acc t -> acc + (Mf_lp.Node_bound.stats t).Mf_lp.Node_bound.pivots)
-      0 !oracles
+      (fun acc t -> Mf_lp.Node_bound.add_stats acc (Mf_lp.Node_bound.stats t))
+      Mf_lp.Node_bound.zero_stats !oracles
   in
-  (factory, pivots)
+  (factory, stats)
 
 let exact ?lower_bound ?incumbent ?pool ?lp_bound ?pivot_charge ?cancel (req : request) =
   let inst = req.instance in
@@ -151,8 +151,8 @@ let exact ?lower_bound ?incumbent ?pool ?lp_bound ?pivot_charge ?cancel (req : r
     in
     let node_bound, nb_pivots =
       if use_lp then
-        let factory, pivots = node_bound_factory ~rule:req.rule inst in
-        (Some factory, pivots)
+        let factory, stats = node_bound_factory ~rule:req.rule inst in
+        (Some factory, fun () -> (stats ()).Mf_lp.Node_bound.pivots)
       else (None, fun () -> 0)
     in
     let r =

@@ -35,16 +35,16 @@ val lp_bound_threshold : int
 
 (** [node_bound_factory ~rule inst] adapts {!Mf_lp.Node_bound} to the
     {!Mf_exact.Dfs.node_bound} oracle record: returns the per-subtree
-    factory to pass as [Dfs.solve ?node_bound] plus a counter reading
-    the simplex iterations spent across all oracles created so far
-    (safe to call after the solve; oracle registration is mutex-guarded
-    because subtree searches run on pool domains).  Exposed for callers
-    driving {!Mf_exact.Dfs} directly ([mfopt exact], the bench); {!exact}
-    wires it automatically. *)
+    factory to pass as [Dfs.solve ?node_bound] plus a reader summing
+    the work counters ({!Mf_lp.Node_bound.stats}) of all oracles
+    created so far (safe to call after the solve; oracle registration
+    is mutex-guarded because subtree searches run on pool domains).
+    Exposed for callers driving {!Mf_exact.Dfs} directly ([mfopt exact],
+    the bench); {!exact} wires it automatically. *)
 val node_bound_factory :
   rule:Mf_core.Mapping.rule ->
   Mf_core.Instance.t ->
-  (unit -> Mf_exact.Dfs.node_bound) * (unit -> int)
+  (unit -> Mf_exact.Dfs.node_bound) * (unit -> Mf_lp.Node_bound.stats)
 
 (** Exact branch-and-bound ({!Mf_exact.Dfs.solve}).  The request budget
     maps to the node budget through {!Solver.node_allowance}

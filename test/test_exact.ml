@@ -698,6 +698,75 @@ let test_node_bound_deterministic_replay () =
   Alcotest.(check int) "replay solves identical" s1.Node_bound.solves s2.Node_bound.solves;
   Alcotest.(check int) "replay pivots identical" s1.Node_bound.pivots s2.Node_bound.pivots
 
+(* Warm starts change the work, never the answer: along a fixed
+   push/pop walk on an exact-close chain (p=3, m=5, n=14, specialized),
+   the long-lived oracle — warm-started from sibling bases, from the
+   depth above's mapped basis, and repaired where the locks empty a
+   column — returns at every prefix the bound a fresh oracle computes
+   cold at that prefix, and never needs the all-artificial restart. *)
+let test_node_bound_warm_matches_fresh () =
+  let rule = Mapping.Specialized in
+  let inst = chain_instance ~seed:1 ~n:14 ~p:3 ~m:5 () in
+  let order = Workflow.backward_order (Instance.workflow inst) in
+  let n = Instance.task_count inst and m = Instance.machines inst in
+  let wf = Instance.workflow inst in
+  let t = Node_bound.create ~rule inst in
+  let rng = Rng.create 2026 in
+  (* The walk's prefix as (task, machine, locked the machine) triples,
+     deepest first, and the machine dedications it implies (a
+     specialized completion must exist). *)
+  let prefix = ref [] in
+  let dedicated = Array.make m (-1) in
+  let close a b =
+    a = b || Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
+  in
+  for step = 1 to 160 do
+    let depth = List.length !prefix in
+    if depth > 0 && (depth = n - 1 || Rng.int rng 100 < 35) then begin
+      (match !prefix with
+      | (_, u, fresh_lock) :: rest ->
+        if fresh_lock then dedicated.(u) <- -1;
+        prefix := rest
+      | [] -> assert false);
+      Node_bound.pop t
+    end
+    else begin
+      let task = order.(depth) in
+      let ty = Workflow.ttype wf task in
+      let allowed = List.filter (fun u -> dedicated.(u) < 0 || dedicated.(u) = ty) (List.init m Fun.id) in
+      let u = List.nth allowed (Rng.int rng (List.length allowed)) in
+      let fresh_lock = dedicated.(u) < 0 in
+      if fresh_lock then dedicated.(u) <- ty;
+      prefix := (task, u, fresh_lock) :: !prefix;
+      Node_bound.push t ~task ~machine:u
+    end;
+    (* An infinite cutoff never lets the pigeonhole pre-check decide; the
+       specialized enumeration stops at its first variant, in the same
+       order for both oracles. *)
+    if !prefix <> [] then begin
+      let warm = Node_bound.bound t ~cutoff:infinity in
+      let fresh =
+        let f = Node_bound.create ~rule inst in
+        List.iter (fun (task, machine, _) -> Node_bound.push f ~task ~machine) (List.rev !prefix);
+        Node_bound.bound f ~cutoff:infinity
+      in
+      if not (close warm fresh) then
+        Alcotest.fail
+          (Printf.sprintf "step %d (depth %d): warm bound %.17g vs fresh %.17g" step
+             (List.length !prefix) warm fresh)
+    end
+  done;
+  let s = Node_bound.stats t in
+  Alcotest.(check int) "no all-artificial restarts" 0 s.Node_bound.fallbacks;
+  Alcotest.(check bool)
+    (Printf.sprintf "walk exercised warm starts (%d of %d solves)" s.Node_bound.warm_starts
+       s.Node_bound.solves)
+    true
+    (s.Node_bound.warm_starts > s.Node_bound.solves / 2);
+  Alcotest.(check bool)
+    (Printf.sprintf "walk exercised basis repair (%d repairs)" s.Node_bound.repairs)
+    true (s.Node_bound.repairs > 0)
+
 let test_node_bound_push_order_contract () =
   let inst = chain_instance ~seed:1 ~n:5 ~p:2 ~m:3 () in
   let t = Node_bound.create ~rule:Mapping.Specialized inst in
@@ -754,6 +823,7 @@ let () =
             test_node_bound_sound_never_prunes_optimum;
           Alcotest.test_case "deterministic replay" `Quick test_node_bound_deterministic_replay;
           Alcotest.test_case "push order contract" `Quick test_node_bound_push_order_contract;
+          Alcotest.test_case "warm bound = fresh bound" `Quick test_node_bound_warm_matches_fresh;
           Alcotest.test_case "dfs arm agrees with plain" `Slow test_dfs_node_bound_agrees;
         ] );
       ( "brute",

@@ -433,6 +433,81 @@ let test_simplex_warm_start_agrees () =
     | _ -> Alcotest.fail (Printf.sprintf "case %d: expected Optimal on all paths" case)
   done
 
+(* The warm-start oracle's cases (random, all-artificial and perturbed
+   optimal starting bases) on a fixed spread of lp-differential
+   instances: every warm start agrees with its cold solve. *)
+let test_simplex_warm_start_any_basis () =
+  for k = 0 to 15 do
+    let instance = (13 * k) mod 200 in
+    for start = 0 to 2 do
+      match Mf_proptest.Oracle.warm_start_case ~instance ~start ~seed:(1000 + k) with
+      | Ok () -> ()
+      | Error msg ->
+        Alcotest.fail (Printf.sprintf "instance %d, start kind %d: %s" instance start msg)
+    done
+  done
+
+(* Tiny standard-form LPs warm-started from every ordered basis of
+   distinct column ids (artificials included): the verdict — infeasible,
+   unbounded, or the known optimum — never depends on the start, float
+   or rational, and the reported basis names only real columns. *)
+let test_simplex_warm_start_verdicts () =
+  let module FS = Simplex.Float_solver in
+  let module RS = Simplex.Rat_solver in
+  let lps =
+    [
+      (* x1 + x2 + x3 = 1 and x1 + x2 = 2 (given negated) *)
+      ( "infeasible",
+        [| [| 1.0; 1.0; 1.0 |]; [| -1.0; -1.0; 0.0 |] |],
+        [| 1.0; -2.0 |],
+        [| 1.0; 0.0; 0.0 |],
+        `Infeasible );
+      (* min -x1 with x1 - x2 = 1, x3 = 1: x2 free to grow *)
+      ( "unbounded",
+        [| [| 1.0; -1.0; 0.0 |]; [| 0.0; 0.0; 1.0 |] |],
+        [| 1.0; 1.0 |],
+        [| -1.0; 0.0; 0.0 |],
+        `Unbounded );
+      (* min x1 + x2 + x3 with x1 + x2 = 1, x2 + x3 = 1: x2 = 1 *)
+      ( "optimal",
+        [| [| 1.0; 1.0; 0.0 |]; [| 0.0; 1.0; 1.0 |] |],
+        [| 1.0; 1.0 |],
+        [| 1.0; 1.0; 1.0 |],
+        `Optimal 1.0 );
+    ]
+  in
+  List.iter
+    (fun (name, a, b, c, want) ->
+      let ids = 3 + 2 in
+      for p = 0 to ids - 1 do
+        for q = 0 to ids - 1 do
+          if p <> q then begin
+            let basis = [| p; q |] in
+            let case = Printf.sprintf "%s from [%d; %d]" name p q in
+            let ok_basis bs = Array.for_all (fun j -> j >= 0 && j < ids) bs in
+            let fd = FS.solve_from_basis ~a ~b ~c ~basis () in
+            let ra = Array.map (Array.map Rat.of_float) a in
+            let rd =
+              RS.solve_from_basis ~a:ra ~b:(Array.map Rat.of_float b)
+                ~c:(Array.map Rat.of_float c) ~basis ()
+            in
+            Alcotest.(check bool) (case ^ ": float basis valid") true (ok_basis fd.FS.basis);
+            Alcotest.(check bool) (case ^ ": rational basis valid") true (ok_basis rd.RS.basis);
+            Alcotest.(check int) (case ^ ": rational never restarts") 0 rd.RS.fallbacks;
+            match (want, fd.FS.outcome, rd.RS.outcome) with
+            | `Infeasible, FS.Infeasible, RS.Infeasible | `Unbounded, FS.Unbounded, RS.Unbounded
+              ->
+              ()
+            | `Optimal v, FS.Optimal (_, fo), RS.Optimal (_, ro) ->
+              Alcotest.(check (float 1e-9)) (case ^ ": float optimum") v fo;
+              Alcotest.(check bool) (case ^ ": rational optimum") true
+                (Rat.compare ro (Rat.of_float v) = 0)
+            | _ -> Alcotest.fail (case ^ ": wrong verdict")
+          end
+        done
+      done)
+    lps
+
 let test_simplex_bland_baseline_agrees () =
   let module S = Simplex.Float_solver in
   let rng = Rng.create 2718 in
@@ -669,17 +744,113 @@ let test_lu_singular_detected () =
       Alcotest.fail (Printf.sprintf "zero matrix singular at step %d, expected 0" k)
   | _ -> Alcotest.fail "zero matrix factorized"
 
+(* Basis repair: [factorize_repair] on a dense matrix, returning the
+   factors and the (position, row) substitutions in report order. *)
+let lu_repair_dense a d =
+  let sa = Sparse_f.of_dense a ~cols:d in
+  let subs = ref [] in
+  let fac =
+    Lu_f.factorize_repair ~dim:d
+      ~col:(fun j f -> Sparse_f.iter_col sa j f)
+      ~basis:(Array.init d Fun.id)
+      ~repair:(fun ~pos ~row -> subs := (pos, row) :: !subs)
+  in
+  (fac, List.rev !subs)
+
+(* [a] with each repaired column replaced by its unit column. *)
+let repaired_matrix a subs =
+  let r = Array.map Array.copy a in
+  List.iter
+    (fun (pos, row) -> Array.iteri (fun i line -> line.(pos) <- (if i = row then 1.0 else 0.0)) r)
+    subs;
+  r
+
+(* ftran/btran of the repaired factors against dense solves of the
+   repaired matrix (basis.(p) = p, so positions index columns). *)
+let check_repaired_solves name a subs fac rng =
+  let d = Array.length a in
+  let ar = repaired_matrix a subs in
+  let b = Array.init d (fun _ -> Rng.uniform rng ~lo:(-5.0) ~hi:5.0) in
+  let out = Array.make d 0.0 in
+  Lu_f.ftran fac ~rhs:b ~out;
+  let ferr = max_abs_diff out (dense_solve ar b) in
+  if ferr > 1e-6 then Alcotest.fail (Printf.sprintf "%s: repaired ftran err %g" name ferr);
+  let y = Array.make d 0.0 in
+  Lu_f.btran fac ~cvec:b ~out:y;
+  let at = Array.init d (fun i -> Array.init d (fun j -> ar.(j).(i))) in
+  let berr = max_abs_diff y (dense_solve at b) in
+  if berr > 1e-6 then Alcotest.fail (Printf.sprintf "%s: repaired btran err %g" name berr)
+
+let pp_subs subs =
+  String.concat "; " (List.map (fun (p, r) -> Printf.sprintf "(%d,%d)" p r) subs)
+
+let test_lu_basis_repair () =
+  let rng = Rng.create 48 in
+  let cases =
+    [
+      (* Empty column 1: the other columns cover rows 2 then 0, so the
+         basis is completed by the unit column of row 1. *)
+      ( "empty column",
+        [| [| 2.0; 0.0; 0.0 |]; [| 1.0; 0.0; 0.0 |]; [| 0.0; 0.0; 3.0 |] |],
+        [ (1, 1) ] );
+      (* Column 1 = 2 x column 0: column 0 takes row 0, column 1
+         eliminates to zero and takes row 1, the lowest uncovered. *)
+      ( "parallel columns",
+        [| [| 1.0; 2.0; 0.0 |]; [| 2.0; 4.0; 1.0 |]; [| 0.0; 0.0; 1.0 |] |],
+        [ (1, 1) ] );
+      (* Rank 2 of 4: columns 0 and 2 cover rows 0 and 3; their
+         multiples in columns 1 and 3 take rows 1 then 2. *)
+      ( "rank-2 deficiency",
+        [|
+          [| 1.0; 2.0; 0.0; 0.0 |];
+          [| 0.0; 0.0; 1.0; 3.0 |];
+          [| 1.0; 2.0; 0.0; 0.0 |];
+          [| 0.0; 0.0; 1.0; 3.0 |];
+        |],
+        [ (1, 1); (3, 2) ] );
+    ]
+  in
+  List.iter
+    (fun (name, a, want) ->
+      let d = Array.length a in
+      (match lu_factorize_dense a d with
+      | exception Mf_lp.Lu.Singular _ -> ()
+      | _ -> Alcotest.fail (name ^ ": plain factorize accepted a singular basis"));
+      let fac, subs = lu_repair_dense a d in
+      Alcotest.(check string) (name ^ ": substitutions") (pp_subs want) (pp_subs subs);
+      let _, again = lu_repair_dense a d in
+      Alcotest.(check string) (name ^ ": deterministic") (pp_subs subs) (pp_subs again);
+      check_repaired_solves name a subs fac rng)
+    cases;
+  (* Random singular bases: emptied columns and exact multiples of
+     other columns.  Every repair must land on a distinct, previously
+     uncovered row, and the factors must solve the repaired matrix. *)
+  for case = 1 to 100 do
+    let d = 2 + Rng.int rng 11 in
+    let a = random_lu_matrix rng d (Rng.uniform rng ~lo:0.1 ~hi:0.9) in
+    for _ = 1 to 1 + Rng.int rng (d / 2 + 1) do
+      let j = Rng.int rng d in
+      if Rng.int rng 2 = 0 then Array.iter (fun line -> line.(j) <- 0.0) a
+      else
+        let k = Rng.int rng d in
+        if k <> j then Array.iter (fun line -> line.(j) <- 2.0 *. line.(k)) a
+    done;
+    let name = Printf.sprintf "random case %d (d=%d)" case d in
+    let fac, subs = lu_repair_dense a d in
+    let rows = List.map snd subs in
+    Alcotest.(check int)
+      (name ^ ": repaired rows distinct")
+      (List.length rows)
+      (List.length (List.sort_uniq compare rows));
+    check_repaired_solves name a subs fac rng
+  done
+
 let dyadic_instance = Mf_proptest.Instances.dyadic_lp_instance
 
 (* Small tier: cold exact ground truth (full two-phase rational solve). *)
 let lp_differential_small = 200
 
-let small_tier_instance i =
-  dyadic_instance
-    ~tasks:(4 + (i mod 9))
-    ~machines:(2 + (i mod 4))
-    ~kmax:(i mod 11)
-    i
+let small_tier_instance = Mf_proptest.Instances.lp_differential_instance
 
 (* Large tier: sizes where a cold rational solve is unaffordable; ground
    truth is the rational solver warm-started from the float basis (the
@@ -770,6 +941,9 @@ let () =
           Alcotest.test_case "rejects non-finite" `Quick test_simplex_rejects_non_finite;
           Alcotest.test_case "stall budget" `Quick test_simplex_stall_budget;
           Alcotest.test_case "warm start" `Slow test_simplex_warm_start_agrees;
+          Alcotest.test_case "warm start from any basis" `Slow
+            test_simplex_warm_start_any_basis;
+          Alcotest.test_case "warm start verdicts" `Quick test_simplex_warm_start_verdicts;
           Alcotest.test_case "bland baseline" `Quick test_simplex_bland_baseline_agrees;
         ] );
       ( "branch-bound",
@@ -796,6 +970,7 @@ let () =
           Alcotest.test_case "eta update vs refactorize" `Quick
             test_lu_eta_update_vs_refactorize;
           Alcotest.test_case "singular detected" `Quick test_lu_singular_detected;
+          Alcotest.test_case "basis repair" `Quick test_lu_basis_repair;
         ] );
       ( "lp-differential",
         [ Alcotest.test_case "float path vs exact (208)" `Slow test_lp_differential ] );
