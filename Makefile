@@ -38,9 +38,8 @@ verify:
 	@echo "verify OK: tests green, --jobs 1/4 byte-identical, differential suites green, daemon smoke green, fuzz matrix green, bench-regress green"
 
 # Quick fuzz tier (deterministic, fixed seeds, <= 30 s): the full oracle
-# matrix — eval, heuristics, exact-vs-brute, lp-vs-exact, sim-vs-analytic,
-# metamorphic — plus the injected-bug canary and a replay of the committed
-# seed corpus.  See DESIGN.md §12.
+# matrix (the twelve oracles of DESIGN.md §12) plus the two injected-bug
+# canaries and a replay of the committed seed corpus.
 fuzz-quick:
 	timeout 30 dune exec test/fuzz/fuzz_main.exe -- --quick
 
@@ -57,46 +56,47 @@ fuzz-replay:
 	dune exec test/fuzz/fuzz_main.exe -- --replay
 
 # Full benchmark run (figures + every BENCH_*.json section + bechamel
-# micro-benchmarks).
+# micro-benchmarks).  `--only NAME[,NAME...]` picks sections; an unknown
+# name lists them.
 bench:
 	dune exec bench/main.exe
 
-# Small-size benchmark: quick figure grids plus the parallel section,
-# skipping the slow bechamel micro-benchmarks.
+# Small-size benchmark: every section at the quick tier except the slow
+# bechamel micro-benchmarks.
 bench-quick:
-	dune exec bench/main.exe -- --quick --skip-micro
+	dune exec bench/main.exe -- --quick --only figures,ablation,eval,parallel,exact,lp,solve,daemon,dynamic
 
 # Exact-search benchmark only (writes BENCH_exact.json): node reduction vs
 # the static baseline, solvable-size scan, --jobs identity, pruning ablation.
 bench-exact:
-	dune exec bench/main.exe -- --only none --skip-micro --skip-ablation --skip-eval --skip-parallel --skip-lp --skip-solve --skip-daemon --skip-dynamic
+	dune exec bench/main.exe -- --only exact
 
-# Splitting-LP benchmark only (writes BENCH_lp.json): solve time and pivot
-# counts for n in {10, 20, 40, 80} under the throughput-form Devex solver,
-# the Bland baseline on the same tableau, and the seed period-form + Bland
-# combination, plus the fraction of seeds taking the rational fallback.
+# Splitting-LP benchmark only (writes BENCH_lp.json): pivots, wall time
+# and basis-reuse counters of the revised simplex for n in {10, 20, 40, 80},
+# the fraction of seeds taking the rational fallback, exact-rational
+# agreement on seed 1, and a scaling sweep up to n = 2000.
 bench-lp:
-	dune exec bench/main.exe -- --only none --skip-micro --skip-ablation --skip-eval --skip-parallel --skip-exact --skip-solve --skip-daemon --skip-dynamic
+	dune exec bench/main.exe -- --only lp
 
 # Parallel-runtime benchmark only (writes BENCH_parallel.json): the
 # fig5-shaped heuristic grid through the work-stealing pool at jobs
 # 1/2/4/8 with the byte-identity assertion.  Always runs; on a 1-core
 # machine the ratios are labelled overhead (speedup is not measurable).
 bench-parallel:
-	dune exec bench/main.exe -- --only none --skip-micro --skip-ablation --skip-eval --skip-exact --skip-lp --skip-solve --skip-daemon --skip-dynamic
+	dune exec bench/main.exe -- --only parallel
 
 # Unified-solver benchmark only (writes BENCH_solve.json): portfolio
 # solves/sec and latency percentiles under a near-duplicate request storm
 # (machine permutations + type relabelings of a few base instances), the
 # canonical-cache hit rate, and a sampled cached-vs-fresh bit-identity check.
 bench-solve:
-	dune exec bench/main.exe -- --only none --skip-micro --skip-ablation --skip-eval --skip-parallel --skip-exact --skip-lp --skip-daemon --skip-dynamic
+	dune exec bench/main.exe -- --only solve
 
 # Daemon benchmark only (writes BENCH_daemon.json): a concurrent client
 # storm over socketpairs against a live scheduler — wire throughput and
 # latency percentiles plus the shared cross-request cache hit rate.
 bench-daemon:
-	dune exec bench/main.exe -- --only none --skip-micro --skip-ablation --skip-eval --skip-parallel --skip-exact --skip-lp --skip-solve --skip-dynamic
+	dune exec bench/main.exe -- --only daemon
 
 # Dynamic-simulation benchmark only (writes BENCH_dynamic.json): the
 # balanced 56-task chain under machine-0 breakdowns (mtbf 48 periods,
@@ -104,7 +104,7 @@ bench-daemon:
 # recovered fraction of the availability gap (gate >= 0.8) and a
 # bit-identical replay check.  Quick tier runs as part of `bench-quick`.
 bench-dynamic:
-	dune exec bench/main.exe -- --only none --skip-micro --skip-ablation --skip-eval --skip-parallel --skip-exact --skip-lp --skip-solve --skip-daemon
+	dune exec bench/main.exe -- --only dynamic
 
 # Daemon smoke (part of `make verify`, under timeout 60): start mfoptd on
 # a temp socket, run three concurrent clients (solve, mid-solve CANCEL,

@@ -1,30 +1,14 @@
 (* Benchmark harness: regenerates every figure of the paper's Section 7
    (period tables + normalisation factors), runs the ablation studies for
-   the extensions, validates the analytic model against the simulator, and
-   finishes with bechamel micro-benchmarks of the computational kernels.
+   the extensions, validates the analytic model against the simulator,
+   writes the machine-readable BENCH_*.json benchmarks, and finishes with
+   bechamel micro-benchmarks of the computational kernels.
 
-   Usage: dune exec bench/main.exe [-- --quick] [-- --only figN[,figM...]]
-     --quick        3 replicates instead of the paper's 30/100
-     --only LIST    only the listed figures (e.g. --only fig5,fig9)
-     --skip-micro   skip the bechamel micro-benchmark section
-     --skip-ablation skip the ablation section
-     --skip-eval    skip the incremental-evaluation benchmark
-                    (which also writes machine-readable BENCH_eval.json)
-     --skip-parallel skip the multicore-runner benchmark
-                    (which also writes machine-readable BENCH_parallel.json)
-     --skip-exact   skip the exact branch-and-bound benchmark
-                    (which also writes machine-readable BENCH_exact.json)
-     --skip-lp      skip the splitting-LP simplex benchmark
-                    (which also writes machine-readable BENCH_lp.json)
-     --skip-solve   skip the unified-solver benchmark
-                    (which also writes machine-readable BENCH_solve.json)
-     --skip-dynamic skip the dynamic breakdown/re-mapper benchmark
-                    (which also writes machine-readable BENCH_dynamic.json)
-     --regress      run only the regression gate: re-run the quick-tier
-                    reference measurements and compare against the
-                    committed BENCH_lp.json / BENCH_exact.json /
-                    BENCH_dynamic.json "regress" sections, exiting
-                    non-zero on any regression *)
+   Usage: dune exec bench/main.exe [-- --quick] [-- --only NAME[,NAME...]]
+                                   [-- --regress]
+   The sections [--only] accepts are listed in [sections] below (an
+   unknown name prints them and exits 2); with no [--only], every section
+   runs. *)
 
 module Figures = Mf_experiments.Figures
 module Report = Mf_experiments.Report
@@ -36,62 +20,10 @@ module Gen = Mf_workload.Gen
 module Rng = Mf_prng.Rng
 
 let quick = ref false
-let only : string list ref = ref []
-let skip_micro = ref false
-let skip_ablation = ref false
-let skip_eval = ref false
-let skip_parallel = ref false
-let skip_exact = ref false
-let skip_lp = ref false
-let skip_solve = ref false
-let skip_daemon = ref false
-let skip_dynamic = ref false
 let regress = ref false
 
-let parse_args () =
-  let rec go = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      go rest
-    | "--regress" :: rest ->
-      regress := true;
-      go rest
-    | "--only" :: spec :: rest ->
-      only := String.split_on_char ',' spec;
-      go rest
-    | "--skip-micro" :: rest ->
-      skip_micro := true;
-      go rest
-    | "--skip-ablation" :: rest ->
-      skip_ablation := true;
-      go rest
-    | "--skip-eval" :: rest ->
-      skip_eval := true;
-      go rest
-    | "--skip-parallel" :: rest ->
-      skip_parallel := true;
-      go rest
-    | "--skip-exact" :: rest ->
-      skip_exact := true;
-      go rest
-    | "--skip-lp" :: rest ->
-      skip_lp := true;
-      go rest
-    | "--skip-solve" :: rest ->
-      skip_solve := true;
-      go rest
-    | "--skip-daemon" :: rest ->
-      skip_daemon := true;
-      go rest
-    | "--skip-dynamic" :: rest ->
-      skip_dynamic := true;
-      go rest
-    | arg :: _ ->
-      Printf.eprintf "unknown argument %s\n" arg;
-      exit 2
-  in
-  go (List.tl (Array.to_list Sys.argv))
+(* Figures the figures section runs; empty means all of them. *)
+let only_figures : string list ref = ref []
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -100,7 +32,8 @@ let section title =
 (* Figure reproduction                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let wanted id = !only = [] || List.mem id !only
+let figure_ids = [ "fig5"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12" ]
+let wanted id = !only_figures = [] || List.mem id !only_figures
 
 let reproduce_figures () =
   section "Reproduction of the paper's figures (Section 7)";
@@ -709,32 +642,19 @@ let bench_exact () =
 (* Splitting-LP / simplex benchmark                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The seed solver posed the splitting LP in period form (minimize K) and
-   solved it with a dense Bland tableau under absolute tolerances; every
-   non-sink flow row and every load row then has rhs 0, so the simplex
-   starts at a massively degenerate vertex and at n >= 40 the pivot budget
-   dies on a zero-step plateau.  Three arms on the same instances:
+(* The shipping LP configuration on throughput-form splitting LPs of
+   chain instances: the sparse revised simplex over an LU-factorized
+   basis with product-form eta updates, Devex pricing with the Bland
+   stall fallback, relative tolerances.  Per size it records pivots and
+   wall time, the basis-reuse counters, the certified path
+   ([Splitting.solve]: how often it needs the rational fallback), and,
+   for seed 1 up to a size cap, an exact-rational re-solve warm-started
+   from the float basis (relative agreement 1e-9).  A second, "scaling"
+   sweep runs the same solver on one seed at n = 200, and up to n = 2000
+   in the full tier.
 
-   - revised: the shipping configuration — sparse revised simplex over an
-     LU-factorized basis with product-form eta updates, Devex pricing with
-     the Bland stall fallback, relative tolerances;
-   - dense: the dense-tableau core ([solve_dense_detailed]) on the same
-     throughput-form system with the same pricing, isolating the pure
-     data-structure effect;
-   - seed baseline: the period-form model under dense Bland/absolute-eps
-     ([solve_bland_detailed]) — the seed combination, rebuilt here so the
-     stall it suffers from stays measurable after the library moved on.
-
-   A second, "scaling" sweep runs the revised path on sizes the dense
-   tableau cannot touch (n = 2000 in the full tier: the dense copy alone
-   holds ~2000 x 16000 doubles and each pivot rewrites all of it), checks
-   every float optimum against an exact-rational re-solve warm-started
-   from the float basis (relative agreement 1e-9), and gives the dense
-   core a fixed pivot budget so "cannot finish within budget" is a
-   measured outcome, not an extrapolation.
-
-   The quick-tier revised-arm numbers are repeated in a "regress" section
-   of BENCH_lp.json together with tolerance fields; [--regress] re-runs
+   The quick-tier numbers are repeated in a "regress" section of
+   BENCH_lp.json together with tolerance fields; [--regress] re-runs
    exactly those measurements and compares (see [run_regress]). *)
 
 (* Quick-tier settings shared by the bench and the [--regress] check: the
@@ -744,13 +664,13 @@ let lp_regress_sizes = [ 10; 20; 40 ]
 let lp_regress_seeds = [ 1; 2 ]
 let lp_scaling_regress_n = 200
 
-(* One (n, seed) chain instance of the LP bench, standardized. *)
-let lp_instance ~n ~seed =
-  let inst = Gen.chain (Rng.create seed) (Gen.default ~tasks:n ~types:4 ~machines:8) in
-  Mf_lp.Standardize.build (Mf_lp.Splitting.model inst)
+let lp_chain ~n ~seed = Gen.chain (Rng.create seed) (Gen.default ~tasks:n ~types:4 ~machines:8)
 
-(* The revised-arm measurement the regress check replays: outcome kind,
-   pivot count, and float-vs-rational agreement for the scaling row. *)
+(* One (n, seed) chain instance of the LP bench, standardized. *)
+let lp_instance ~n ~seed = Mf_lp.Standardize.build (Mf_lp.Splitting.model (lp_chain ~n ~seed))
+
+(* The measurement the regress check replays: the float solve and its
+   wall time. *)
 let lp_revised_run std =
   let module FS = Mf_lp.Simplex.Float_solver in
   let module Std = Mf_lp.Standardize in
@@ -782,115 +702,57 @@ let lp_certify_run std (d : Mf_lp.Simplex.Float_solver.detail) =
   | _ -> (false, 0, 0.0)
 
 let bench_lp () =
-  section "Splitting LP: sparse revised simplex vs the dense baselines";
+  section "Splitting LP: sparse revised simplex";
   let module Splitting = Mf_lp.Splitting in
-  let module Model = Mf_lp.Model in
-  let module Linexpr = Mf_lp.Linexpr in
-  let module Std = Mf_lp.Standardize in
   let module FS = Mf_lp.Simplex.Float_solver in
-  let module FSp = Mf_lp.Sparse.Make (Mf_numeric.Ordered_field.Float_field) in
-  let module Instance = Mf_core.Instance in
-  let module Workflow = Mf_core.Workflow in
-  (* The period-form LP exactly as the seed posed it. *)
-  let period_model inst =
-    let n = Instance.task_count inst in
-    let m = Instance.machines inst in
-    let wf = Instance.workflow inst in
-    let model = Model.create () in
-    let nv =
-      Array.init n (fun i ->
-          Array.init m (fun u ->
-              Model.add_var model ~name:(Printf.sprintf "n_%d_%d" i u) Model.Continuous))
-    in
-    let k = Model.add_var model ~name:"K" Model.Continuous in
-    for i = 0 to n - 1 do
-      let successes =
-        Linexpr.of_terms (List.init m (fun u -> (1.0 -. Instance.f inst i u, nv.(i).(u)))) 0.0
-      in
-      match Workflow.successor wf i with
-      | None -> Model.add_constraint model successes Model.Eq 1.0
-      | Some j ->
-        let demand = Linexpr.of_terms (List.init m (fun u -> (1.0, nv.(j).(u)))) 0.0 in
-        Model.add_constraint model (Linexpr.sub successes demand) Model.Eq 0.0
-    done;
-    for u = 0 to m - 1 do
-      let load =
-        Linexpr.of_terms (List.init n (fun i -> (Instance.w inst i u, nv.(i).(u)))) 0.0
-      in
-      Model.add_constraint model (Linexpr.sub load (Linexpr.var k)) Model.Le 0.0
-    done;
-    Model.set_objective model ~minimize:true (Linexpr.var k);
-    model
-  in
   let sizes = if !quick then lp_regress_sizes else lp_regress_sizes @ [ 80 ] in
   let seeds = if !quick then lp_regress_seeds else lp_regress_seeds @ [ 3 ] in
   let lp_agree_cap = if !quick then 40 else 80 in
   let nseeds = List.length seeds in
+  let per_seed x = x /. float_of_int nseeds in
   let outcome_name = function
     | FS.Optimal _ -> "optimal"
     | FS.Infeasible -> "infeasible"
     | FS.Unbounded -> "unbounded"
     | FS.Stalled -> "stalled"
   in
-  Printf.printf "  %4s | %22s | %22s | %22s | %s\n" "n" "revised sparse (new)"
-    "dense, same tableau" "seed baseline" "certified path";
-  (* Quick-subset aggregates of the revised arm, for the regress section:
-     (optimal count, pivot sum) per n over [lp_regress_seeds]. *)
+  Printf.printf "  %4s | %22s | %s\n" "n" "revised sparse" "certified path";
+  (* Quick-subset aggregates for the regress section: (optimal count,
+     pivot sum) per n over [lp_regress_seeds]. *)
   let regress_acc = Hashtbl.create 4 in
   let rows =
     List.map
       (fun n ->
-        let arm_stats = Hashtbl.create 4 in
-        let record arm outcome pivots wall =
-          let opt, stall, piv, time =
-            try Hashtbl.find arm_stats arm with Not_found -> (0, 0, 0, 0.0)
-          in
-          let opt = if outcome = "optimal" then opt + 1 else opt in
-          let stall = if outcome = "stalled" then stall + 1 else stall in
-          Hashtbl.replace arm_stats arm (opt, stall, piv + pivots, time +. wall)
-        in
-        (* Basis-reuse counters of the revised arm, summed over seeds. *)
-        let rev_factz = ref 0 and rev_etaups = ref 0 and rev_refz = ref 0 in
+        let opt = ref 0 and stall = ref 0 and piv = ref 0 and time = ref 0.0 in
+        (* Basis-reuse counters, summed over seeds. *)
+        let factz = ref 0 and etaups = ref 0 and refz = ref 0 in
         let rational = ref 0 in
         let certified_time = ref 0.0 in
         let cert_factz = ref 0 and cert_etaups = ref 0 and cert_refz = ref 0 in
         List.iter
           (fun seed ->
-            let run arm std solver =
-              match std with
-              | None -> record arm "infeasible" 0 0.0
-              | Some std ->
-                let t0 = Unix.gettimeofday () in
-                let d : FS.detail = solver std in
-                let wall = Unix.gettimeofday () -. t0 in
-                record arm (outcome_name d.FS.outcome) d.FS.iterations wall;
-                if arm = "revised" then begin
-                  rev_factz := !rev_factz + d.FS.factorizations;
-                  rev_etaups := !rev_etaups + d.FS.eta_updates;
-                  rev_refz := !rev_refz + d.FS.refactorizations;
-                  if List.mem n lp_regress_sizes && List.mem seed lp_regress_seeds then begin
-                    let opt, piv =
-                      try Hashtbl.find regress_acc n with Not_found -> (0, 0)
-                    in
-                    let opt =
-                      match d.FS.outcome with FS.Optimal _ -> opt + 1 | _ -> opt
-                    in
-                    Hashtbl.replace regress_acc n (opt, piv + d.FS.iterations)
-                  end
-                end
-            in
-            let inst =
-              Gen.chain (Rng.create seed) (Gen.default ~tasks:n ~types:4 ~machines:8)
-            in
-            let throughput_std = Std.build (Splitting.model inst) in
-            run "revised" throughput_std (fun std ->
-                FS.solve_sparse_detailed ~a:std.Std.a ~b:std.Std.b ~c:std.Std.c ());
-            run "dense" throughput_std (fun std ->
-                FS.solve_dense_detailed ~a:(FSp.to_dense std.Std.a) ~b:std.Std.b
-                  ~c:std.Std.c ());
-            run "seed" (Std.build (period_model inst)) (fun std ->
-                FS.solve_bland_detailed ~a:(FSp.to_dense std.Std.a) ~b:std.Std.b
-                  ~c:std.Std.c ());
+            let inst = lp_chain ~n ~seed in
+            (match Mf_lp.Standardize.build (Splitting.model inst) with
+            | None -> ()
+            | Some std ->
+              let d, wall = lp_revised_run std in
+              let optimal, stalled =
+                match d.FS.outcome with
+                | FS.Optimal _ -> (1, 0)
+                | FS.Stalled -> (0, 1)
+                | FS.Infeasible | FS.Unbounded -> (0, 0)
+              in
+              opt := !opt + optimal;
+              stall := !stall + stalled;
+              piv := !piv + d.FS.iterations;
+              time := !time +. wall;
+              factz := !factz + d.FS.factorizations;
+              etaups := !etaups + d.FS.eta_updates;
+              refz := !refz + d.FS.refactorizations;
+              if List.mem seed lp_regress_seeds then begin
+                let ro, rp = try Hashtbl.find regress_acc n with Not_found -> (0, 0) in
+                Hashtbl.replace regress_acc n (ro + optimal, rp + d.FS.iterations)
+              end);
             let t0 = Unix.gettimeofday () in
             (match Splitting.solve inst with
             | Ok r ->
@@ -911,86 +773,45 @@ let bench_lp () =
         let agreement =
           if n > lp_agree_cap then None
           else
-            match lp_instance ~n ~seed:1 with
-            | None -> None
-            | Some std ->
-              let d =
-                FS.solve_sparse_detailed ~a:std.Std.a ~b:std.Std.b ~c:std.Std.c ()
-              in
-              Some (lp_certify_run std d)
+            Option.map
+              (fun std -> lp_certify_run std (fst (lp_revised_run std)))
+              (lp_instance ~n ~seed:1)
         in
-        let cell arm =
-          let opt, stall, piv, time =
-            try Hashtbl.find arm_stats arm with Not_found -> (0, 0, 0, 0.0)
-          in
-          ( opt,
-            stall,
-            float_of_int piv /. float_of_int nseeds,
-            time /. float_of_int nseeds )
-        in
-        let pp (opt, stall, piv, time) =
-          Printf.sprintf "%d/%d ok %5.0fpiv %6.3fs"
-            opt nseeds piv time
-          ^ if stall > 0 then Printf.sprintf " (%d stall)" stall else ""
-        in
-        let revised = cell "revised" and dense = cell "dense" and seed = cell "seed" in
-        Printf.printf
-          "  %4d | %22s | %22s | %22s | %d/%d rational, %.3fs avg, %d factz / %d eta%s\n" n
-          (pp revised) (pp dense) (pp seed) !rational nseeds
-          (!certified_time /. float_of_int nseeds)
-          !cert_factz !cert_etaups
+        let mean_piv = per_seed (float_of_int !piv) and mean_time = per_seed !time in
+        Printf.printf "  %4d | %22s | %d/%d rational, %.3fs avg, %d factz / %d eta%s\n" n
+          (Printf.sprintf "%d/%d ok %5.0fpiv %6.3fs" !opt nseeds mean_piv mean_time
+          ^ if !stall > 0 then Printf.sprintf " (%d stall)" !stall else "")
+          !rational nseeds (per_seed !certified_time) !cert_factz !cert_etaups
           (match agreement with
           | None -> ""
           | Some (agree, _, w) ->
             Printf.sprintf ", exact %s %.1fs" (if agree then "agrees" else "DISAGREES") w);
         ( n,
-          revised,
-          dense,
-          seed,
-          (!rev_factz, !rev_etaups, !rev_refz),
-          (!rational, !certified_time /. float_of_int nseeds, !cert_factz, !cert_etaups,
-           !cert_refz),
+          (!opt, !stall, mean_piv, mean_time),
+          (!factz, !etaups, !refz),
+          (!rational, per_seed !certified_time, !cert_factz, !cert_etaups, !cert_refz),
           agreement ))
       sizes
   in
-  (* Scaling sweep: sizes where only the revised path is viable.  The
-     dense core gets a fixed pivot budget so its failure to finish is a
-     measured stall, not an unbounded wait. *)
   let big_sizes =
     if !quick then [ lp_scaling_regress_n ] else [ lp_scaling_regress_n; 500; 1000; 2000 ]
   in
-  let dense_budget = 300 in
-  Printf.printf "  scaling (seed 1): revised path vs budget-capped dense tableau\n";
+  Printf.printf "  scaling (seed 1)\n";
   let scaling =
     List.map
       (fun n ->
         match lp_instance ~n ~seed:1 with
         | None -> failwith "scaling instance standardization failed"
         | Some std ->
-          let d, rev_wall = lp_revised_run std in
-          let t0 = Unix.gettimeofday () in
-          let dd =
-            FS.solve_dense_detailed ~a:(FSp.to_dense std.Std.a) ~b:std.Std.b ~c:std.Std.c
-              ~iter_budget:dense_budget ()
-          in
-          let dense_wall = Unix.gettimeofday () -. t0 in
-          Printf.printf
-            "  %4d | revised %s %5dpiv %7.3fs (%d factz, %d eta, %d refz) | \
-             dense[%d-pivot cap] %s %7.3fs\n"
-            n (outcome_name d.FS.outcome) d.FS.iterations rev_wall d.FS.factorizations
-            d.FS.eta_updates d.FS.refactorizations dense_budget
-            (outcome_name dd.FS.outcome)
-            dense_wall;
-          (n, d, rev_wall, dd, dense_wall))
+          let d, wall = lp_revised_run std in
+          Printf.printf "  %4d | revised %s %5dpiv %7.3fs (%d factz, %d eta, %d refz)\n" n
+            (outcome_name d.FS.outcome) d.FS.iterations wall d.FS.factorizations
+            d.FS.eta_updates d.FS.refactorizations;
+          (n, d, wall))
       big_sizes
   in
   let json = "BENCH_lp.json" in
   let oc = open_out json in
-  let arm_json (opt, stall, piv, time) =
-    Printf.sprintf
-      "{ \"optimal\": %d, \"stalled\": %d, \"mean_pivots\": %.1f, \"mean_wall_s\": %.6f }" opt
-      stall piv time
-  in
   let regress_rows =
     List.filter_map
       (fun n ->
@@ -1005,7 +826,7 @@ let bench_lp () =
   in
   let regress_scaling =
     match scaling with
-    | (n, d, _, _, _) :: _ ->
+    | (n, d, _) :: _ ->
       Printf.sprintf "{ \"n\": %d, \"optimal\": %b, \"pivots\": %d }" n
         (match d.FS.outcome with FS.Optimal _ -> true | _ -> false)
         d.FS.iterations
@@ -1014,7 +835,6 @@ let bench_lp () =
   Printf.fprintf oc
     "{\n\
     \  \"instances\": { \"types\": 4, \"machines\": 8, \"application\": \"chain\", \"seeds\": %d },\n\
-    \  \"arms\": [\"revised_sparse\", \"dense_tableau\", \"seed_bland_period_form\"],\n\
     \  \"rows\": [\n%s\n  ],\n\
     \  \"scaling\": [\n%s\n  ],\n\
     \  \"regress\": {\n\
@@ -1026,7 +846,7 @@ let bench_lp () =
     nseeds
     (String.concat ",\n"
        (List.map
-          (fun (n, revised, dense, seed, (factz, etaups, refz), cert, agreement) ->
+          (fun (n, (opt, stall, piv, time), (factz, etaups, refz), cert, agreement) ->
             let rational, cert_time, cfactz, cetaups, crefz = cert in
             let agree_json =
               match agreement with
@@ -1038,20 +858,19 @@ let bench_lp () =
             in
             Printf.sprintf
               "    { \"n\": %d,\n\
-              \      \"revised_sparse\": %s,\n\
+              \      \"revised_sparse\": { \"optimal\": %d, \"stalled\": %d, \
+               \"mean_pivots\": %.1f, \"mean_wall_s\": %.6f },\n\
               \      \"revised_reuse\": { \"factorizations\": %d, \"eta_updates\": %d, \
                \"refactorizations\": %d },\n\
-              \      \"dense_tableau\": %s,\n\
-              \      \"seed_bland_period_form\": %s,\n\
               \      \"certified\": { \"rational_fallbacks\": %d, \"mean_wall_s\": %.6f, \
                \"factorizations\": %d, \"eta_updates\": %d, \"refactorizations\": %d },\n\
               \      \"exact_warm_seed1\": %s }"
-              n (arm_json revised) factz etaups refz (arm_json dense) (arm_json seed)
-              rational cert_time cfactz cetaups crefz agree_json)
+              n opt stall piv time factz etaups refz rational cert_time cfactz cetaups crefz
+              agree_json)
           rows))
     (String.concat ",\n"
        (List.map
-          (fun (n, d, rev_wall, dd, dense_wall) ->
+          (fun (n, d, wall) ->
             Printf.sprintf
               "    { \"n\": %d,\n\
               \      \"revised\": { \"outcome\": \"%s\", \"pivots\": %d, \"wall_s\": %.6f,\n\
@@ -1059,15 +878,11 @@ let bench_lp () =
                \"refactorizations\": %d },\n\
               \      \"exact_warm\": { \"skipped\": true, \"reason\": \"bigint pivot \
                cost grows ~n^3 in digit count; rel-1e-9 agreement is certified on the \
-               rows tier (exact_warm_seed1)\" },\n\
-              \      \"dense\": { \"iter_budget\": %d, \"outcome\": \"%s\", \"wall_s\": \
-               %.6f } }"
+               rows tier (exact_warm_seed1)\" } }"
               n
               (outcome_name d.FS.outcome)
-              d.FS.iterations rev_wall d.FS.factorizations d.FS.eta_updates
-              d.FS.refactorizations dense_budget
-              (outcome_name dd.FS.outcome)
-              dense_wall)
+              d.FS.iterations wall d.FS.factorizations d.FS.eta_updates
+              d.FS.refactorizations)
           scaling))
     (String.concat ",\n" regress_rows)
     regress_scaling;
@@ -1788,6 +1603,80 @@ let micro_benchmarks () =
   in
   List.iter (fun (name, ns) -> Printf.printf "  %-40s %15s\n" name (pp_time ns)) rows
 
+(* ------------------------------------------------------------------ *)
+(* Section registry and command line                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every section, in run order: name for [--only], what it runs. *)
+let sections =
+  [
+    ("figures", "the paper's Section 7 figures (figN names narrow it)", reproduce_figures);
+    ( "ablation",
+      "extension ablations and simulator validation",
+      fun () ->
+        ablation_local_search ();
+        ablation_splitting ();
+        ablation_h2_interpretations ();
+        ablation_reconfiguration ();
+        simulator_validation () );
+    ("eval", "incremental evaluation (BENCH_eval.json)", bench_eval);
+    ("parallel", "multicore runner (BENCH_parallel.json)", bench_parallel);
+    ("exact", "exact branch-and-bound (BENCH_exact.json)", bench_exact);
+    ("lp", "splitting-LP simplex (BENCH_lp.json)", bench_lp);
+    ("solve", "unified solver and answer cache (BENCH_solve.json)", bench_solve);
+    ("daemon", "daemon client storm (BENCH_daemon.json)", bench_daemon);
+    ("dynamic", "breakdowns and the online re-mapper (BENCH_dynamic.json)", bench_dynamic);
+    ("micro", "bechamel micro-benchmarks", micro_benchmarks);
+  ]
+
+let usage () =
+  Printf.eprintf
+    "usage: main.exe [--quick] [--regress] [--only NAME[,NAME...]]\n\
+    \  --quick    quick tier: 3 replicates and small sizes instead of the full runs\n\
+    \  --regress  only the regression gate: re-run the quick-tier reference\n\
+    \             measurements against the \"regress\" sections of the committed\n\
+    \             BENCH_lp.json, BENCH_exact.json and BENCH_dynamic.json, exit 1 on\n\
+    \             any regression\n\
+    \  --only     run only the named sections (default: all of them):\n";
+  List.iter (fun (name, doc, _) -> Printf.eprintf "    %-10s %s\n" name doc) sections;
+  Printf.eprintf "    %s\n    %-10s the figures section, restricted to the named figures\n"
+    (String.concat " " figure_ids) ""
+
+(* Sections [--only] selected; empty means all of them. *)
+let only_sections : string list ref = ref []
+
+let select name =
+  if List.exists (fun (s, _, _) -> s = name) sections then
+    only_sections := name :: !only_sections
+  else if List.mem name figure_ids then begin
+    only_sections := "figures" :: !only_sections;
+    only_figures := name :: !only_figures
+  end
+  else begin
+    Printf.eprintf "unknown --only name %S\n" name;
+    usage ();
+    exit 2
+  end
+
+let parse_args () =
+  let rec go = function
+    | [] -> ()
+    | "--quick" :: rest ->
+      quick := true;
+      go rest
+    | "--regress" :: rest ->
+      regress := true;
+      go rest
+    | "--only" :: spec :: rest ->
+      List.iter select (String.split_on_char ',' spec);
+      go rest
+    | arg :: _ ->
+      Printf.eprintf "unknown argument %s\n" arg;
+      usage ();
+      exit 2
+  in
+  go (List.tl (Array.to_list Sys.argv))
+
 let () =
   parse_args ();
   if !regress then begin
@@ -1798,20 +1687,7 @@ let () =
     "Micro-factory throughput reproduction bench\n\
      Paper: Benoit, Dobrila, Nicod, Philippe - Throughput optimization for\n\
      micro-factories subject to task and machine failures (RR-7479, 2010)\n";
-  reproduce_figures ();
-  if not !skip_ablation then begin
-    ablation_local_search ();
-    ablation_splitting ();
-    ablation_h2_interpretations ();
-    ablation_reconfiguration ();
-    simulator_validation ()
-  end;
-  if not !skip_eval then bench_eval ();
-  if not !skip_parallel then bench_parallel ();
-  if not !skip_exact then bench_exact ();
-  if not !skip_lp then bench_lp ();
-  if not !skip_solve then bench_solve ();
-  if not !skip_daemon then bench_daemon ();
-  if not !skip_dynamic then bench_dynamic ();
-  if not !skip_micro then micro_benchmarks ();
+  List.iter
+    (fun (name, _, run) -> if !only_sections = [] || List.mem name !only_sections then run ())
+    sections;
   print_newline ()

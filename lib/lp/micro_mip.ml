@@ -113,7 +113,7 @@ let build inst =
 
 let solve ?node_budget inst =
   let model, (a, _, _, _, kvar) = build inst in
-  let r = Mip.solve ?node_budget model in
+  let r = Branch_bound.solve ?node_budget model in
   match r.Branch_bound.solution with
   | None ->
     {

@@ -1,5 +1,3 @@
-let solve ?node_budget model = Branch_bound.solve ?node_budget model
-
 type path = [ `Float | `Rational ]
 
 type certified_stats = {

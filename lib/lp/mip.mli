@@ -1,8 +1,7 @@
-(** Public entry points of the LP/MIP solver stack. *)
-
-(** [solve ?node_budget model] solves a mixed-integer model by
-    branch-and-bound over simplex relaxations (see {!Branch_bound}). *)
-val solve : ?node_budget:int -> Model.t -> Branch_bound.result
+(** LP-relaxation entry points: the continuous relaxation of a {!Model}
+    solved by the float simplex, by the exact-rational one, or by the
+    float one with exact-rational certification of its failures.
+    Integer models are solved by {!Branch_bound}. *)
 
 (** Which solver produced a certified answer: the float simplex alone,
     or the exact-rational fallback it warm-started. *)

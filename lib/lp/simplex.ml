@@ -1,23 +1,31 @@
-(* Two-phase primal simplex, functorised over an ordered field.
+(* Two-phase primal revised simplex over a sparse LU-factorised basis,
+   functorised over an ordered field.
+
+   Each pivot costs one BTRAN (duals), one O(nnz) pricing sweep, one
+   FTRAN (entering column), an optional BTRAN + sweep for the Devex
+   weight update, and a product-form eta append.  The basis is
+   refactorised (Markowitz LU, see Lu) when the eta file passes its cap,
+   when its accumulated fill overtakes the factor's, or when an eta
+   pivot is too small to divide by; the basic solution is recomputed
+   from scratch at every refactorisation, which bounds drift.
 
    Numerical discipline (inexact fields only; exact fields have
    [eps] = [rel_eps] = 0 and every test below degenerates to an exact
    comparison):
 
    - rows are equilibrated by the power of two nearest their largest
-     coefficient magnitude, so row norms start in [1, 2);
+     magnitude, rhs included, so scaled rows live in [-2, 2];
    - every threshold is relative: a value is "zero" against
-     [eps + rel_eps * norm] where the norm of each row (and of the
-     reduced-cost row) is maintained across pivots, not frozen at its
-     initial value — fill-in during pivoting is what broke the absolute
-     thresholds this file used to rely on;
-   - pricing is Devex by default, falling back to Bland's rule when a
-     stall detector sees no objective progress over a window of
-     degenerate pivots, and returning to Devex as soon as the objective
-     moves again.  Bland's rule terminates from any tableau and strict
+     [eps + rel_eps * mag], where [mag] is the magnitude of the
+     computation that produced it (the sum of the absolute terms of a
+     reduced cost, the largest entry of an FTRAN image);
+   - pricing is Devex, falling back to Bland's rule when a stall
+     detector sees no objective progress over a window of degenerate
+     pivots, and returning to Devex as soon as the objective moves
+     again.  Bland's rule terminates from any basis and strict
      objective improvements can never revisit a basis, so the
      combination keeps the anti-cycling guarantee while avoiding
-     Bland's pathological pivot counts on large degenerate tableaus;
+     Bland's pathological pivot counts on large degenerate LPs;
    - a pivot budget bounds the whole solve; exhausting it is reported
      as the typed [Stalled] outcome instead of looping forever. *)
 
@@ -27,6 +35,8 @@
    right-hand side); [row = -1] is the objective. *)
 exception Non_finite of { row : int; col : int }
 
+(* The pricing rule of one phase: cold solves price Devex in both,
+   warm starts Devex in phase 1 and Bland in phase 2. *)
 type pricing = Devex | Bland
 
 module Make (F : Mf_numeric.Ordered_field.S) = struct
@@ -51,72 +61,19 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
 
   let exact = F.compare F.eps F.zero = 0 && F.compare F.rel_eps F.zero = 0
 
-  (* The tableau holds the constraint rows [t] (each of length [cols+1],
-     the last entry being the rhs) and the reduced-cost row [z] (length
-     [cols+1], with [z.(cols) = -objective]).  [basis.(i)] is the variable
-     basic in row [i].  [norms.(i)] tracks the largest coefficient
-     magnitude of row [i] (rhs excluded); [znorm] likewise for [z]. *)
+  (* Magnitude-relative thresholds on inexact fields; exact fields
+     compare against [eps] = 0 without the rational multiply. *)
+  let relative = not exact
 
-  let tol_for ~relative norm =
-    if relative then F.add F.eps (F.mul F.rel_eps norm) else F.eps
-
-  let pivot t z basis norms znorm ~row ~col =
-    let cols = Array.length z - 1 in
-    let piv = t.(row).(col) in
-    let inv = F.div F.one piv in
-    (let r = t.(row) in
-     let mx = ref F.zero in
-     for j = 0 to cols do
-       r.(j) <- F.mul r.(j) inv;
-       if j < cols then begin
-         let v = F.abs r.(j) in
-         if F.compare v !mx > 0 then mx := v
-       end
-     done;
-     norms.(row) <- !mx);
-    Array.iteri
-      (fun r tr ->
-        if r <> row then begin
-          let factor = tr.(col) in
-          if F.compare factor F.zero <> 0 then begin
-            let mx = ref F.zero in
-            for j = 0 to cols do
-              tr.(j) <- F.sub tr.(j) (F.mul factor t.(row).(j));
-              if j < cols then begin
-                let v = F.abs tr.(j) in
-                if F.compare v !mx > 0 then mx := v
-              end
-            done;
-            (* The eliminated entry is zero by construction; storing the
-               exact zero (rather than the rounding residue) is what
-               makes basic columns unit columns. *)
-            tr.(col) <- F.zero;
-            norms.(r) <- !mx
-          end
-        end)
-      t;
-    let factor = z.(col) in
-    if F.compare factor F.zero <> 0 then begin
-      let mx = ref F.zero in
-      for j = 0 to cols do
-        z.(j) <- F.sub z.(j) (F.mul factor t.(row).(j));
-        if j < cols then begin
-          let v = F.abs z.(j) in
-          if F.compare v !mx > 0 then mx := v
-        end
-      done;
-      z.(col) <- F.zero;
-      znorm := !mx
-    end;
-    basis.(row) <- col
+  let tol_for mag = if relative then F.add F.eps (F.mul F.rel_eps mag) else F.eps
 
   type counters = {
     mutable iters : int;
     mutable degen : int;
     mutable bland : int;
-    mutable factz : int;  (* LU factorizations (revised path) *)
-    mutable etaups : int;  (* product-form eta updates (revised path) *)
-    mutable refz : int;  (* refactorizations after the first (revised path) *)
+    mutable factz : int;  (* LU factorizations *)
+    mutable etaups : int;  (* product-form eta updates *)
+    mutable refz : int;  (* refactorizations after the first *)
     mutable fallbacks : int;  (* restarts from the all-artificial basis *)
     mutable repairs : int;  (* basis positions replaced by LU repair *)
   }
@@ -138,160 +95,6 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
       repairs = counters.repairs;
     }
 
-  (* One phase of the simplex: pivot until optimal/unbounded or the
-     budget runs out.  [weights] are the Devex reference weights, kept as
-     plain machine floats even for exact fields — they only *rank*
-     candidate columns, so their precision cannot affect correctness,
-     and keeping them out of [F] avoids ballooning exact rationals. *)
-  let iterate t z basis norms znorm weights counters ~eligible ~relative ~pricing
-      ~iter_budget ~stall_k =
-    let rows = Array.length t in
-    let cols = Array.length z - 1 in
-    let mode = ref pricing in
-    let since_improve = ref 0 in
-    let best_obj = ref (F.neg z.(cols)) in
-    let rec loop () =
-      if counters.iters >= iter_budget then `Stalled
-      else begin
-        let ztol = tol_for ~relative !znorm in
-        let neg_ztol = F.neg ztol in
-        let entering =
-          match !mode with
-          | Bland ->
-            let e = ref (-1) in
-            let j = ref 0 in
-            while !e < 0 && !j < cols do
-              if eligible !j && F.compare z.(!j) neg_ztol < 0 then e := !j;
-              incr j
-            done;
-            !e
-          | Devex ->
-            let e = ref (-1) and best = ref 0.0 in
-            for j = 0 to cols - 1 do
-              if eligible j && F.compare z.(j) neg_ztol < 0 then begin
-                let zf = F.to_float z.(j) in
-                let score = zf *. zf /. weights.(j) in
-                if score > !best then begin
-                  best := score;
-                  e := j
-                end
-              end
-            done;
-            !e
-        in
-        if entering < 0 then `Optimal
-        else begin
-          let col = entering in
-          let leaving = ref (-1) in
-          let best_ratio = ref F.zero in
-          for i = 0 to rows - 1 do
-            let a = t.(i).(col) in
-            if F.compare a (tol_for ~relative norms.(i)) > 0 then begin
-              let num = t.(i).(cols) in
-              (* Clamp tiny negative rhs (degenerate drift) to a zero
-                 ratio instead of letting it push the pivot negative. *)
-              let ratio = if F.compare num F.zero <= 0 then F.zero else F.div num a in
-              let better =
-                !leaving < 0
-                ||
-                let cr = F.compare ratio !best_ratio in
-                cr < 0
-                || cr = 0
-                   &&
-                   (match !mode with
-                   | Bland -> basis.(i) < basis.(!leaving)
-                   | Devex ->
-                     (* Among ratio ties, take the numerically largest
-                        pivot element — the stable choice. *)
-                     F.compare (F.abs a) (F.abs t.(!leaving).(col)) > 0)
-              in
-              if better then begin
-                leaving := i;
-                best_ratio := ratio
-              end
-            end
-          done;
-          if !leaving < 0 then `Unbounded
-          else begin
-            let row = !leaving in
-            let piv = t.(row).(col) in
-            let leaving_col = basis.(row) in
-            pivot t z basis norms znorm ~row ~col;
-            counters.iters <- counters.iters + 1;
-            (match !mode with
-            | Bland -> counters.bland <- counters.bland + 1
-            | Devex ->
-              (* Classic Devex update: with the pivot row now normalised,
-                 t.(row).(j) = a_rj / a_rq. *)
-              let gamma = Float.max weights.(col) 1.0 in
-              let pf = F.to_float piv in
-              let wr = Float.max (gamma /. (pf *. pf)) 1.0 in
-              let tr = t.(row) in
-              let overflow = ref false in
-              for j = 0 to cols - 1 do
-                if j <> col then begin
-                  let aj = F.to_float tr.(j) in
-                  if aj <> 0.0 then begin
-                    let cand = aj *. aj *. gamma in
-                    if cand > weights.(j) then weights.(j) <- cand;
-                    if weights.(j) > 1e12 then overflow := true
-                  end
-                end
-              done;
-              weights.(leaving_col) <- wr;
-              (* Reference-framework restart once weights degrade. *)
-              if !overflow then Array.fill weights 0 (Array.length weights) 1.0);
-            let obj = F.neg z.(cols) in
-            let itol = tol_for ~relative (F.abs !best_obj) in
-            if F.compare obj (F.sub !best_obj itol) < 0 then begin
-              best_obj := obj;
-              since_improve := 0;
-              (* Progress resumed: back to the fast pricing. *)
-              mode := pricing
-            end
-            else begin
-              incr since_improve;
-              counters.degen <- counters.degen + 1;
-              (* No objective progress over a whole window of pivots:
-                 assume degenerate cycling territory and switch to
-                 Bland's rule, whose termination proof needs no
-                 tolerance assumptions. *)
-              if !since_improve >= stall_k then mode := Bland
-            end;
-            loop ()
-          end
-        end
-      end
-    in
-    loop ()
-
-  let check_dims ~a ~b ~c =
-    let rows = Array.length a in
-    let n = Array.length c in
-    if Array.length b <> rows then invalid_arg "Simplex.solve: b length mismatch";
-    Array.iter
-      (fun row -> if Array.length row <> n then invalid_arg "Simplex.solve: ragged matrix")
-      a;
-    (rows, n)
-
-  (* Reject NaN/infinite coefficients up front: they would otherwise make
-     the row-equilibration loop spin without progress and leave a silently
-     wrong scale behind (the old 5000-iteration guard exited with the
-     scale it had).  Exact fields are always finite; the scan is skipped. *)
-  let check_finite ~a ~b ~c ~rows ~n =
-    if not exact then begin
-      for i = 0 to rows - 1 do
-        let row = a.(i) in
-        for j = 0 to n - 1 do
-          if not (F.is_finite row.(j)) then raise (Non_finite { row = i; col = j })
-        done;
-        if not (F.is_finite b.(i)) then raise (Non_finite { row = i; col = n })
-      done;
-      for j = 0 to n - 1 do
-        if not (F.is_finite c.(j)) then raise (Non_finite { row = -1; col = j })
-      done
-    end
-
   (* Largest power of two [2^-k] with [s * 2^-k] in [1, 2).  A power of
      two — rather than [1/s] itself, which rounds — keeps the scaling
      multiplications exact in binary floating point, so pivot decisions
@@ -308,280 +111,9 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
      triggers costs orders of magnitude more, so the budget errs generous:
      it exists to bound genuinely cycling-adjacent runs, not to race
      honest degenerate plateaus (which can need thousands of Bland steps
-     on heavily tied tableaus). *)
+     on heavily tied LPs). *)
   let default_budget ~rows ~cols =
     if exact then max_int else Stdlib.max 4_000 ((100 * rows) + (10 * cols))
-
-  let no_weights = [||]
-
-  let solve_dense_detailed ?(pricing = Devex) ?(relative = true) ?iter_budget ~a ~b ~c () =
-    let rows, n = check_dims ~a ~b ~c in
-    check_finite ~a ~b ~c ~rows ~n;
-    let is_neg_abs x = F.compare x (F.neg F.eps) < 0 in
-    if rows = 0 then begin
-      (* No constraints: minimum is at the origin unless some cost is
-         negative, in which case that coordinate runs off to infinity. *)
-      let outcome =
-        if Array.exists is_neg_abs c then Unbounded
-        else Optimal (Array.make n F.zero, F.zero)
-      in
-      detail_of (fresh_counters ()) ~basis:[||] outcome
-    end
-    else begin
-      let cols = n + rows in
-      let iter_budget =
-        match iter_budget with Some k -> k | None -> default_budget ~rows ~cols
-      in
-      let stall_k = Stdlib.max 32 rows in
-      (* Row equilibration (inexact fields only — exact fields compare
-         exactly at any scale, and scaling would balloon rational
-         numerators for no benefit).  The max is taken over the
-         coefficients *and* the rhs, so scaled rows live in [-2, 2]
-         throughout phase 1. *)
-      let abs v = if F.compare v F.zero < 0 then F.neg v else v in
-      let scale =
-        Array.init rows (fun i ->
-            if exact then F.one
-            else begin
-              let s = ref (abs b.(i)) in
-              for j = 0 to n - 1 do
-                let v = abs a.(i).(j) in
-                if F.compare v !s > 0 then s := v
-              done;
-              if F.compare !s F.zero > 0 then pow2_inv !s else F.one
-            end)
-      in
-      (* Columns n..n+rows-1 are the phase-1 artificials. *)
-      let t =
-        Array.init rows (fun i ->
-            let negate = F.compare b.(i) F.zero < 0 in
-            let flip v = if negate then F.neg v else v in
-            Array.init (cols + 1) (fun j ->
-                if j < n then flip (F.mul scale.(i) a.(i).(j))
-                else if j < cols then if j - n = i then F.one else F.zero
-                else flip (F.mul scale.(i) b.(i))))
-      in
-      let basis = Array.init rows (fun i -> n + i) in
-      let norms =
-        Array.init rows (fun i ->
-            let mx = ref F.zero in
-            for j = 0 to cols - 1 do
-              let v = F.abs t.(i).(j) in
-              if F.compare v !mx > 0 then mx := v
-            done;
-            !mx)
-      in
-      let counters = fresh_counters () in
-      let weights = if pricing = Devex then Array.make cols 1.0 else no_weights in
-      let finish outcome = detail_of counters ~basis:(Array.copy basis) outcome in
-      (* Phase 1: minimize the sum of artificials.  Reduced costs start
-         as [1] on artificials, reduced against the artificial basis:
-         z_j = -(sum of rows) on structural columns, 0 on artificials. *)
-      let z1 = Array.make (cols + 1) F.zero in
-      for j = 0 to cols do
-        if j < n || j = cols then begin
-          let s = ref F.zero in
-          for i = 0 to rows - 1 do
-            s := F.add !s t.(i).(j)
-          done;
-          z1.(j) <- F.neg !s
-        end
-      done;
-      let znorm =
-        ref
-          (let mx = ref F.zero in
-           for j = 0 to cols - 1 do
-             let v = F.abs z1.(j) in
-             if F.compare v !mx > 0 then mx := v
-           done;
-           !mx)
-      in
-      let relative = relative && not exact in
-      match
-        iterate t z1 basis norms znorm weights counters ~eligible:(fun _ -> true)
-          ~relative ~pricing ~iter_budget ~stall_k
-      with
-      | `Stalled -> finish Stalled
-      | `Unbounded ->
-        (* The phase-1 objective is bounded below by 0, so a genuine ray
-           cannot exist: reaching here means the thresholds lied — an
-           "improving" column with no pivotable row entry.  Report the
-           system as infeasible-at-this-precision; certified callers
-           re-solve exactly. *)
-        finish Infeasible
-      | `Optimal ->
-        let phase1_obj = F.neg z1.(cols) in
-        (* Scaled rhs magnitudes are <= 2, so the artificial sum of a
-           genuinely feasible system settles within [rows] rounding
-           units. *)
-        let feas_tol = tol_for ~relative (F.of_int (2 * rows)) in
-        if F.compare phase1_obj feas_tol > 0 then finish Infeasible
-        else begin
-          (* Drive any artificial still basic out of the basis. *)
-          for i = 0 to rows - 1 do
-            if basis.(i) >= n then begin
-              let tol = tol_for ~relative norms.(i) in
-              let found = ref (-1) in
-              for j = 0 to n - 1 do
-                if !found < 0 && F.compare (F.abs t.(i).(j)) tol > 0 then found := j
-              done;
-              if !found >= 0 then pivot t z1 basis norms znorm ~row:i ~col:!found
-              (* Otherwise the row is redundant; the artificial stays
-                 basic at value zero and is barred from re-entering. *)
-            end
-          done;
-          (* Phase 2: real costs, reduced against the current basis. *)
-          let z2 = Array.make (cols + 1) F.zero in
-          Array.blit c 0 z2 0 n;
-          for i = 0 to rows - 1 do
-            let bj = basis.(i) in
-            if bj < n then begin
-              let cost = z2.(bj) in
-              if F.compare cost F.zero <> 0 then
-                for j = 0 to cols do
-                  z2.(j) <- F.sub z2.(j) (F.mul cost t.(i).(j))
-                done
-            end
-          done;
-          znorm :=
-            (let mx = ref F.zero in
-             for j = 0 to cols - 1 do
-               let v = F.abs z2.(j) in
-               if F.compare v !mx > 0 then mx := v
-             done;
-             !mx);
-          if pricing = Devex then Array.fill weights 0 cols 1.0;
-          match
-            iterate t z2 basis norms znorm weights counters ~eligible:(fun j -> j < n)
-              ~relative ~pricing ~iter_budget ~stall_k
-          with
-          | `Stalled -> finish Stalled
-          | `Unbounded -> finish Unbounded
-          | `Optimal ->
-            let x = Array.make n F.zero in
-            Array.iteri (fun i bj -> if bj < n then x.(bj) <- t.(i).(cols)) basis;
-            finish (Optimal (x, F.neg z2.(cols)))
-        end
-    end
-
-  let solve_dense ~a ~b ~c = (solve_dense_detailed ~a ~b ~c ()).outcome
-
-  (* The pre-Devex solver: Bland's rule under absolute thresholds (plus
-     the power-of-two row equilibration it already had), with a pivot
-     budget so a stall terminates instead of hanging.  Kept as the
-     baseline the bench's before/after comparison is measured against. *)
-  let solve_bland_detailed ?iter_budget ~a ~b ~c () =
-    solve_dense_detailed ~pricing:Bland ~relative:false ?iter_budget ~a ~b ~c ()
-
-  let solve_bland ~a ~b ~c = (solve_bland_detailed ~a ~b ~c ()).outcome
-
-  (* Warm start: realize a proposed basis (typically the float solver's
-     final one) by direct elimination, then run phase 2 only.  Any
-     failure to realize it — singular basis, primal-infeasible vertex, a
-     basic artificial carrying a nonzero value — falls back to the full
-     two-phase solve, so the result is always as trustworthy as
-     [solve]. *)
-  let solve_dense_from_basis ?iter_budget ~a ~b ~c ~basis:proposed () =
-    let rows, n = check_dims ~a ~b ~c in
-    check_finite ~a ~b ~c ~rows ~n;
-    let cols = n + rows in
-    let full () = solve_dense_detailed ?iter_budget ~a ~b ~c () in
-    if rows = 0 then full ()
-    else if
-      Array.length proposed <> rows
-      || Array.exists (fun col -> col < 0 || col >= cols) proposed
-    then full ()
-    else begin
-      let t =
-        Array.init rows (fun i ->
-            let negate = F.compare b.(i) F.zero < 0 in
-            let flip v = if negate then F.neg v else v in
-            Array.init (cols + 1) (fun j ->
-                if j < n then flip a.(i).(j)
-                else if j < cols then if j - n = i then F.one else F.zero
-                else flip b.(i)))
-      in
-      let basis = Array.make rows (-1) in
-      let norms = Array.make rows F.zero in
-      let znorm = ref F.zero in
-      let zdummy = Array.make (cols + 1) F.zero in
-      let assigned = Array.make rows false in
-      let ok = ref true in
-      Array.iter
-        (fun target ->
-          if !ok then begin
-            (* Find an unassigned row with a nonzero entry in the target
-               column and eliminate there. *)
-            let r = ref (-1) in
-            for i = 0 to rows - 1 do
-              if !r < 0 && (not assigned.(i)) && F.compare t.(i).(target) F.zero <> 0
-              then r := i
-            done;
-            match !r with
-            | -1 -> ok := false
-            | row ->
-              pivot t zdummy basis norms znorm ~row ~col:target;
-              assigned.(row) <- true
-          end)
-        proposed;
-      (* Primal feasibility of the proposed vertex, exactly: every rhs
-         nonnegative, and any basic artificial stuck at zero. *)
-      if !ok then
-        for i = 0 to rows - 1 do
-          if
-            (not assigned.(i))
-            || F.compare t.(i).(cols) F.zero < 0
-            || (basis.(i) >= n && F.compare t.(i).(cols) F.zero <> 0)
-          then ok := false
-        done;
-      if not !ok then full ()
-      else begin
-        let iter_budget =
-          match iter_budget with Some k -> k | None -> default_budget ~rows ~cols
-        in
-        let z2 = Array.make (cols + 1) F.zero in
-        Array.blit c 0 z2 0 n;
-        for i = 0 to rows - 1 do
-          let bj = basis.(i) in
-          if bj < n then begin
-            let cost = z2.(bj) in
-            if F.compare cost F.zero <> 0 then
-              for j = 0 to cols do
-                z2.(j) <- F.sub z2.(j) (F.mul cost t.(i).(j))
-              done
-          end
-        done;
-        let counters = fresh_counters () in
-        let finish outcome = detail_of counters ~basis:(Array.copy basis) outcome in
-        match
-          iterate t z2 basis norms znorm no_weights counters
-            ~eligible:(fun j -> j < n)
-            ~relative:(not exact) ~pricing:Bland ~iter_budget
-            ~stall_k:(Stdlib.max 32 rows)
-        with
-        | `Stalled -> finish Stalled
-        | `Unbounded -> finish Unbounded
-        | `Optimal ->
-          let x = Array.make n F.zero in
-          Array.iteri (fun i bj -> if bj < n then x.(bj) <- t.(i).(cols)) basis;
-          finish (Optimal (x, F.neg z2.(cols)))
-      end
-    end
-
-  (* ================================================================== *)
-  (* Revised simplex over a sparse LU-factorised basis.                  *)
-  (*                                                                     *)
-  (* Same two phases, same Devex/Bland pricing and stall detector, same  *)
-  (* typed outcomes as the dense tableau above — but the per-iteration   *)
-  (* work is one BTRAN (duals), one O(nnz) pricing sweep, one FTRAN      *)
-  (* (entering column), an optional BTRAN + sweep for the Devex weight   *)
-  (* update, and a product-form eta append, instead of an O(rows*cols)   *)
-  (* tableau elimination.  The basis is refactorised (Markowitz LU, see  *)
-  (* Lu) when the eta file passes its cap, when its accumulated fill     *)
-  (* overtakes the factor's, or when an eta pivot is too small to        *)
-  (* divide by; the basic solution is recomputed from scratch at every   *)
-  (* refactorisation, which bounds drift.                                *)
-  (* ================================================================== *)
 
   module Sp = Sparse.Make (F)
   module Lufac = Lu.Make (F)
@@ -597,7 +129,7 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
      artificials (unit columns, one per row), and [ncols + dim] the
      auxiliary column x0 of a phase 1 started from a primal-infeasible
      basis.  x0 is never priced and never handed back to the caller. *)
-  type rstate = {
+  type state = {
     dim : int;  (* constraint rows *)
     ncols : int;  (* structural columns *)
     amat : Sp.t;  (* scaled, sign-flipped structural matrix *)
@@ -606,7 +138,10 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
     vpos : int array;  (* column id -> basis position, -1 if nonbasic *)
     xb : F.t array;  (* basic values, by basis position *)
     mutable fac : Lufac.t;
-    weights : float array;  (* Devex reference weights, machine floats *)
+    weights : float array;
+        (* Devex reference weights, machine floats even for exact fields:
+           they only rank candidate columns, so their precision cannot
+           affect correctness *)
     mutable x0_ind : int array;  (* x0's column, sparse, scaled frame *)
     mutable x0_val : F.t array;
     rhsbuf : F.t array;  (* row-space gather buffer *)
@@ -661,15 +196,16 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
       st.eta_fill <- st.eta_fill + fill
     end
 
-  (* One phase of the revised simplex.  [cost j] is the phase objective
+  (* One phase of the simplex.  [cost j] is the phase objective
      coefficient of column [j]; [eligible j] gates entering candidates;
-     [objective ()] evaluates the current phase objective for the stall
-     detector. *)
-  let iterate_rev st ~cost ~eligible ~relative ~pricing ~iter_budget ~stall_k ~objective
-      =
+     [rule] is the phase's pricing, which the stall detector swaps for
+     Bland after [stall_k] pivots without progress and restores when the
+     objective moves; [objective ()] evaluates the current phase
+     objective for that detector. *)
+  let iterate st ~cost ~eligible ~rule ~iter_budget ~stall_k ~objective =
     let dim = st.dim in
     let all_cols = st.ncols + dim in
-    let mode = ref pricing in
+    let mode = ref rule in
     let since_improve = ref 0 in
     let best_obj = ref (objective ()) in
     let rec loop () =
@@ -681,8 +217,7 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
         done;
         Lufac.btran st.fac ~cvec:st.cbuf ~out:st.ybuf;
         (* Pricing sweep: d_j = c_j - y . A_j, tested against a tolerance
-           relative to the magnitude of its own computation (the revised
-           analogue of the dense path's maintained row norms). *)
+           relative to the magnitude of its own computation. *)
         let entering = ref (-1) in
         let best_score = ref 0.0 in
         let j = ref 0 in
@@ -696,7 +231,7 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
                 let p = F.mul st.ybuf.(r) v in
                 d := F.sub !d p;
                 mag := F.add !mag (F.abs p));
-            let tol = if relative then F.add F.eps (F.mul F.rel_eps !mag) else F.eps in
+            let tol = tol_for !mag in
             if F.compare !d (F.neg tol) < 0 then begin
               match !mode with
               | Bland ->
@@ -725,7 +260,7 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
             let v = F.abs st.wbuf.(i) in
             if F.compare v !wmax > 0 then wmax := v
           done;
-          let wtol = if relative then F.add F.eps (F.mul F.rel_eps !wmax) else F.eps in
+          let wtol = tol_for !wmax in
           let neg_wtol = F.neg wtol in
           (* Ratio test.  Basic artificials already sitting at zero are
              additionally kicked out at a zero step whenever the entering
@@ -733,7 +268,7 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
              away from zero in phase 2.  (The zero-value gate matters: a
              zero-step exchange of a basic variable carrying flow would
              silently break B x_B = b.) *)
-          let zero_tol = tol_for ~relative (F.of_int (2 * dim)) in
+          let zero_tol = tol_for (F.of_int (2 * dim)) in
           let leave = ref (-1) in
           let best_ratio = ref F.zero in
           for i = 0 to dim - 1 do
@@ -762,7 +297,10 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
                    &&
                    (match !mode with
                    | Bland -> st.basis.(i) < st.basis.(!leave)
-                   | Devex -> F.compare (F.abs wi) (F.abs st.wbuf.(!leave)) > 0)
+                   | Devex ->
+                     (* Among ratio ties, take the numerically largest
+                        pivot element — the stable choice. *)
+                     F.compare (F.abs wi) (F.abs st.wbuf.(!leave)) > 0)
               in
               if better then begin
                 leave := i;
@@ -817,17 +355,19 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
             | Bland -> st.counters.bland <- st.counters.bland + 1
             | Devex -> ());
             let obj = objective () in
-            let itol =
-              if relative then F.add F.eps (F.mul F.rel_eps (F.abs !best_obj)) else F.eps
-            in
+            let itol = tol_for (F.abs !best_obj) in
             if F.compare obj (F.sub !best_obj itol) < 0 then begin
               best_obj := obj;
               since_improve := 0;
-              mode := pricing
+              mode := rule
             end
             else begin
               incr since_improve;
               st.counters.degen <- st.counters.degen + 1;
+              (* No objective progress over a whole window of pivots:
+                 assume degenerate cycling territory and switch to
+                 Bland's rule, whose termination proof needs no
+                 tolerance assumptions. *)
               if !since_improve >= stall_k then mode := Bland
             end;
             loop ()
@@ -837,7 +377,12 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
     in
     loop ()
 
-  let check_finite_sparse ~(a : Sp.t) ~b ~c =
+  (* Reject NaN/infinite coefficients up front: they would otherwise make
+     the row equilibration pick a meaningless scale and poison every
+     tolerance after it.  The scan runs matrix (column by column), then
+     rhs, then objective, and reports the first offender.  Exact fields
+     are always finite; the scan is skipped. *)
+  let check_finite ~(a : Sp.t) ~b ~c =
     if not exact then begin
       let n = Sp.cols a in
       for j = 0 to n - 1 do
@@ -856,7 +401,7 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
      cold and warm sparse entry points: rows equilibrated by powers of
      two, negative-rhs rows negated, artificials implicit, the
      all-artificial basis installed. *)
-  let make_rstate ~(a : Sp.t) ~b =
+  let make_state ~(a : Sp.t) ~b =
     let rows = Sp.rows a in
     let n = Sp.cols a in
     let abs v = if F.compare v F.zero < 0 then F.neg v else v in
@@ -918,7 +463,7 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
      basic (a phase-1 stall or breakdown) reports the lowest nonbasic
      artificial in its place, which a later warm start repairs if need
      be. *)
-  let finish_rev st outcome =
+  let finish st outcome =
     let basis = Array.copy st.basis in
     let x0 = st.ncols + st.dim in
     if st.vpos.(x0) >= 0 then begin
@@ -957,7 +502,7 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
      leaves: failing a structural column, a nonbasic artificial takes
      its place (the pivot row of a nonsingular basis is nonzero on some
      row, and that row's artificial cannot be basic elsewhere). *)
-  let drive_out_artificials st ~relative =
+  let drive_out_artificials st =
     let x0 = st.ncols + st.dim in
     for i = 0 to st.dim - 1 do
       if st.basis.(i) >= st.ncols then begin
@@ -977,7 +522,7 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
                 let p = F.mul st.rbuf.(r) v in
                 alpha := F.add !alpha p;
                 mag := F.add !mag (F.abs p));
-            let tol = if relative then F.add F.eps (F.mul F.rel_eps !mag) else F.eps in
+            let tol = tol_for !mag in
             if F.compare (F.abs !alpha) tol > 0 then begin
               found := jj;
               fval := !alpha
@@ -1058,10 +603,10 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
      basic artificial above tol; it minimizes the artificials plus x0.
      [phase1] and [phase2] are the phases' pricing rules.
      @raise Breakdown on a numerical breakdown. *)
-  let run st ~c ~phase1 ~phase2 ~relative ~iter_budget ~stall_k =
+  let run st ~c ~phase1 ~phase2 ~iter_budget ~stall_k =
     let n = st.ncols in
     factorize_start st;
-    let tol = tol_for ~relative (F.of_int (2 * st.dim)) in
+    let tol = tol_for (F.of_int (2 * st.dim)) in
     let neg_tol = F.neg tol in
     let worst = ref (-1) and infeasible = ref false in
     for i = 0 to st.dim - 1 do
@@ -1074,16 +619,16 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
     done;
     let run_phase2 () =
       match
-        iterate_rev st ~cost:(phase2_cost st c)
+        iterate st ~cost:(phase2_cost st c)
           ~eligible:(fun j -> j < n)
-          ~relative ~pricing:phase2 ~iter_budget ~stall_k
+          ~rule:phase2 ~iter_budget ~stall_k
           ~objective:(phase2_objective st c)
       with
-      | `Stalled -> finish_rev st Stalled
-      | `Unbounded -> finish_rev st Unbounded
+      | `Stalled -> finish st Stalled
+      | `Unbounded -> finish st Unbounded
       | `Optimal ->
         let x, obj = extract_solution st c in
-        finish_rev st (Optimal (x, obj))
+        finish st (Optimal (x, obj))
     in
     if not !infeasible then run_phase2 ()
     else begin
@@ -1097,19 +642,22 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
         !s
       in
       match
-        iterate_rev st ~cost:cost1
+        iterate st ~cost:cost1
           ~eligible:(fun _ -> true)
-          ~relative ~pricing:phase1 ~iter_budget ~stall_k ~objective:objective1
+          ~rule:phase1 ~iter_budget ~stall_k ~objective:objective1
       with
-      | `Stalled -> finish_rev st Stalled
+      | `Stalled -> finish st Stalled
       | `Unbounded ->
-        (* Phase 1 is bounded below by 0: a reported ray means the
-           thresholds lied.  Same convention as the dense path. *)
-        finish_rev st Infeasible
+        (* Phase 1 is bounded below by 0, so a genuine ray cannot
+           exist: reaching here means the thresholds lied — an
+           "improving" column with no pivotable entry.  Report the
+           system as infeasible-at-this-precision; certified callers
+           re-solve exactly. *)
+        finish st Infeasible
       | `Optimal ->
-        if F.compare (objective1 ()) tol > 0 then finish_rev st Infeasible
+        if F.compare (objective1 ()) tol > 0 then finish st Infeasible
         else begin
-          drive_out_artificials st ~relative;
+          drive_out_artificials st;
           Array.fill st.weights 0 (Array.length st.weights) 1.0;
           run_phase2 ()
         end
@@ -1118,7 +666,7 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
   let check_sparse ~(a : Sp.t) ~b ~c =
     if Array.length b <> Sp.rows a then invalid_arg "Simplex.solve_sparse: b length mismatch";
     if Array.length c <> Sp.cols a then invalid_arg "Simplex.solve_sparse: c length mismatch";
-    check_finite_sparse ~a ~b ~c
+    check_finite ~a ~b ~c
 
   let budget_or iter_budget st =
     match iter_budget with
@@ -1134,18 +682,17 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
     in
     detail_of (fresh_counters ()) ~basis:[||] outcome
 
-  let solve_sparse_detailed ?(pricing = Devex) ?(relative = true) ?iter_budget
-      ~(a : Sp.t) ~b ~c () =
+  let solve_sparse_detailed ?iter_budget ~(a : Sp.t) ~b ~c () =
     check_sparse ~a ~b ~c;
     if Sp.rows a = 0 then solve_unconstrained ~c
     else begin
-      let st = make_rstate ~a ~b in
+      let st = make_state ~a ~b in
       match
-        run st ~c ~phase1:pricing ~phase2:pricing ~relative:(relative && not exact)
-          ~iter_budget:(budget_or iter_budget st) ~stall_k:(Stdlib.max 32 st.dim)
+        run st ~c ~phase1:Devex ~phase2:Devex ~iter_budget:(budget_or iter_budget st)
+          ~stall_k:(Stdlib.max 32 st.dim)
       with
       | d -> d
-      | exception Breakdown -> finish_rev st Stalled
+      | exception Breakdown -> finish st Stalled
     end
 
   let solve_sparse ~a ~b ~c = (solve_sparse_detailed ~a ~b ~c ()).outcome
@@ -1165,7 +712,7 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
     check_sparse ~a ~b ~c;
     if Sp.rows a = 0 then solve_unconstrained ~c
     else begin
-      let st = make_rstate ~a ~b in
+      let st = make_state ~a ~b in
       let ids = st.ncols + st.dim in
       for i = 0 to st.dim - 1 do
         let j = if i < Array.length proposed then proposed.(i) else -1 in
@@ -1177,8 +724,7 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
       done;
       let iter_budget = budget_or iter_budget st in
       let stall_k = Stdlib.max 32 st.dim in
-      let relative = not exact in
-      match run st ~c ~phase1:Devex ~phase2:Bland ~relative ~iter_budget ~stall_k with
+      match run st ~c ~phase1:Devex ~phase2:Bland ~iter_budget ~stall_k with
       | d -> d
       | exception Breakdown -> (
         st.counters.fallbacks <- st.counters.fallbacks + 1;
@@ -1187,29 +733,31 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
         done;
         Array.fill st.weights 0 (Array.length st.weights) 1.0;
         match
-          run st ~c ~phase1:Devex ~phase2:Devex ~relative
-            ~iter_budget:(iter_budget + st.counters.iters) ~stall_k
+          run st ~c ~phase1:Devex ~phase2:Devex ~iter_budget:(iter_budget + st.counters.iters)
+            ~stall_k
         with
         | d -> d
-        | exception Breakdown -> finish_rev st Stalled)
+        | exception Breakdown -> finish st Stalled)
     end
 
-  (* The default entry points run the revised path; the dense tableau
-     survives as [solve_dense*] — the differential anchor the
-     sparse-vs-dense fuzz oracle pins the revised path against. *)
-  let solve_detailed ?pricing ?relative ?iter_budget ~a ~b ~c () =
-    let rows, n = check_dims ~a ~b ~c in
-    check_finite ~a ~b ~c ~rows ~n;
-    let sa = Sp.of_dense a ~cols:n in
-    solve_sparse_detailed ?pricing ?relative ?iter_budget ~a:sa ~b ~c ()
+  (* Dense-input entry points: check the shape, then hand the CSC copy to
+     the sparse ones.  [Sp.of_dense] drops only entries comparing equal
+     to zero, so NaN and infinities reach the sparse finite scan. *)
+  let sparse_of_dense ~a ~b ~c =
+    let n = Array.length c in
+    if Array.length b <> Array.length a then invalid_arg "Simplex.solve: b length mismatch";
+    Array.iter
+      (fun row -> if Array.length row <> n then invalid_arg "Simplex.solve: ragged matrix")
+      a;
+    Sp.of_dense a ~cols:n
+
+  let solve_detailed ?iter_budget ~a ~b ~c () =
+    solve_sparse_detailed ?iter_budget ~a:(sparse_of_dense ~a ~b ~c) ~b ~c ()
 
   let solve ~a ~b ~c = (solve_detailed ~a ~b ~c ()).outcome
 
   let solve_from_basis ?iter_budget ~a ~b ~c ~basis () =
-    let rows, n = check_dims ~a ~b ~c in
-    check_finite ~a ~b ~c ~rows ~n;
-    let sa = Sp.of_dense a ~cols:n in
-    solve_sparse_from_basis ?iter_budget ~a:sa ~b ~c ~basis ()
+    solve_sparse_from_basis ?iter_budget ~a:(sparse_of_dense ~a ~b ~c) ~b ~c ~basis ()
 end
 
 module Float_solver = Make (Mf_numeric.Ordered_field.Float_field)

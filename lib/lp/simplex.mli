@@ -1,34 +1,31 @@
 (** Two-phase primal simplex, functorised over an ordered field.
 
-    The default entry points ({!Make.solve}, {!Make.solve_detailed},
-    {!Make.solve_from_basis}) run a {e revised} simplex over a sparse
-    LU-factorised basis ({!Sparse}, {!Lu}): per iteration one BTRAN for
-    the duals, one O(nnz) pricing sweep, one FTRAN for the entering
-    column and a product-form eta update, with periodic
-    refactorisation.  The former dense-tableau solver survives intact as
-    {!Make.solve_dense} / {!Make.solve_dense_detailed} /
-    {!Make.solve_dense_from_basis} — it is the differential anchor the
-    [sparse-vs-dense] fuzz oracle pins the revised path against.
+    One solver: a {e revised} simplex over a sparse LU-factorised basis
+    ({!Sparse}, {!Lu}).  Per iteration it runs one BTRAN for the duals,
+    one O(nnz) pricing sweep, one FTRAN for the entering column and a
+    product-form eta update, with periodic refactorisation.
     {!Make.solve_sparse_detailed} and {!Make.solve_sparse_from_basis}
-    accept the constraint matrix directly in CSC form, skipping the
-    dense detour entirely — the path the large throughput-form LPs take.
+    take the constraint matrix in CSC form, the path the large
+    throughput-form LPs take; {!Make.solve}, {!Make.solve_detailed} and
+    {!Make.solve_from_basis} take a dense matrix and convert it.
 
     The float instance solves the LP relaxations inside branch-and-bound
     and {!Splitting}; the exact-rational instance
     ({!Mf_numeric.Ordered_field.Rat_field}) certifies it — both in the
     test-suite and at runtime, through the warm-started
-    {!Make.solve_from_basis} fallback taken when the float path reports
-    [Infeasible] or [Stalled] on a system known to be feasible.
+    {!Make.solve_sparse_from_basis} fallback taken when the float path
+    reports [Infeasible] or [Stalled] on a system known to be feasible.
 
     Numerical discipline of the inexact instance: rows are equilibrated
-    by exact powers of two, every threshold is {e relative} to row /
-    reduced-cost-row norms maintained across pivots, pricing is Devex
-    with a stall detector that falls back to Bland's rule (whose
-    anti-cycling argument needs no tolerance assumptions), and a pivot
-    budget turns the remaining failure mode into the typed {!Make.Stalled}
-    outcome.  Exact fields ([eps = rel_eps = 0]) run unscaled with exact
+    by exact powers of two, every threshold is {e relative} to the
+    magnitude of the computation it tests (a reduced cost's terms, the
+    entering column's FTRAN image), pricing is Devex with a stall
+    detector that falls back to Bland's rule (whose anti-cycling
+    argument needs no tolerance assumptions), and a pivot budget turns
+    the remaining failure mode into the typed {!Make.Stalled} outcome.
+    Exact fields ([eps = rel_eps = 0]) run unscaled with exact
     comparisons and an unbounded default budget: termination is
-    guaranteed because Bland's rule terminates from any tableau and a
+    guaranteed because Bland's rule terminates from any basis and a
     strict objective improvement can never revisit a basis.
 
     Problems must be given in standard form
@@ -39,12 +36,10 @@
     only): such values would corrupt the row equilibration silently.
     [row >= 0] names the offending constraint row, with [col = n]
     (the column count) denoting its right-hand side; [row = -1] is the
-    objective vector. *)
+    objective vector.  With several offenders, the first in column
+    order of the matrix is reported, then the rhs, then the
+    objective. *)
 exception Non_finite of { row : int; col : int }
-
-(** Pricing rule: Devex (default, fast on large degenerate tableaus) or
-    Bland (lowest-index, the anti-cycling and baseline rule). *)
-type pricing = Devex | Bland
 
 module Make (F : Mf_numeric.Ordered_field.S) : sig
   type outcome =
@@ -69,9 +64,7 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
     iterations : int;  (** pivots performed, both phases *)
     degenerate : int;  (** pivots with no objective progress *)
     bland_pivots : int;  (** pivots taken under the Bland fallback *)
-    factorizations : int;
-        (** LU factorisations of the basis (revised path; 0 on the dense
-            path) *)
+    factorizations : int;  (** LU factorisations of the basis *)
     eta_updates : int;
         (** basis exchanges absorbed as product-form etas instead of a
             refactorisation *)
@@ -80,8 +73,7 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
             eta-file cap, accumulated fill, or a refused eta pivot *)
     fallbacks : int;
         (** restarts from the all-artificial basis after a numerical
-            breakdown of a warm start (revised path; 0 on the dense
-            path) *)
+            breakdown of a warm start (0 on a cold solve) *)
     repairs : int;
         (** basis positions the start factorisation replaced by an
             artificial ({!Lu.Make.factorize_repair}): singular, repeated
@@ -94,37 +86,13 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
       @raise Non_finite on NaN/infinite coefficients (inexact fields). *)
   val solve : a:F.t array array -> b:F.t array -> c:F.t array -> outcome
 
-  (** [solve_detailed ?pricing ?relative ?iter_budget ~a ~b ~c ()] is
-      {!solve} with the full report.  [relative] (default [true])
-      selects norm-relative thresholds; [false] restores the absolute
-      [F.eps] tests of the baseline solver.  [iter_budget] defaults to
-      [max 2000 (40 rows + 4 cols)] for inexact fields and unlimited for
-      exact ones. *)
+  (** [solve_detailed ?iter_budget ~a ~b ~c ()] is {!solve} with the
+      full report.  [iter_budget] bounds the pivots of both phases.  For
+      inexact fields it defaults to [max 4000 (100 rows + 10 cols)],
+      where [cols] counts the structural columns plus one artificial per
+      row; for exact fields it is unlimited. *)
   val solve_detailed :
-    ?pricing:pricing ->
-    ?relative:bool ->
-    ?iter_budget:int ->
-    a:F.t array array ->
-    b:F.t array ->
-    c:F.t array ->
-    unit ->
-    detail
-
-  (** The previous generation of the solver — Bland's rule under
-      absolute [F.eps] thresholds (row equilibration kept) — plus a
-      pivot budget so its stalls terminate.  Kept as the baseline the
-      bench's before/after comparison ([make bench-lp]) is measured
-      against, the way {!Mf_exact.Dfs.solve_static} anchors the exact
-      bench. *)
-  val solve_bland : a:F.t array array -> b:F.t array -> c:F.t array -> outcome
-
-  val solve_bland_detailed :
-    ?iter_budget:int ->
-    a:F.t array array ->
-    b:F.t array ->
-    c:F.t array ->
-    unit ->
-    detail
+    ?iter_budget:int -> a:F.t array array -> b:F.t array -> c:F.t array -> unit -> detail
 
   (** [solve_from_basis ~a ~b ~c ~basis ()] warm-starts from a proposed
       basis — typically the float solver's final [detail.basis] — and
@@ -146,20 +114,14 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
       The same solver without the dense detour: [a] is given in
       compressed-sparse-column form ({!Sparse.Make.of_columns}).  The
       large throughput-form LPs are ~99% zeros, so this is the only
-      representation that scales past a few hundred tasks. *)
+      representation that scales past a few hundred tasks.  Cold solves
+      price Devex in both phases. *)
 
   val solve_sparse :
     a:F.t Sparse.repr -> b:F.t array -> c:F.t array -> outcome
 
   val solve_sparse_detailed :
-    ?pricing:pricing ->
-    ?relative:bool ->
-    ?iter_budget:int ->
-    a:F.t Sparse.repr ->
-    b:F.t array ->
-    c:F.t array ->
-    unit ->
-    detail
+    ?iter_budget:int -> a:F.t Sparse.repr -> b:F.t array -> c:F.t array -> unit -> detail
 
   (** Warm start on the sparse path, re-optimizing from the proposed
       basis whatever it is.  Entries that are out of range or repeated,
@@ -173,7 +135,9 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
       x0 = -(sum of the basic columns at negative positions) is pivoted
       in at the most negative position first (Chvátal's
       single-artificial start), and phase 1 minimizes the artificials
-      plus x0.  The returned basis never names x0.  Only a numerical
+      plus x0.  Phase 1 prices Devex, phase 2 Bland (a warm phase 2 is
+      typically a handful of pivots, where the first-candidate scan is
+      cheapest).  The returned basis never names x0.  Only a numerical
       breakdown restarts from the all-artificial basis
       ([detail.fallbacks]); {!solve_sparse_detailed} is this same
       routine started from that basis.  Every choice is deterministic. *)
@@ -185,37 +149,10 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
     basis:int array ->
     unit ->
     detail
-
-  (** {2 Dense tableau baseline}
-
-      The previous core, kept whole: two-phase primal simplex by direct
-      tableau elimination.  Differential anchor for the revised path
-      (they must agree to the oracle's tolerance on every instance) and
-      still the cheapest option for tiny dense systems. *)
-
-  val solve_dense : a:F.t array array -> b:F.t array -> c:F.t array -> outcome
-
-  val solve_dense_detailed :
-    ?pricing:pricing ->
-    ?relative:bool ->
-    ?iter_budget:int ->
-    a:F.t array array ->
-    b:F.t array ->
-    c:F.t array ->
-    unit ->
-    detail
-
-  val solve_dense_from_basis :
-    ?iter_budget:int ->
-    a:F.t array array ->
-    b:F.t array ->
-    c:F.t array ->
-    basis:int array ->
-    unit ->
-    detail
 end
 
-(** Float instance, used by {!Branch_bound} and {!Splitting}. *)
+(** Float instance, used by {!Branch_bound}, {!Node_bound} and
+    {!Splitting}. *)
 module Float_solver : module type of Make (Mf_numeric.Ordered_field.Float_field)
 
 (** Exact rational instance: the certification path. *)

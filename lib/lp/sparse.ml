@@ -105,13 +105,6 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
     done;
     { rows; cols; colptr; rowind; values }
 
-  let to_dense (t : t) =
-    let d = Array.make_matrix t.rows t.cols F.zero in
-    for j = 0 to t.cols - 1 do
-      iter_col t j (fun i v -> d.(i).(j) <- v)
-    done;
-    d
-
   (* Per-column infinity norm, used for row equilibration and pivot
      thresholds. *)
   let col_max_abs t j =

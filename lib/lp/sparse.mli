@@ -35,12 +35,10 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
       (row, col) pairs. *)
   val of_columns : rows:int -> cols:int -> (int * F.t) list array -> t
 
-  (** [of_dense a ~cols] drops exact zeros of a dense row-major matrix.
-      Rows may be longer than [cols]; the excess is ignored (the dense
-      simplex tableau carries an rhs column). *)
+  (** [of_dense a ~cols] drops exact zeros of a dense row-major matrix
+      (NaN and infinities are kept).  Rows may be longer than [cols];
+      the excess is ignored. *)
   val of_dense : F.t array array -> cols:int -> t
-
-  val to_dense : t -> F.t array array
 
   (** Largest absolute value stored in a column ([F.zero] if empty). *)
   val col_max_abs : t -> int -> F.t

@@ -234,6 +234,11 @@ let exact_oracle =
 (* lp-vs-exact: the splitting LP bound never exceeds the true optimum   *)
 (* ------------------------------------------------------------------ *)
 
+(* The float revised simplex must close every splitting LP on its own
+   (no rational fallback) and agree with a cold exact-rational solve of
+   the same system to rel 1e-6; both bounds stay below the brute-force
+   optimum. *)
+
 let lp_gen =
   Instances.instance ~max_tasks:5 ~max_machines:4 ~machines_cover_types:true ()
 
@@ -245,6 +250,7 @@ let lp_prop inst =
     | Error e -> failf "LP failed: %s" (Splitting.describe_error e)
   in
   check (lp.Splitting.period > 0.0) "LP period %.17g not positive" lp.Splitting.period;
+  check (lp.Splitting.path = `Float) "float simplex did not close the splitting LP";
   check
     (lp.Splitting.period <= optimum *. (1.0 +. 1e-9))
     "LP bound %.17g exceeds exact optimum %.17g" lp.Splitting.period optimum;
@@ -262,65 +268,11 @@ let lp_oracle =
   Oracle
     {
       name = "lp-vs-exact";
-      description = "Splitting LP certified bound <= exact optimum";
+      description =
+        "Splitting LP closed by the float simplex, = exact-rational LP, bound <= exact optimum";
       quick_cases = 150;
       gen = lp_gen;
       prop = prop_of lp_prop;
-      print = Instances.print_instance;
-    }
-
-(* ------------------------------------------------------------------ *)
-(* sparse-vs-dense: the revised-simplex core against the dense tableau  *)
-(* ------------------------------------------------------------------ *)
-
-(* Same standardized throughput-form system through both simplex cores:
-   the sparse revised path (LU basis, eta updates) and the dense-tableau
-   baseline must reach the same verdict, and the same objective to float
-   tolerance when both are optimal.  Paths differ in pivot order, so the
-   solutions may sit on different optimal vertices — only the objective
-   is compared. *)
-
-let sparse_dense_gen =
-  Instances.instance ~max_tasks:6 ~max_machines:4 ~machines_cover_types:true ()
-
-let sparse_dense_prop inst =
-  let module FS = Mf_lp.Simplex.Float_solver in
-  let module FSp = Mf_lp.Sparse.Make (Mf_numeric.Ordered_field.Float_field) in
-  let module Std = Mf_lp.Standardize in
-  match Std.build (Mf_lp.Splitting.model inst) with
-  | None -> failf "standardization failed"
-  | Some std ->
-    let s = FS.solve_sparse_detailed ~a:std.Std.a ~b:std.Std.b ~c:std.Std.c () in
-    let d =
-      FS.solve_dense_detailed ~a:(FSp.to_dense std.Std.a) ~b:std.Std.b ~c:std.Std.c ()
-    in
-    let outcome_name = function
-      | FS.Optimal _ -> "optimal"
-      | FS.Infeasible -> "infeasible"
-      | FS.Unbounded -> "unbounded"
-      | FS.Stalled -> "stalled"
-    in
-    (match (s.FS.outcome, d.FS.outcome) with
-    | FS.Optimal (_, so), FS.Optimal (_, dobj) ->
-      check (rel_close ~tol:1e-6 so dobj) "sparse objective %.17g vs dense %.17g" so dobj
-    | FS.Infeasible, FS.Infeasible | FS.Unbounded, FS.Unbounded -> ()
-    | FS.Stalled, _ | _, FS.Stalled ->
-      (* a stall is a budget artifact, not a verdict — no disagreement *)
-      ()
-    | a, b -> failf "sparse %s vs dense %s" (outcome_name a) (outcome_name b));
-    (* the splitting system always admits a positive-throughput optimum *)
-    check
-      (match s.FS.outcome with FS.Optimal _ -> true | _ -> false)
-      "sparse path did not close a splitting LP (%s)" (outcome_name s.FS.outcome)
-
-let sparse_dense_oracle =
-  Oracle
-    {
-      name = "sparse-vs-dense";
-      description = "revised sparse simplex agrees with the dense tableau core";
-      quick_cases = 120;
-      gen = sparse_dense_gen;
-      prop = prop_of sparse_dense_prop;
       print = Instances.print_instance;
     }
 
@@ -1223,7 +1175,6 @@ let all =
     heuristics_oracle;
     exact_oracle;
     lp_oracle;
-    sparse_dense_oracle;
     warm_start_oracle;
     sim_oracle;
     simbd_oracle;

@@ -14,8 +14,9 @@
       rule-feasible mapping whose period matches reference evaluation;
     - [exact-vs-brute] — {!Mf_exact.Dfs.solve} equals {!Mf_exact.Brute}
       under all three mapping rules on small instances;
-    - [lp-vs-exact] — the {!Mf_lp.Splitting} certified bound never
-      exceeds the exact optimum;
+    - [lp-vs-exact] — the float simplex closes every {!Mf_lp.Splitting}
+      LP without the rational fallback, agrees with a cold exact-rational
+      solve to rel 1e-6, and the bound never exceeds the exact optimum;
     - [warm-start] — {!Mf_lp.Simplex.Make.solve_sparse_from_basis}
       from a random, the all-artificial, or a perturbed copy's optimal
       basis agrees with the cold solve, float and exact-rational (see

@@ -182,7 +182,7 @@ let test_mip_knapsack () =
   Model.add_constraint m (Linexpr.of_terms [ (2.0, a); (3.0, b); (1.0, c) ] 0.0) Model.Le 5.0;
   Model.set_objective m ~minimize:false
     (Linexpr.of_terms [ (5.0, a); (4.0, b); (3.0, c) ] 0.0);
-  let r = Mip.solve m in
+  let r = Branch_bound.solve m in
   Alcotest.(check bool) "optimal" true (r.Branch_bound.status = Branch_bound.Optimal);
   (match r.Branch_bound.objective with
   | Some obj -> Alcotest.(check (float 1e-6)) "value" 9.0 obj
@@ -201,7 +201,7 @@ let test_mip_integer_rounding_matters () =
   let y = Model.add_var m Model.Integer in
   Model.add_constraint m (Linexpr.of_terms [ (2.0, x); (2.0, y) ] 0.0) Model.Le 5.0;
   Model.set_objective m ~minimize:false (Linexpr.of_terms [ (1.0, x); (1.0, y) ] 0.0);
-  let r = Mip.solve m in
+  let r = Branch_bound.solve m in
   (match r.Branch_bound.objective with
   | Some obj -> Alcotest.(check (float 1e-6)) "value" 2.0 obj
   | None -> Alcotest.fail "no objective");
@@ -215,7 +215,7 @@ let test_mip_infeasible () =
   Model.add_constraint m (Linexpr.var x) Model.Ge 0.4;
   Model.add_constraint m (Linexpr.var x) Model.Le 0.6;
   Model.set_objective m ~minimize:true (Linexpr.var x);
-  let r = Mip.solve m in
+  let r = Branch_bound.solve m in
   Alcotest.(check bool) "infeasible" true (r.Branch_bound.status = Branch_bound.Infeasible)
 
 let test_mip_solution_feasible () =
@@ -230,7 +230,7 @@ let test_mip_solution_feasible () =
     Model.Le 1.0;
   Model.set_objective m ~minimize:true
     (Linexpr.of_terms (Array.to_list (Array.mapi (fun i v -> (float_of_int (i + 1), v)) xs)) 0.0);
-  let r = Mip.solve m in
+  let r = Branch_bound.solve m in
   match r.Branch_bound.solution with
   | Some sol -> Alcotest.(check (option string)) "feasible" None (Model.check_feasible m sol ~tol:1e-6)
   | None -> Alcotest.fail "expected a solution"
@@ -358,27 +358,50 @@ let test_splitting_round_feasible () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* New-solver unit tests: non-finite rejection, stall budget, warm     *)
-(* start, Bland baseline agreement                                     *)
+(* Simplex unit tests: non-finite rejection, stall budget, warm start  *)
 (* ------------------------------------------------------------------ *)
 
 module Simplex = Mf_lp.Simplex
 module Rat = Mf_numeric.Rat
 
+(* Every case through the cold dense entry point and both warm-start
+   entry points (dense and CSC input): the one finite scan names the
+   same offending entry on each. *)
 let test_simplex_rejects_non_finite () =
   let module S = Simplex.Float_solver in
+  let module Sp = Mf_lp.Sparse.Make (Mf_numeric.Ordered_field.Float_field) in
   let expect name (row, col) f =
     match f () with
     | exception Simplex.Non_finite loc ->
       Alcotest.(check (pair int int)) name (row, col) (loc.row, loc.col)
-    | _ -> Alcotest.fail (name ^ ": expected Non_finite")
+    | () -> Alcotest.fail (name ^ ": expected Non_finite")
   in
-  expect "nan in a row" (1, 0) (fun () ->
-      S.solve ~a:[| [| 1.0; 0.0 |]; [| Float.nan; 1.0 |] |] ~b:[| 1.0; 1.0 |] ~c:[| 1.0; 1.0 |]);
-  expect "infinite rhs reported as col n" (0, 2) (fun () ->
-      S.solve ~a:[| [| 1.0; 0.0 |] |] ~b:[| Float.infinity |] ~c:[| 1.0; 1.0 |]);
-  expect "nan objective reported as row -1" (-1, 1) (fun () ->
-      S.solve ~a:[| [| 1.0; 1.0 |] |] ~b:[| 1.0 |] ~c:[| 0.0; Float.nan |])
+  List.iter
+    (fun (name, loc, a, b, c) ->
+      let n = Array.length c in
+      let basis = Array.init (Array.length b) (fun i -> n + i) in
+      expect (name ^ ", solve") loc (fun () -> ignore (S.solve ~a ~b ~c));
+      expect (name ^ ", solve_from_basis") loc (fun () ->
+          ignore (S.solve_from_basis ~a ~b ~c ~basis ()));
+      expect (name ^ ", solve_sparse_from_basis") loc (fun () ->
+          ignore (S.solve_sparse_from_basis ~a:(Sp.of_dense a ~cols:n) ~b ~c ~basis ())))
+    [
+      ( "nan in a row",
+        (1, 0),
+        [| [| 1.0; 0.0 |]; [| Float.nan; 1.0 |] |],
+        [| 1.0; 1.0 |],
+        [| 1.0; 1.0 |] );
+      ( "infinite rhs reported as col n",
+        (0, 2),
+        [| [| 1.0; 0.0 |] |],
+        [| Float.infinity |],
+        [| 1.0; 1.0 |] );
+      ( "nan objective reported as row -1",
+        (-1, 1),
+        [| [| 1.0; 1.0 |] |],
+        [| 1.0 |],
+        [| 0.0; Float.nan |] );
+    ]
 
 let test_simplex_stall_budget () =
   let module S = Simplex.Float_solver in
@@ -507,20 +530,6 @@ let test_simplex_warm_start_verdicts () =
         done
       done)
     lps
-
-let test_simplex_bland_baseline_agrees () =
-  let module S = Simplex.Float_solver in
-  let rng = Rng.create 2718 in
-  for case = 1 to 25 do
-    let a, b, c = random_standard_lp rng ~rows:4 ~n:8 in
-    match (S.solve ~a ~b ~c, S.solve_bland ~a ~b ~c) with
-    | S.Optimal (_, devex), S.Optimal (_, bland) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "case %d: Devex = Bland" case)
-        true
-        (Float.abs (devex -. bland) <= 1e-7 *. Float.max 1.0 (Float.abs bland))
-    | _ -> Alcotest.fail (Printf.sprintf "case %d: expected Optimal from both" case)
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Splitting.round typed errors and deterministic tie-breaking         *)
@@ -944,7 +953,6 @@ let () =
           Alcotest.test_case "warm start from any basis" `Slow
             test_simplex_warm_start_any_basis;
           Alcotest.test_case "warm start verdicts" `Quick test_simplex_warm_start_verdicts;
-          Alcotest.test_case "bland baseline" `Quick test_simplex_bland_baseline_agrees;
         ] );
       ( "branch-bound",
         [
