@@ -35,7 +35,8 @@ verify:
 	timeout 60 sh scripts/daemon_smoke.sh
 	$(MAKE) fuzz-quick
 	$(MAKE) bench-regress
-	@echo "verify OK: tests green, --jobs 1/4 byte-identical, differential suites green, daemon smoke green, fuzz matrix green, bench-regress green"
+	timeout 120 sh scripts/regress_canary.sh
+	@echo "verify OK: tests green, --jobs 1/4 byte-identical, differential suites green, daemon smoke green, fuzz matrix green, bench-regress green and its canary caught"
 
 # Quick fuzz tier (deterministic, fixed seeds, <= 30 s): the full oracle
 # matrix (the twelve oracles of DESIGN.md §12) plus the two injected-bug
@@ -113,13 +114,16 @@ daemon-smoke:
 	dune build bin/mfopt.exe bin/mfoptd.exe
 	timeout 60 sh scripts/daemon_smoke.sh
 
-# Regression gate over the committed benchmark numbers: re-runs the
-# quick-tier reference measurements (revised-simplex pivot counts, the
-# n=200 scaling row, the LP-bound exact-search scan at n in
-# {14, 16, 18} / 500k nodes, and the breakdown/re-mapper scenario with
-# its recovery >= 0.8 gate) and fails when any degrades past the
-# tolerances recorded in the "regress" sections of BENCH_lp.json /
-# BENCH_exact.json / BENCH_dynamic.json.  Part of `make verify`.
+# Regression gate over the committed benchmark numbers: the 28 checks of
+# the table in bench/main.ml re-run their quick-tier measurements
+# (revised-simplex pivot counts, the n=200 scaling row, the LP-bound
+# exact-search scan at n in {14, 16, 18} / 500k nodes, and the
+# breakdown/re-mapper scenario) and compare each with its committed
+# {check, value} row in the "regress" arrays of BENCH_lp.json /
+# BENCH_exact.json / BENCH_dynamic.json under the bound the table fixes.
+# Fails on a broken bound, an unknown row or a missing row.  Part of
+# `make verify`, followed by scripts/regress_canary.sh, which requires
+# the gate to fail (exit 1) on a tightened and on a deleted row.
 bench-regress:
 	timeout 300 dune exec bench/main.exe -- --regress
 

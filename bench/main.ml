@@ -395,6 +395,284 @@ let bench_parallel () =
   Printf.printf "  (machine-readable copy written to %s)\n" json
 
 (* ------------------------------------------------------------------ *)
+(* Regression gate: --regress / make bench-regress                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The sizes, seeds, budget and horizon below fix what the regression
+   checks measure, whatever tier the bench runs at; the exact, lp and
+   dynamic sections use the same settings for their quick tier.  The
+   exact sizes close far below the budget without exhausting any root
+   subtree's slice, so their node counts do not depend on it. *)
+let exact_regress_sizes = [ 14; 16; 18 ]
+let exact_regress_budget = 500_000
+let exact_scan_rule = Mf_core.Mapping.Specialized
+
+let exact_scan_instance n =
+  Gen.chain (Rng.create 1) (Gen.default ~tasks:n ~types:3 ~machines:6)
+
+(* LP-bound exact search on the scan instance of size [n]: the search
+   result, its wall time and the summed node-LP oracle counters (one
+   rule-aware oracle per subtree search, the Dfs factory contract). *)
+let exact_lp_run ?jobs ~budget n =
+  let inst = exact_scan_instance n in
+  let node_bound, nb_stats = Mf_solve.Engine.node_bound_factory ~rule:exact_scan_rule inst in
+  let t0 = Unix.gettimeofday () in
+  let r =
+    Mf_exact.Dfs.solve ~node_budget:budget ?jobs ~node_bound ~rule:exact_scan_rule inst
+  in
+  (r, Unix.gettimeofday () -. t0, nb_stats ())
+
+let lp_regress_sizes = [ 10; 20; 40 ]
+let lp_regress_seeds = [ 1; 2 ]
+let lp_scaling_regress_n = 200
+
+let lp_chain ~n ~seed = Gen.chain (Rng.create seed) (Gen.default ~tasks:n ~types:4 ~machines:8)
+
+(* One (n, seed) chain instance of the LP bench, standardized. *)
+let lp_instance ~n ~seed = Mf_lp.Standardize.build (Mf_lp.Splitting.model (lp_chain ~n ~seed))
+
+(* The float solve of one standardized LP and its wall time. *)
+let lp_revised_run std =
+  let module FS = Mf_lp.Simplex.Float_solver in
+  let module Std = Mf_lp.Standardize in
+  let t0 = Unix.gettimeofday () in
+  let d = FS.solve_sparse_detailed ~a:std.Std.a ~b:std.Std.b ~c:std.Std.c () in
+  (d, Unix.gettimeofday () -. t0)
+
+(* Scenario shared by the bench and the [--regress] check: a balanced
+   single-type chain — 56 tasks, w = 100 ms everywhere, f = 0, 8
+   machines, 7 tasks per machine, period 700 ms — where only machine 0
+   breaks down (mtbf 48 periods of busy time, mttr 16 periods, one
+   repair crew), for a steady-state availability of 48/(48+16) = 0.75.
+   Left static the chain stalls whenever machine 0 is down, so the
+   normalized throughput x = tp*p tends to the availability; the online
+   re-mapper parks the 7 stranded tasks one on each survivor (8 per
+   machine, period 800 ms) and restores the designed mapping after the
+   repair, so the line keeps 7/8 of its speed through every outage and
+   the recovered fraction of the availability gap
+
+     recovery = (x_remap - a) / (1 - a)
+
+   sits near 7/8, minus re-map latency and commit races.  The
+   acceptance gate is recovery >= 0.8 at the settings below. *)
+
+let dynamic_regress_seeds = [ 1; 2; 3 ]
+let dynamic_regress_horizon = 4096.0 (* periods *)
+let dynamic_min_recovery = 0.8
+
+let dynamic_scenario () =
+  let module Instance = Mf_core.Instance in
+  let module Workflow = Mf_core.Workflow in
+  let module Mapping = Mf_core.Mapping in
+  let module Breakdown = Mf_sim.Breakdown in
+  let n = 56 and m = 8 in
+  let inst =
+    Instance.create
+      ~workflow:(Workflow.chain ~types:(Array.make n 0))
+      ~machines:m
+      ~w:(Array.make_matrix n m 100.0)
+      ~f:(Array.make_matrix n m 0.0)
+  in
+  let mp = Mapping.of_array inst (Array.init n (fun i -> i mod m)) in
+  let p = Period.period inst mp in
+  let laws =
+    Array.init m (fun u ->
+        if u = 0 then { Breakdown.mtbf = 48.0 *. p; mttr = 16.0 *. p; wear = 0.0 }
+        else Breakdown.immortal)
+  in
+  (inst, mp, p, Breakdown.make ~crews:1 laws)
+
+(* Normalized throughputs x = tp*p of the do-nothing and re-mapped arms
+   on one breakdown realization (plus the re-mapped raw result). *)
+let dynamic_pair (inst, mp, p, bd) ~horizon_periods ~seed =
+  let horizon = p *. horizon_periods in
+  let x (r : Mf_sim.Desim.result) =
+    p *. float_of_int r.Mf_sim.Desim.outputs /. r.Mf_sim.Desim.window
+  in
+  let st = Mf_sim.Desim.run ~breakdowns:bd ~horizon ~seed inst mp in
+  let rm = Mf_remap.Online.simulate ~breakdowns:bd ~horizon ~seed inst mp in
+  (x st, x rm, rm)
+
+let dynamic_recovery ~avail remap_x = (remap_x -. avail) /. (1.0 -. avail)
+
+(* Every check of the gate, defined once: its name, the bound the fresh
+   value must keep against the committed value, and the fresh value,
+   read off one of the measurements above.  Measurements are lazy, so
+   the checks that share one run it once.  Checks are grouped by the
+   section whose BENCH_<section>.json holds their committed rows; the
+   section writes those rows from these same values ([regress_json]),
+   and [--regress] measures them again and compares ([run_regress]). *)
+type bound =
+  | Ratio of float  (* fresh <= ref * r + 0.5: work counts *)
+  | No_less  (* fresh >= ref: optimal counts, and flags as 1/0 *)
+  | Within of float  (* |fresh - ref| <= a: throughputs, the analytic bound *)
+  | Floor of float  (* fresh >= f; the committed value is only a record *)
+
+type check = { name : string; bound : bound; fresh : unit -> float }
+
+let regress_checks =
+  let module FS = Mf_lp.Simplex.Float_solver in
+  let module Dfs = Mf_exact.Dfs in
+  let check name bound run f = { name; bound; fresh = (fun () -> f (Lazy.force run)) } in
+  let optimal (d : FS.detail) = match d.FS.outcome with FS.Optimal _ -> true | _ -> false in
+  (* Revised-simplex solves of the size-n LP chain over [seeds]: how many
+     close, and the mean pivot count per seed. *)
+  let lp =
+    List.concat_map
+      (fun (n, seeds) ->
+        let runs =
+          lazy
+            (List.filter_map
+               (fun seed -> Option.map (fun std -> fst (lp_revised_run std)) (lp_instance ~n ~seed))
+               seeds)
+        in
+        let check name = check (Printf.sprintf "lp.n%d.%s" n name) in
+        [
+          check "optimal" No_less runs (fun ds ->
+              float_of_int (List.length (List.filter optimal ds)));
+          check "pivots" (Ratio 1.5) runs (fun ds ->
+              float_of_int (List.fold_left (fun acc d -> acc + d.FS.iterations) 0 ds)
+              /. float_of_int (List.length seeds));
+        ])
+      (List.map (fun n -> (n, lp_regress_seeds)) lp_regress_sizes
+      @ [ (lp_scaling_regress_n, [ 1 ]) ])
+  in
+  let exact =
+    List.concat_map
+      (fun n ->
+        let run = lazy (exact_lp_run ~budget:exact_regress_budget n) in
+        let check name = check (Printf.sprintf "exact.n%d.%s" n name) in
+        [
+          check "optimal" No_less run (fun (r, _, _) -> if r.Dfs.optimal then 1.0 else 0.0);
+          check "nodes" (Ratio 1.15) run (fun (r, _, _) -> float_of_int r.Dfs.nodes);
+          check "lp_solves" (Ratio 1.15) run (fun (r, _, _) ->
+              float_of_int r.Dfs.stats.Dfs.lp_solves);
+          (* The warm-start health gate: a change that quietly sends node
+             LPs back to cold solves multiplies them. *)
+          check "node_lp_pivots" (Ratio 1.5) run (fun (_, _, nb) ->
+              float_of_int nb.Mf_lp.Node_bound.pivots);
+        ])
+      exact_regress_sizes
+  in
+  let dynamic =
+    let ((inst, mp, p, bd) as sc) = dynamic_scenario () in
+    let avail = Mf_sim.Breakdown.availability bd.Mf_sim.Breakdown.laws.(0) in
+    (* seed -> (static x, remap x) *)
+    let runs =
+      lazy
+        (List.map
+           (fun seed ->
+             let sx, rx, _ = dynamic_pair sc ~horizon_periods:dynamic_regress_horizon ~seed in
+             (seed, (sx, rx)))
+           dynamic_regress_seeds)
+    in
+    let check name = check ("dynamic." ^ name) in
+    (check "adjusted_bound" (Within 1e-6)
+       (lazy (p *. Mf_sim.Metrics.adjusted_throughput inst mp bd))
+       Fun.id
+    :: List.concat_map
+         (fun seed ->
+           [
+             check (Printf.sprintf "seed%d.static_x" seed) (Within 0.02) runs (fun xs ->
+                 fst (List.assoc seed xs));
+             check (Printf.sprintf "seed%d.remap_x" seed) (Within 0.02) runs (fun xs ->
+                 snd (List.assoc seed xs));
+           ])
+         dynamic_regress_seeds)
+    @ [
+        check "mean_recovery" (Floor dynamic_min_recovery) runs (fun xs ->
+            List.fold_left (fun acc (_, (_, rx)) -> acc +. dynamic_recovery ~avail rx) 0.0 xs
+            /. float_of_int (List.length xs));
+      ]
+  in
+  [ ("lp", lp); ("exact", exact); ("dynamic", dynamic) ]
+
+(* Counts print as integers, everything else with six decimals. *)
+let number v = if Float.is_integer v then Printf.sprintf "%.0f" v else Printf.sprintf "%.6f" v
+
+(* The "regress" member a section writes last into its BENCH file: one
+   { check, value } row per check of the section, measured now. *)
+let regress_json section =
+  List.assoc section regress_checks
+  |> List.map (fun c ->
+         Printf.sprintf "    { \"check\": \"%s\", \"value\": %s }" c.name (number (c.fresh ())))
+  |> String.concat ",\n"
+  |> Printf.sprintf "  \"regress\": [\n%s\n  ]\n"
+
+(* The (check, value) rows of a BENCH file's "regress" array, in the
+   shape [regress_json] writes (no JSON library ships with the
+   toolchain).  Raises [Sys_error], [Not_found] or a [Scanf] error when
+   the file or a well-formed array is missing. *)
+let committed_rows file =
+  let s = In_channel.with_open_bin file In_channel.input_all in
+  let key = "\"regress\": [" in
+  let klen = String.length key in
+  let rec find i =
+    if i + klen > String.length s then raise Not_found
+    else if String.sub s i klen = key then i + klen
+    else find (i + 1)
+  in
+  let start = find 0 in
+  String.sub s start (String.index_from s start ']' - start)
+  |> String.split_on_char '}'
+  |> List.filter (fun row -> String.trim row <> "")
+  |> List.map (fun row ->
+         Scanf.sscanf row " %_[,] { \"check\" : %S , \"value\" : %f %!" (fun c v -> (c, v)))
+
+(* The bound as text, and whether [fresh] keeps it. *)
+let judge bound ~fresh ~reference =
+  let f = number fresh and r = number reference in
+  match bound with
+  | Ratio k -> (Printf.sprintf "%s <= %s x %g + 0.5" f r k, fresh <= (reference *. k) +. 0.5)
+  | No_less -> (Printf.sprintf "%s >= %s" f r, fresh >= reference)
+  | Within a -> (Printf.sprintf "%s within %g of %s" f a r, Float.abs (fresh -. reference) <= a)
+  | Floor m -> (Printf.sprintf "%s >= %g" f m, fresh >= m)
+
+(* Fails (exit 1) on a fresh value outside its bound, on a committed row
+   that names no check of its section, and on a check without a
+   committed row. *)
+let run_regress () =
+  section "Regression gate: fresh quick-tier runs vs committed BENCH_*.json";
+  let failures = ref 0 in
+  let report what = function
+    | None -> Printf.printf "  %-58s ok\n" what
+    | Some why ->
+      incr failures;
+      Printf.printf "  %-58s FAIL (%s)\n" what why
+  in
+  List.iter
+    (fun (section, checks) ->
+      let file = Printf.sprintf "BENCH_%s.json" section in
+      match committed_rows file with
+      | exception (Sys_error _ | Not_found | Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+        report (file ^ " regress rows") (Some "missing or malformed")
+      | rows ->
+        List.iter
+          (fun (name, _) ->
+            if not (List.exists (fun c -> c.name = name) checks) then
+              report (file ^ ": " ^ name) (Some "no such check"))
+          rows;
+        List.iter
+          (fun c ->
+            match List.assoc_opt c.name rows with
+            | None -> report c.name (Some ("no committed row in " ^ file))
+            | Some reference -> (
+              match c.fresh () with
+              | exception e -> report c.name (Some (Printexc.to_string e))
+              | fresh ->
+                let rule, ok = judge c.bound ~fresh ~reference in
+                report (c.name ^ ": " ^ rule) (if ok then None else Some "outside the bound")))
+          checks)
+    regress_checks;
+  if !failures = 0 then
+    Printf.printf "  bench-regress: all %d checks passed\n"
+      (List.length (List.concat_map snd regress_checks))
+  else begin
+    Printf.printf "  bench-regress: %d check(s) FAILED\n" !failures;
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Exact branch-and-bound benchmark                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -407,30 +685,6 @@ let bench_parallel () =
    warm-started LP bound oracle ({!Mf_lp.Node_bound}) — the
    deterministic --jobs contract on the LP-bound arm, and the
    dominance/symmetry ablation on an instance built to trigger both. *)
-
-(* Quick-tier settings shared by bench_exact and the [--regress] check:
-   the scan regress reference in BENCH_exact.json is always recorded at
-   these settings, whichever tier produced the rest of the file (the
-   regress sizes close far below the budget without exhausting any root
-   subtree's slice, so their node counts do not depend on it). *)
-let exact_regress_sizes = [ 14; 16; 18 ]
-let exact_regress_budget = 500_000
-let exact_scan_rule = Mf_core.Mapping.Specialized
-
-let exact_scan_instance n =
-  Gen.chain (Rng.create 1) (Gen.default ~tasks:n ~types:3 ~machines:6)
-
-(* The LP-bound-arm measurement the regress check replays: the search
-   result, its wall time and the summed node-LP oracle counters (one
-   rule-aware oracle per subtree search, the Dfs factory contract). *)
-let exact_lp_run ?jobs ~budget n =
-  let inst = exact_scan_instance n in
-  let node_bound, nb_stats = Mf_solve.Engine.node_bound_factory ~rule:exact_scan_rule inst in
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Mf_exact.Dfs.solve ~node_budget:budget ?jobs ~node_bound ~rule:exact_scan_rule inst
-  in
-  (r, Unix.gettimeofday () -. t0, nb_stats ())
 
 let bench_exact () =
   section "Exact search: branch-and-bound vs the static-bound baseline";
@@ -490,14 +744,6 @@ let bench_exact () =
   Printf.printf
     "  (largest instance closed at this budget: plain n=%d, LP-bound n=%d)\n" solvable
     solvable_lp;
-  (* -- regress reference rows (always at the quick-tier settings) ---- *)
-  let regress_rows =
-    List.map
-      (fun n ->
-        let r, _, nb = exact_lp_run ~budget:exact_regress_budget n in
-        (n, r, nb))
-      exact_regress_sizes
-  in
   (* -- deterministic parallel root splitting, LP-bound arm ----------- *)
   let cores = Mf_parallel.Pool.default_jobs () in
   let jn = if !quick then 18 else 22 in
@@ -595,12 +841,7 @@ let bench_exact () =
     \    \"all_identical_to_serial\": %b },\n\
     \  \"ablation\": { \"nodes\": { \"both\": %d, \"symmetry_only\": %d, \"dominance_only\": %d, \"neither\": %d },\n\
     \    \"periods_bit_equal\": %b },\n\
-    \  \"regress\": {\n\
-    \    \"budget\": %d,\n\
-    \    \"tolerances\": { \"nodes_ratio\": 1.15, \"lp_solves_ratio\": 1.15, \"pivots_ratio\": 1.5 },\n\
-    \    \"rows\": [\n%s\n    ]\n\
-    \  }\n\
-     }\n"
+     %s}\n"
     static_budget static.Dfs.nodes static.Dfs.period matched_budget bnb.Dfs.nodes
     bnb.Dfs.period reduction bnb.Dfs.stats.Dfs.bound_prunes bnb.Dfs.stats.Dfs.dominance_prunes
     bnb.Dfs.stats.Dfs.symmetry_skips scan_budget solvable solvable_lp
@@ -627,14 +868,7 @@ let bench_exact () =
     (both.Dfs.period = neither.Dfs.period
     && no_dom.Dfs.period = neither.Dfs.period
     && no_sym.Dfs.period = neither.Dfs.period)
-    exact_regress_budget
-    (String.concat ",\n"
-       (List.map
-          (fun (n, (r : Dfs.result), (nb : Mf_lp.Node_bound.stats)) ->
-            Printf.sprintf
-              "      { \"n\": %d, \"nodes\": %d, \"lp_solves\": %d, \"pivots\": %d, \"optimal\": %b }"
-              n r.Dfs.nodes r.Dfs.stats.Dfs.lp_solves nb.Mf_lp.Node_bound.pivots r.Dfs.optimal)
-          regress_rows));
+    (regress_json "exact");
   close_out oc;
   Printf.printf "  (machine-readable copy written to %s)\n" json
 
@@ -651,32 +885,7 @@ let bench_exact () =
    for seed 1 up to a size cap, an exact-rational re-solve warm-started
    from the float basis (relative agreement 1e-9).  A second, "scaling"
    sweep runs the same solver on one seed at n = 200, and up to n = 2000
-   in the full tier.
-
-   The quick-tier numbers are repeated in a "regress" section of
-   BENCH_lp.json together with tolerance fields; [--regress] re-runs
-   exactly those measurements and compares (see [run_regress]). *)
-
-(* Quick-tier settings shared by the bench and the [--regress] check: the
-   regress reference in BENCH_lp.json is always recorded at these
-   settings, whichever tier produced the rest of the file. *)
-let lp_regress_sizes = [ 10; 20; 40 ]
-let lp_regress_seeds = [ 1; 2 ]
-let lp_scaling_regress_n = 200
-
-let lp_chain ~n ~seed = Gen.chain (Rng.create seed) (Gen.default ~tasks:n ~types:4 ~machines:8)
-
-(* One (n, seed) chain instance of the LP bench, standardized. *)
-let lp_instance ~n ~seed = Mf_lp.Standardize.build (Mf_lp.Splitting.model (lp_chain ~n ~seed))
-
-(* The measurement the regress check replays: the float solve and its
-   wall time. *)
-let lp_revised_run std =
-  let module FS = Mf_lp.Simplex.Float_solver in
-  let module Std = Mf_lp.Standardize in
-  let t0 = Unix.gettimeofday () in
-  let d = FS.solve_sparse_detailed ~a:std.Std.a ~b:std.Std.b ~c:std.Std.c () in
-  (d, Unix.gettimeofday () -. t0)
+   in the full tier. *)
 
 (* Exact-rational certification of a float answer, warm-started from the
    float basis.  Returns (agreement at rel 1e-9, exact pivots, wall). *)
@@ -717,9 +926,6 @@ let bench_lp () =
     | FS.Stalled -> "stalled"
   in
   Printf.printf "  %4s | %22s | %s\n" "n" "revised sparse" "certified path";
-  (* Quick-subset aggregates for the regress section: (optimal count,
-     pivot sum) per n over [lp_regress_seeds]. *)
-  let regress_acc = Hashtbl.create 4 in
   let rows =
     List.map
       (fun n ->
@@ -748,11 +954,7 @@ let bench_lp () =
               time := !time +. wall;
               factz := !factz + d.FS.factorizations;
               etaups := !etaups + d.FS.eta_updates;
-              refz := !refz + d.FS.refactorizations;
-              if List.mem seed lp_regress_seeds then begin
-                let ro, rp = try Hashtbl.find regress_acc n with Not_found -> (0, 0) in
-                Hashtbl.replace regress_acc n (ro + optimal, rp + d.FS.iterations)
-              end);
+              refz := !refz + d.FS.refactorizations);
             let t0 = Unix.gettimeofday () in
             (match Splitting.solve inst with
             | Ok r ->
@@ -812,37 +1014,12 @@ let bench_lp () =
   in
   let json = "BENCH_lp.json" in
   let oc = open_out json in
-  let regress_rows =
-    List.filter_map
-      (fun n ->
-        match Hashtbl.find_opt regress_acc n with
-        | None -> None
-        | Some (opt, piv) ->
-          Some
-            (Printf.sprintf "      { \"n\": %d, \"optimal\": %d, \"mean_pivots\": %.1f }" n
-               opt
-               (float_of_int piv /. float_of_int (List.length lp_regress_seeds))))
-      lp_regress_sizes
-  in
-  let regress_scaling =
-    match scaling with
-    | (n, d, _) :: _ ->
-      Printf.sprintf "{ \"n\": %d, \"optimal\": %b, \"pivots\": %d }" n
-        (match d.FS.outcome with FS.Optimal _ -> true | _ -> false)
-        d.FS.iterations
-    | [] -> "{}"
-  in
   Printf.fprintf oc
     "{\n\
     \  \"instances\": { \"types\": 4, \"machines\": 8, \"application\": \"chain\", \"seeds\": %d },\n\
     \  \"rows\": [\n%s\n  ],\n\
     \  \"scaling\": [\n%s\n  ],\n\
-    \  \"regress\": {\n\
-    \    \"tolerances\": { \"mean_pivots_ratio\": 1.5, \"scaling_pivots_ratio\": 1.5 },\n\
-    \    \"rows\": [\n%s\n    ],\n\
-    \    \"scaling\": %s\n\
-    \  }\n\
-     }\n"
+     %s}\n"
     nseeds
     (String.concat ",\n"
        (List.map
@@ -884,263 +1061,13 @@ let bench_lp () =
               d.FS.iterations wall d.FS.factorizations d.FS.eta_updates
               d.FS.refactorizations)
           scaling))
-    (String.concat ",\n" regress_rows)
-    regress_scaling;
+    (regress_json "lp");
   close_out oc;
   Printf.printf "  (machine-readable copy written to %s)\n" json
 
 (* ------------------------------------------------------------------ *)
-(* Regression gate: --regress / make bench-regress                      *)
-(* ------------------------------------------------------------------ *)
-
-(* [--regress] re-runs the quick-tier reference measurements (the exact
-   runs the "regress" sections of BENCH_lp.json and BENCH_exact.json were
-   recorded from) and fails when the fresh numbers degrade past the
-   committed tolerances.  No JSON library ships with the toolchain, so
-   the committed files are scanned textually — safe because this bench
-   emits both sections itself with a fixed shape, and the helpers below
-   only rely on balanced braces and ["key": value] pairs. *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-(* Position just after the ':' of the first ["key":] at or after [from].
-   @raise Not_found when the key is absent. *)
-let find_key s key from =
-  let pat = "\"" ^ key ^ "\"" in
-  let plen = String.length pat in
-  let rec go i =
-    if i + plen > String.length s then raise Not_found
-    else if String.sub s i plen = pat then String.index_from s (i + plen) ':' + 1
-    else go (i + 1)
-  in
-  go from
-
-(* The balanced {...} starting at the first '{' at or after [from]. *)
-let balanced s from =
-  let start = String.index_from s from '{' in
-  let rec go j depth =
-    match s.[j] with
-    | '{' -> go (j + 1) (depth + 1)
-    | '}' -> if depth = 1 then j else go (j + 1) (depth - 1)
-    | _ -> go (j + 1) depth
-  in
-  let stop = go start 0 in
-  String.sub s start (stop - start + 1)
-
-let sub_object s key = balanced s (find_key s key 0)
-
-(* Raw scalar token after ["key":], up to the next separator. *)
-let scalar_field s key =
-  let start = find_key s key 0 in
-  let stop = ref start in
-  while
-    !stop < String.length s
-    && not (match s.[!stop] with ',' | '}' | ']' | '\n' -> true | _ -> false)
-  do
-    incr stop
-  done;
-  String.trim (String.sub s start (!stop - start))
-
-let num_field s key = float_of_string (scalar_field s key)
-let bool_field s key = bool_of_string (scalar_field s key)
-
-(* The top-level {...} objects of the [...] array following ["key":]. *)
-let array_objects s key =
-  let lb = String.index_from s (find_key s key 0) '[' in
-  let rec close j depth =
-    match s.[j] with
-    | '[' -> close (j + 1) (depth + 1)
-    | ']' -> if depth = 1 then j else close (j + 1) (depth - 1)
-    | '{' ->
-      (* skip whole objects: they may contain nested arrays *)
-      let o = balanced s j in
-      close (j + String.length o) depth
-    | _ -> close (j + 1) depth
-  in
-  let rb = close lb 0 in
-  let res = ref [] and i = ref lb in
-  while !i < rb do
-    if s.[!i] = '{' then begin
-      let o = balanced s !i in
-      res := o :: !res;
-      i := !i + String.length o
-    end
-    else incr i
-  done;
-  List.rev !res
-
-let regress_failures = ref 0
-
-let regress_check what ok detail =
-  Printf.printf "  %-62s %s\n" what (if ok then "ok" else "FAIL (" ^ detail ^ ")");
-  if not ok then incr regress_failures
-
-let regress_lp () =
-  let module FS = Mf_lp.Simplex.Float_solver in
-  match try Some (read_file "BENCH_lp.json") with Sys_error _ -> None with
-  | None -> regress_check "BENCH_lp.json present" false "missing"
-  | Some s ->
-  match try Some (sub_object s "regress") with Not_found -> None with
-  | None -> regress_check "BENCH_lp.json has a regress section" false "missing"
-  | Some reg ->
-    let tol = sub_object reg "tolerances" in
-    let piv_ratio = num_field tol "mean_pivots_ratio" in
-    let scaling_ratio = num_field tol "scaling_pivots_ratio" in
-    List.iter
-      (fun row ->
-        let n = int_of_float (num_field row "n") in
-        let ref_opt = int_of_float (num_field row "optimal") in
-        let ref_piv = num_field row "mean_pivots" in
-        let opt = ref 0 and piv = ref 0 in
-        List.iter
-          (fun seed ->
-            match lp_instance ~n ~seed with
-            | None -> ()
-            | Some std ->
-              let d, _ = lp_revised_run std in
-              (match d.FS.outcome with FS.Optimal _ -> incr opt | _ -> ());
-              piv := !piv + d.FS.iterations)
-          lp_regress_seeds;
-        let mean = float_of_int !piv /. float_of_int (List.length lp_regress_seeds) in
-        regress_check
-          (Printf.sprintf "lp n=%d: revised optimal on %d/%d seeds" n !opt
-             (List.length lp_regress_seeds))
-          (!opt >= ref_opt)
-          (Printf.sprintf "reference closed %d" ref_opt);
-        regress_check
-          (Printf.sprintf "lp n=%d: mean pivots %.1f within %.2fx of %.1f" n mean piv_ratio
-             ref_piv)
-          (mean <= (ref_piv *. piv_ratio) +. 0.5)
-          "pivot regression")
-      (array_objects reg "rows");
-    let sc = sub_object reg "scaling" in
-    if String.length (String.trim sc) > 2 then begin
-      let n = int_of_float (num_field sc "n") in
-      let ref_opt = bool_field sc "optimal" in
-      let ref_piv = num_field sc "pivots" in
-      match lp_instance ~n ~seed:1 with
-      | None -> regress_check (Printf.sprintf "lp scaling n=%d builds" n) false "standardize"
-      | Some std ->
-        let d, _ = lp_revised_run std in
-        let opt = match d.FS.outcome with FS.Optimal _ -> true | _ -> false in
-        regress_check
-          (Printf.sprintf "lp scaling n=%d: revised optimal" n)
-          (opt || not ref_opt) "outcome regression";
-        regress_check
-          (Printf.sprintf "lp scaling n=%d: pivots %d within %.2fx of %.0f" n d.FS.iterations
-             scaling_ratio ref_piv)
-          (float_of_int d.FS.iterations <= (ref_piv *. scaling_ratio) +. 0.5)
-          "pivot regression"
-    end
-
-let regress_exact () =
-  let module Dfs = Mf_exact.Dfs in
-  match try Some (read_file "BENCH_exact.json") with Sys_error _ -> None with
-  | None -> regress_check "BENCH_exact.json present" false "missing"
-  | Some s ->
-  match try Some (sub_object s "regress") with Not_found -> None with
-  | None -> regress_check "BENCH_exact.json has a regress section" false "missing"
-  | Some reg ->
-    let budget = int_of_float (num_field reg "budget") in
-    let tol = sub_object reg "tolerances" in
-    let nodes_ratio = num_field tol "nodes_ratio" in
-    let solves_ratio = num_field tol "lp_solves_ratio" in
-    let pivots_ratio = num_field tol "pivots_ratio" in
-    List.iter
-      (fun row ->
-        let n = int_of_float (num_field row "n") in
-        let ref_nodes = num_field row "nodes" in
-        let ref_solves = num_field row "lp_solves" in
-        let ref_pivots = num_field row "pivots" in
-        let ref_opt = bool_field row "optimal" in
-        let r, _, nb = exact_lp_run ~budget n in
-        let pivots = nb.Mf_lp.Node_bound.pivots in
-        regress_check
-          (Printf.sprintf "exact n=%d: LP-bound search closes" n)
-          (r.Dfs.optimal || not ref_opt) "no longer optimal";
-        regress_check
-          (Printf.sprintf "exact n=%d: nodes %d within %.2fx of %.0f" n r.Dfs.nodes
-             nodes_ratio ref_nodes)
-          (float_of_int r.Dfs.nodes <= (ref_nodes *. nodes_ratio) +. 0.5)
-          "node regression";
-        regress_check
-          (Printf.sprintf "exact n=%d: lp_solves %d within %.2fx of %.0f" n
-             r.Dfs.stats.Dfs.lp_solves solves_ratio ref_solves)
-          (float_of_int r.Dfs.stats.Dfs.lp_solves <= (ref_solves *. solves_ratio) +. 0.5)
-          "lp-solve regression";
-        (* Node-LP pivots: the warm-start health gate — a change that
-           quietly sends node LPs back to cold solves multiplies them. *)
-        regress_check
-          (Printf.sprintf "exact n=%d: node-LP pivots %d within %.2fx of %.0f" n pivots
-             pivots_ratio ref_pivots)
-          (float_of_int pivots <= (ref_pivots *. pivots_ratio) +. 0.5)
-          "node-LP pivot regression")
-      (array_objects reg "rows")
-
-(* ------------------------------------------------------------------ *)
 (* Dynamic simulation: breakdowns, repairs, online re-mapping           *)
 (* ------------------------------------------------------------------ *)
-
-(* Scenario shared by the bench and the [--regress] check: a balanced
-   single-type chain — 56 tasks, w = 100 ms everywhere, f = 0, 8
-   machines, 7 tasks per machine, period 700 ms — where only machine 0
-   breaks down (mtbf 48 periods of busy time, mttr 16 periods, one
-   repair crew), for a steady-state availability of 48/(48+16) = 0.75.
-   Left static the chain stalls whenever machine 0 is down, so the
-   normalized throughput x = tp*p tends to the availability; the online
-   re-mapper parks the 7 stranded tasks one on each survivor (8 per
-   machine, period 800 ms) and restores the designed mapping after the
-   repair, so the line keeps 7/8 of its speed through every outage and
-   the recovered fraction of the availability gap
-
-     recovery = (x_remap - a) / (1 - a)
-
-   sits near 7/8, minus re-map latency and commit races.  The
-   acceptance gate, re-run by [--regress] against the committed
-   BENCH_dynamic.json, is recovery >= 0.8 at the quick-tier settings. *)
-
-let dynamic_regress_seeds = [ 1; 2; 3 ]
-let dynamic_regress_horizon = 4096.0 (* periods *)
-let dynamic_min_recovery = 0.8
-
-let dynamic_scenario () =
-  let module Instance = Mf_core.Instance in
-  let module Workflow = Mf_core.Workflow in
-  let module Mapping = Mf_core.Mapping in
-  let module Breakdown = Mf_sim.Breakdown in
-  let n = 56 and m = 8 in
-  let inst =
-    Instance.create
-      ~workflow:(Workflow.chain ~types:(Array.make n 0))
-      ~machines:m
-      ~w:(Array.make_matrix n m 100.0)
-      ~f:(Array.make_matrix n m 0.0)
-  in
-  let mp = Mapping.of_array inst (Array.init n (fun i -> i mod m)) in
-  let p = Period.period inst mp in
-  let laws =
-    Array.init m (fun u ->
-        if u = 0 then { Breakdown.mtbf = 48.0 *. p; mttr = 16.0 *. p; wear = 0.0 }
-        else Breakdown.immortal)
-  in
-  (inst, mp, p, Breakdown.make ~crews:1 laws)
-
-(* Normalized throughputs x = tp*p of the do-nothing and re-mapped arms
-   on one breakdown realization (plus the re-mapped raw result). *)
-let dynamic_pair (inst, mp, p, bd) ~horizon_periods ~seed =
-  let horizon = p *. horizon_periods in
-  let x (r : Mf_sim.Desim.result) =
-    p *. float_of_int r.Mf_sim.Desim.outputs /. r.Mf_sim.Desim.window
-  in
-  let st = Mf_sim.Desim.run ~breakdowns:bd ~horizon ~seed inst mp in
-  let rm = Mf_remap.Online.simulate ~breakdowns:bd ~horizon ~seed inst mp in
-  (x st, x rm, rm)
-
-let dynamic_recovery ~avail remap_x = (remap_x -. avail) /. (1.0 -. avail)
 
 let bench_dynamic () =
   section "Dynamic simulation: breakdowns and the online re-mapper";
@@ -1193,17 +1120,6 @@ let bench_dynamic () =
     static_mean remap_mean adjusted_x recovery_mean dynamic_min_recovery
     (if gate_ok then "ok" else "FAIL")
     replay_identical;
-  (* The regress reference is always recorded at the quick-tier settings,
-     whatever tier the headline numbers above were measured at. *)
-  let regress_rows =
-    if !quick then rows
-    else
-      List.map
-        (fun seed ->
-          let sx, rx, _ = dynamic_pair sc ~horizon_periods:dynamic_regress_horizon ~seed in
-          (seed, sx, rx, dynamic_recovery ~avail rx))
-        dynamic_regress_seeds
-  in
   let row_json (seed, sx, rx, rc) =
     Printf.sprintf "      { \"seed\": %d, \"static_x\": %.6f, \"remap_x\": %.6f, \"recovery\": %.4f }"
       seed sx rx rc
@@ -1229,82 +1145,15 @@ let bench_dynamic () =
     \  \"recovery\": { \"mean\": %.4f, \"min_required\": %.2f, \"pass\": %b },\n\
     \  \"replay_identical\": %b,\n\
     \  \"rows\": [\n%s\n  ],\n\
-    \  \"regress\": {\n\
-    \    \"horizon_periods\": %.0f,\n\
-    \    \"adjusted_bound\": %.6f,\n\
-    \    \"tolerances\": { \"x_abs\": 0.02, \"adjusted_abs\": 0.000001, \"min_recovery\": \
-     %.2f },\n\
-    \    \"rows\": [\n%s\n    ]\n\
-    \  }\n\
-     }\n"
+     %s}\n"
     (Mf_core.Instance.task_count inst)
     (Mf_core.Instance.machines inst)
     p mode horizon_periods avail static_mean remap_mean adjusted_x recovery_mean
     dynamic_min_recovery gate_ok replay_identical
     (String.concat ",\n" (List.map row_json rows))
-    dynamic_regress_horizon adjusted_x dynamic_min_recovery
-    (String.concat ",\n" (List.map row_json regress_rows));
+    (regress_json "dynamic");
   close_out oc;
   Printf.printf "  (machine-readable copy written to %s)\n" json
-
-let regress_dynamic () =
-  match try Some (read_file "BENCH_dynamic.json") with Sys_error _ -> None with
-  | None -> regress_check "BENCH_dynamic.json present" false "missing"
-  | Some s -> (
-    match try Some (sub_object s "regress") with Not_found -> None with
-    | None -> regress_check "BENCH_dynamic.json has a regress section" false "missing"
-    | Some reg ->
-      let tol = sub_object reg "tolerances" in
-      let x_abs = num_field tol "x_abs" in
-      let adjusted_abs = num_field tol "adjusted_abs" in
-      let min_recovery = num_field tol "min_recovery" in
-      let horizon_periods = num_field reg "horizon_periods" in
-      let ref_adjusted = num_field reg "adjusted_bound" in
-      let ((inst, mp, p, bd) as sc) = dynamic_scenario () in
-      let avail = Mf_sim.Breakdown.availability bd.Mf_sim.Breakdown.laws.(0) in
-      let adjusted = p *. Mf_sim.Metrics.adjusted_throughput inst mp bd in
-      regress_check
-        (Printf.sprintf "dynamic: analytic bound %.6f matches committed %.6f" adjusted
-           ref_adjusted)
-        (Float.abs (adjusted -. ref_adjusted) <= adjusted_abs)
-        "analytic drift";
-      let recoveries = ref [] in
-      List.iter
-        (fun row ->
-          let seed = int_of_float (num_field row "seed") in
-          let ref_static = num_field row "static_x" in
-          let ref_remap = num_field row "remap_x" in
-          let sx, rx, _ = dynamic_pair sc ~horizon_periods ~seed in
-          recoveries := dynamic_recovery ~avail rx :: !recoveries;
-          regress_check
-            (Printf.sprintf "dynamic seed %d: static x %.4f within %.2f of %.4f" seed sx
-               x_abs ref_static)
-            (Float.abs (sx -. ref_static) <= x_abs)
-            "static-arm drift";
-          regress_check
-            (Printf.sprintf "dynamic seed %d: remap x %.4f within %.2f of %.4f" seed rx
-               x_abs ref_remap)
-            (Float.abs (rx -. ref_remap) <= x_abs)
-            "remap-arm drift")
-        (array_objects reg "rows");
-      let mean =
-        List.fold_left ( +. ) 0.0 !recoveries
-        /. float_of_int (max 1 (List.length !recoveries))
-      in
-      regress_check
-        (Printf.sprintf "dynamic: mean recovery %.3f >= %.2f" mean min_recovery)
-        (mean >= min_recovery) "re-mapper recovers too little of the gap")
-
-let run_regress () =
-  section "Regression gate: fresh quick-tier runs vs committed BENCH_*.json";
-  regress_lp ();
-  regress_exact ();
-  regress_dynamic ();
-  if !regress_failures = 0 then Printf.printf "  bench-regress: all checks passed\n"
-  else begin
-    Printf.printf "  bench-regress: %d check(s) FAILED\n" !regress_failures;
-    exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Unified solver: portfolio throughput under a near-duplicate storm    *)
@@ -1634,9 +1483,9 @@ let usage () =
     "usage: main.exe [--quick] [--regress] [--only NAME[,NAME...]]\n\
     \  --quick    quick tier: 3 replicates and small sizes instead of the full runs\n\
     \  --regress  only the regression gate: re-run the quick-tier reference\n\
-    \             measurements against the \"regress\" sections of the committed\n\
+    \             measurements against the \"regress\" rows of the committed\n\
     \             BENCH_lp.json, BENCH_exact.json and BENCH_dynamic.json, exit 1 on\n\
-    \             any regression\n\
+    \             a broken bound or a missing or unknown row\n\
     \  --only     run only the named sections (default: all of them):\n";
   List.iter (fun (name, doc, _) -> Printf.eprintf "    %-10s %s\n" name doc) sections;
   Printf.eprintf "    %s\n    %-10s the figures section, restricted to the named figures\n"

@@ -339,15 +339,9 @@ let exact_cmd =
           Printf.printf "       (LP bound unavailable: %s)\n" (Mf_lp.Splitting.describe_error e);
           None
         | Ok r ->
-          (* Shave one relative ulp-margin off the bound: the float-path
-             optimum (and the rational one after float conversion) can sit
-             a hair above the true infimum, and a lower bound must err
-             low to stay a certificate. *)
-          let margin = match r.Mf_lp.Splitting.path with `Rational -> 1e-9 | `Float -> 1e-6 in
-          let lb = r.Mf_lp.Splitting.period *. (1.0 -. margin) in
           Printf.printf "       LP lower bound %.2f ms (%s path)\n" r.Mf_lp.Splitting.period
             (match r.Mf_lp.Splitting.path with `Float -> "float" | `Rational -> "rational");
-          Some lb
+          Some (Mf_solve.Engine.certified_lower_bound r)
     in
     let node_bound, nb_stats =
       if no_node_lp || Instance.task_count inst < Mf_solve.Engine.lp_bound_threshold then

@@ -9,9 +9,6 @@ let machine_periods_with_x inst mp xs =
 
 let machine_periods inst mp = machine_periods_with_x inst mp (Products.x inst mp)
 
-let period_with_x inst mp xs =
-  Array.fold_left Float.max 0.0 (machine_periods_with_x inst mp xs)
-
 let period inst mp = Array.fold_left Float.max 0.0 (machine_periods inst mp)
 let throughput inst mp = 1.0 /. period inst mp
 

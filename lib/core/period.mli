@@ -23,10 +23,6 @@ val critical_machines : Instance.t -> Mapping.t -> int list
     arithmetic. *)
 val period_exact : Instance.t -> Mapping.t -> Mf_numeric.Rat.t
 
-(** [period_with_x inst mp xs] computes the period from precomputed product
-    counts — used by solvers that maintain [xs] incrementally. *)
-val period_with_x : Instance.t -> Mapping.t -> float array -> float
-
 (** [with_setup inst mp ~setup] is the system period when a machine running
     several task {e types} must be reconfigured between types.  In the
     cyclic steady state a machine batching [k >= 2] distinct types cycles

@@ -206,6 +206,13 @@ val solve_static :
     @raise Invalid_argument when [m < n]. *)
 val greedy_one_to_one : Mf_core.Instance.t -> Mf_core.Mapping.t
 
+(** [best_single_machine ~setup inst] puts every task on the one machine
+    minimising {!Mf_core.Period.with_setup} and returns that mapping with
+    its period: the general-rule seed when [m < p] leaves the specialized
+    heuristics infeasible (always a valid general mapping).
+    @raise Invalid_argument if [setup < 0]. *)
+val best_single_machine : setup:float -> Mf_core.Instance.t -> Mf_core.Mapping.t * float
+
 (** [specialized ?node_budget ?jobs ?pool inst] is [solve ~rule:Specialized]. *)
 val specialized :
   ?node_budget:int -> ?jobs:int -> ?pool:Mf_parallel.Pool.t -> Mf_core.Instance.t -> result

@@ -39,40 +39,6 @@ let exact_dfs ~node_budget =
         if r.Mf_exact.Dfs.optimal then Some r.Mf_exact.Dfs.period else None);
   }
 
-let lp_bound =
-  {
-    label = "LP-bound";
-    solve =
-      (fun inst ~seed:_ ->
-        match Mf_lp.Splitting.solve inst with
-        | Ok r -> Some r.Mf_lp.Splitting.period
-        | Error _ -> None);
-  }
-
-let lp_round =
-  {
-    label = "LP-round";
-    solve =
-      (fun inst ~seed:_ ->
-        match Mf_lp.Splitting.solve inst with
-        | Error _ -> None
-        | Ok r -> (
-          match Mf_lp.Splitting.round inst r with
-          | Ok (_, period) -> Some period
-          | Error _ -> None));
-  }
-
-let portfolio ~node_budget =
-  {
-    label = "Portfolio";
-    solve =
-      (fun inst ~seed ->
-        let req =
-          Mf_solve.Solver.request_exn ~seed ~budget:(Mf_solve.Solver.Nodes node_budget) inst
-        in
-        (Mf_solve.Portfolio.solve req).Mf_solve.Solver.period);
-  }
-
 (* One Splitmix64 finalisation per absorbed word.  The finaliser is a
    bijection of [acc xor v], so every absorbed byte/integer feeds the full
    64-bit state — unlike [Hashtbl.hash], which folds to 30 bits and

@@ -47,26 +47,6 @@ val oto_bottleneck : algo
     optimality — reproducing the MIP's behaviour on large instances. *)
 val exact_dfs : node_budget:int -> algo
 
-(** [lp_bound] wraps the divisible-workload LP lower bound
-    ({!Mf_lp.Splitting.solve}).  A failed solve — unreachable after the
-    rational-certified fallback, but typed — records [None] for that grid
-    cell instead of aborting the sweep. *)
-val lp_bound : algo
-
-(** [lp_round] wraps the LP-guided rounding heuristic: solve the
-    splitting LP, then assign each task to its largest-share eligible
-    machine.  [None] when the LP fails or no specialized mapping exists. *)
-val lp_round : algo
-
-(** [portfolio ~node_budget] wraps the unified anytime portfolio
-    ({!Mf_solve.Portfolio.solve}) under the specialized rule with a
-    node-equivalent budget: the best period the staged
-    heuristics → LP bound → exact pipeline reaches within the budget,
-    [None] only when the rule is infeasible.  The replicate seed is
-    threaded into the request, so grid cells stay pure functions of
-    [(id, x, rep)]. *)
-val portfolio : node_budget:int -> algo
-
 (** [run ~id ~title ~x_label ~xs ~replicates ~gen ~algos ()] runs the full
     grid.  [gen] receives the x value and a derived seed and must return
     the instance.

@@ -28,17 +28,12 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
 
   let rows (t : t) = t.rows
   let cols (t : t) = t.cols
-  let nnz (t : t) = t.colptr.(t.cols)
 
   let iter_col (t : t) j f =
     if j < 0 || j >= t.cols then invalid_arg "Sparse.iter_col: column out of range";
     for k = t.colptr.(j) to t.colptr.(j + 1) - 1 do
       f t.rowind.(k) t.values.(k)
     done
-
-  let col_nnz (t : t) j =
-    if j < 0 || j >= t.cols then invalid_arg "Sparse.col_nnz: column out of range";
-    t.colptr.(j + 1) - t.colptr.(j)
 
   (* Entries are kept in the order the builder received them; nothing in
      the solver requires sorted row indices within a column, only that
@@ -104,20 +99,4 @@ module Make (F : Mf_numeric.Ordered_field.S) = struct
       done
     done;
     { rows; cols; colptr; rowind; values }
-
-  (* Per-column infinity norm, used for row equilibration and pivot
-     thresholds. *)
-  let col_max_abs t j =
-    let mx = ref F.zero in
-    iter_col t j (fun _ v ->
-        let a = F.abs v in
-        if F.compare a !mx > 0 then mx := a);
-    !mx
-
-  (* Static row occupancy counts — the Markowitz-style tie-break data of
-     {!Lu.factorize}. *)
-  let row_counts (t : t) =
-    let counts = Array.make t.rows 0 in
-    Array.iter (fun i -> counts.(i) <- counts.(i) + 1) t.rowind;
-    counts
 end

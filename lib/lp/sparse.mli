@@ -22,27 +22,18 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
 
   val rows : t -> int
   val cols : t -> int
-  val nnz : t -> int
 
   (** [iter_col t j f] applies [f row value] to each stored entry of
       column [j], in storage order (not necessarily sorted by row). *)
   val iter_col : t -> int -> (int -> F.t -> unit) -> unit
 
-  val col_nnz : t -> int -> int
-
   (** [of_columns ~rows ~cols columns] builds from per-column entry
-      lists.  @raise Invalid_argument on out-of-range rows or duplicate
-      (row, col) pairs. *)
+      lists.  @raise Invalid_argument when [columns] does not hold [cols]
+      lists, on out-of-range rows or on duplicate (row, col) pairs. *)
   val of_columns : rows:int -> cols:int -> (int * F.t) list array -> t
 
   (** [of_dense a ~cols] drops exact zeros of a dense row-major matrix
       (NaN and infinities are kept).  Rows may be longer than [cols];
       the excess is ignored. *)
   val of_dense : F.t array array -> cols:int -> t
-
-  (** Largest absolute value stored in a column ([F.zero] if empty). *)
-  val col_max_abs : t -> int -> F.t
-
-  (** Number of stored entries per row. *)
-  val row_counts : t -> int array
 end

@@ -16,22 +16,6 @@ let infeasible engine =
     stats = zero_stats;
   }
 
-(* Best single-machine mapping: the general-rule fallback when no
-   specialized heuristic applies (m < p).  Mirrors the seed used inside
-   Dfs.general. *)
-let best_single_machine (req : request) =
-  let inst = req.instance in
-  let n = Instance.task_count inst and m = Instance.machines inst in
-  let best = ref None in
-  for u = 0 to m - 1 do
-    let mp = Mapping.of_array inst (Array.make n u) in
-    let p = score req mp in
-    match !best with
-    | Some (_, bp) when bp <= p -> ()
-    | _ -> best := Some (mp, p)
-  done;
-  (Option.get !best, m)
-
 let heuristics (req : request) =
   let inst = req.instance in
   if not (feasible req.rule inst) then infeasible Heuristics
@@ -46,7 +30,7 @@ let heuristics (req : request) =
           (* re-score: the registry reports the raw period, the general
              objective may carry a setup penalty *)
           ((mp, score req mp), List.length Registry.all)
-        else best_single_machine req
+        else (Dfs.best_single_machine ~setup:req.setup inst, Instance.machines inst)
       | Mapping.One_to_one ->
         let mp = Dfs.greedy_one_to_one inst in
         ((mp, score req mp), 1)

@@ -854,6 +854,37 @@ let test_lu_basis_repair () =
     check_repaired_solves name a subs fac rng
   done
 
+(* [Sparse.of_columns] builds every node-LP and splitting-LP matrix; these
+   are the inputs it documents as rejected. *)
+let of_columns_raises name msg ~rows ~cols columns =
+  Alcotest.check_raises name (Invalid_argument ("Sparse.of_columns: " ^ msg)) (fun () ->
+      ignore (Sparse_f.of_columns ~rows ~cols columns))
+
+let test_sparse_of_columns_count () =
+  of_columns_raises "2 lists for 3 columns" "column count" ~rows:2 ~cols:3
+    [| [ (0, 1.0) ]; [] |];
+  of_columns_raises "3 lists for 2 columns" "column count" ~rows:2 ~cols:2 [| []; []; [] |]
+
+let test_sparse_of_columns_row_range () =
+  List.iter
+    (fun i ->
+      of_columns_raises (Printf.sprintf "row %d of 2" i) "row out of range" ~rows:2 ~cols:2
+        [| [ (0, 1.0) ]; [ (i, 1.0) ] |])
+    [ -1; 2 ]
+
+let test_sparse_of_columns_duplicate () =
+  of_columns_raises "row 1 twice in column 1" "duplicate entry" ~rows:3 ~cols:2
+    [| [ (1, 1.0) ]; [ (2, 1.0); (1, 2.0); (1, 3.0) ] |];
+  (* The same row in different columns is not a duplicate. *)
+  let t = Sparse_f.of_columns ~rows:2 ~cols:2 [| [ (0, 1.0) ]; [ (0, 2.0); (1, 3.0) ] |] in
+  let entries j =
+    let acc = ref [] in
+    Sparse_f.iter_col t j (fun i v -> acc := (i, v) :: !acc);
+    List.rev !acc
+  in
+  Alcotest.(check (list (pair int (float 0.0)))) "column 0" [ (0, 1.0) ] (entries 0);
+  Alcotest.(check (list (pair int (float 0.0)))) "column 1" [ (0, 2.0); (1, 3.0) ] (entries 1)
+
 let dyadic_instance = Mf_proptest.Instances.dyadic_lp_instance
 
 (* Small tier: cold exact ground truth (full two-phase rational solve). *)
@@ -979,6 +1010,14 @@ let () =
             test_lu_eta_update_vs_refactorize;
           Alcotest.test_case "singular detected" `Quick test_lu_singular_detected;
           Alcotest.test_case "basis repair" `Quick test_lu_basis_repair;
+        ] );
+      ( "sparse",
+        [
+          Alcotest.test_case "of_columns column count" `Quick test_sparse_of_columns_count;
+          Alcotest.test_case "of_columns row out of range" `Quick
+            test_sparse_of_columns_row_range;
+          Alcotest.test_case "of_columns duplicate entry" `Quick
+            test_sparse_of_columns_duplicate;
         ] );
       ( "lp-differential",
         [ Alcotest.test_case "float path vs exact (208)" `Slow test_lp_differential ] );

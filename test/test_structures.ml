@@ -1,9 +1,7 @@
-(* Tests for mf_structures: Binary_heap, Bitset, Dyn_array, Matrix, Lru. *)
+(* Tests for mf_structures: Binary_heap, Dyn_array, Lru. *)
 
 module Heap = Mf_structures.Binary_heap
-module Bitset = Mf_structures.Bitset
 module Ds = Mf_structures.Dyn_array
-module Matrix = Mf_structures.Matrix
 
 module Lru = Mf_structures.Lru.Make (struct
   type t = string
@@ -69,51 +67,6 @@ let prop_heap_push_pop_sorts =
       drain [] = List.sort compare xs)
 
 (* ------------------------------------------------------------------ *)
-(* Bitset                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_bitset_basic () =
-  let s = Bitset.create 100 in
-  Alcotest.(check bool) "empty" true (Bitset.is_empty s);
-  Bitset.add s 0;
-  Bitset.add s 63;
-  Bitset.add s 64;
-  Bitset.add s 99;
-  Alcotest.(check int) "cardinal" 4 (Bitset.cardinal s);
-  Alcotest.(check bool) "mem 63" true (Bitset.mem s 63);
-  Alcotest.(check bool) "not mem 42" false (Bitset.mem s 42);
-  Bitset.remove s 63;
-  Alcotest.(check bool) "removed" false (Bitset.mem s 63);
-  Alcotest.(check (list int)) "to_list sorted" [ 0; 64; 99 ] (Bitset.to_list s)
-
-let test_bitset_bounds () =
-  let s = Bitset.create 10 in
-  Alcotest.check_raises "out of range" (Invalid_argument "Bitset: index out of range")
-    (fun () -> Bitset.add s 10)
-
-let test_bitset_ops () =
-  let a = Bitset.create 20 and b = Bitset.create 20 in
-  List.iter (Bitset.add a) [ 1; 2; 3 ];
-  List.iter (Bitset.add b) [ 3; 4 ];
-  let u = Bitset.copy a in
-  Bitset.union_into u b;
-  Alcotest.(check (list int)) "union" [ 1; 2; 3; 4 ] (Bitset.to_list u);
-  let i = Bitset.copy a in
-  Bitset.inter_into i b;
-  Alcotest.(check (list int)) "inter" [ 3 ] (Bitset.to_list i);
-  Bitset.clear u;
-  Alcotest.(check bool) "clear" true (Bitset.is_empty u)
-
-let prop_bitset_like_intset =
-  QCheck.Test.make ~name:"bitset: behaves like a set of ints" ~count:300
-    QCheck.(list (int_range 0 199))
-    (fun xs ->
-      let s = Bitset.create 200 in
-      List.iter (Bitset.add s) xs;
-      let expected = List.sort_uniq compare xs in
-      Bitset.to_list s = expected && Bitset.cardinal s = List.length expected)
-
-(* ------------------------------------------------------------------ *)
 (* Dyn_array                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -150,41 +103,6 @@ let prop_dyn_array_push_to_array =
       let v = Ds.create () in
       List.iter (Ds.push v) xs;
       Ds.to_list v = xs)
-
-(* ------------------------------------------------------------------ *)
-(* Matrix                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_matrix_basic () =
-  let m = Matrix.init 2 3 (fun i j -> float_of_int ((10 * i) + j)) in
-  Alcotest.(check int) "rows" 2 (Matrix.rows m);
-  Alcotest.(check int) "cols" 3 (Matrix.cols m);
-  Alcotest.(check (float 0.0)) "get" 12.0 (Matrix.get m 1 2);
-  Matrix.set m 1 2 99.0;
-  Alcotest.(check (float 0.0)) "set" 99.0 (Matrix.get m 1 2)
-
-let test_matrix_row_ops () =
-  let m = Matrix.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  Matrix.swap_rows m 0 1;
-  Alcotest.(check (float 0.0)) "swap" 3.0 (Matrix.get m 0 0);
-  Matrix.scale_row m 0 2.0;
-  Alcotest.(check (float 0.0)) "scale" 6.0 (Matrix.get m 0 0);
-  Matrix.add_scaled_row m ~dst:1 ~src:0 1.0;
-  Alcotest.(check (float 0.0)) "add_scaled" 7.0 (Matrix.get m 1 0);
-  let r = Matrix.row m 0 in
-  Alcotest.(check (array (float 0.0))) "row copy" [| 6.0; 8.0 |] r
-
-let test_matrix_errors () =
-  Alcotest.check_raises "bad dims" (Invalid_argument "Matrix.create: non-positive dimension")
-    (fun () -> ignore (Matrix.create 0 3));
-  Alcotest.check_raises "ragged" (Invalid_argument "Matrix.of_arrays: ragged rows") (fun () ->
-      ignore (Matrix.of_arrays [| [| 1.0 |]; [| 1.0; 2.0 |] |]))
-
-let test_matrix_copy_isolated () =
-  let m = Matrix.create 2 2 in
-  let c = Matrix.copy m in
-  Matrix.set m 0 0 5.0;
-  Alcotest.(check (float 0.0)) "copy unaffected" 0.0 (Matrix.get c 0 0)
 
 (* ------------------------------------------------------------------ *)
 (* Lru                                                                 *)
@@ -285,13 +203,6 @@ let () =
           Alcotest.test_case "custom order" `Quick test_heap_custom_order;
         ] );
       ("heap-props", List.map QCheck_alcotest.to_alcotest [ prop_heap_sorts; prop_heap_push_pop_sorts ]);
-      ( "bitset",
-        [
-          Alcotest.test_case "basic" `Quick test_bitset_basic;
-          Alcotest.test_case "bounds" `Quick test_bitset_bounds;
-          Alcotest.test_case "set ops" `Quick test_bitset_ops;
-        ] );
-      ("bitset-props", List.map QCheck_alcotest.to_alcotest [ prop_bitset_like_intset ]);
       ( "dyn_array",
         [
           Alcotest.test_case "basic" `Quick test_dyn_array_basic;
@@ -308,11 +219,4 @@ let () =
           Alcotest.test_case "capacity validation" `Quick test_lru_capacity_validation;
         ] );
       ("lru-props", List.map QCheck_alcotest.to_alcotest [ prop_lru_model ]);
-      ( "matrix",
-        [
-          Alcotest.test_case "basic" `Quick test_matrix_basic;
-          Alcotest.test_case "row ops" `Quick test_matrix_row_ops;
-          Alcotest.test_case "errors" `Quick test_matrix_errors;
-          Alcotest.test_case "copy" `Quick test_matrix_copy_isolated;
-        ] );
     ]
