@@ -8,15 +8,20 @@
     bit-identity contract requires.  [ftran]/[btran] solve with B and
     B^T through the factors and the eta file; [update] absorbs one basis
     exchange as a product-form eta.  The caller refactorises when
-    [update] refuses (eta pivot below its floor), when {!eta_count}
-    passes its cap, or when the maintained basic solution drifts — see
-    DESIGN.md §15. *)
+    [update] refuses (eta pivot below its floor), when {!S.eta_count}
+    reaches its cap, or when the entries accumulated in the eta file
+    would pass twice {!S.fill} — see DESIGN.md §15.
+
+    Two instances, {!Float_lu} and {!Rat_lu}, are generated at build
+    time from one source template ([lu_body.mlh]) rather than by a
+    functor. *)
 
 exception Singular of int
 (** No acceptable pivot at the given elimination step: the proposed
     basis is (numerically) singular. *)
 
-module Make (F : Mf_numeric.Ordered_field.S) : sig
+module type S = sig
+  type elt
   type t
 
   (** [factorize ~dim ~col ~basis] factorises the [dim] x [dim] matrix
@@ -25,7 +30,7 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
       [j] of the full constraint matrix (artificials included).
       @raise Singular when the basis is (numerically) singular.
       @raise Invalid_argument when [basis] has the wrong length. *)
-  val factorize : dim:int -> col:(int -> (int -> F.t -> unit) -> unit) -> basis:int array -> t
+  val factorize : dim:int -> col:(int -> (int -> elt -> unit) -> unit) -> basis:int array -> t
 
   (** [factorize_repair ~repair ~dim ~col ~basis] is {!factorize} that
       never raises [Singular]: at an elimination step with no acceptable
@@ -41,7 +46,7 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
   val factorize_repair :
     repair:(pos:int -> row:int -> unit) ->
     dim:int ->
-    col:(int -> (int -> F.t -> unit) -> unit) ->
+    col:(int -> (int -> elt -> unit) -> unit) ->
     basis:int array ->
     t
 
@@ -56,17 +61,23 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
   (** [ftran t ~rhs ~out] writes B^-1 [rhs] to [out]; [rhs] is indexed
       by row, [out] by basis position.  [rhs] is not modified; [out]
       must not alias [rhs]. *)
-  val ftran : t -> rhs:F.t array -> out:F.t array -> unit
+  val ftran : t -> rhs:elt array -> out:elt array -> unit
 
   (** [btran t ~cvec ~out] writes B^-T [cvec] to [out]; [cvec] is
       indexed by basis position, [out] by row.  [cvec] is not modified;
       [out] must not alias [cvec]. *)
-  val btran : t -> cvec:F.t array -> out:F.t array -> unit
+  val btran : t -> cvec:elt array -> out:elt array -> unit
 
   (** [update t ~w ~pos] absorbs the basis exchange that replaces the
       column at basis position [pos] by an entering column whose FTRAN
       image is [w].  Returns [false] — leaving [t] unchanged — when the
       eta pivot [w.(pos)] is too small to divide by safely; the caller
       must then refactorise. *)
-  val update : t -> w:F.t array -> pos:int -> bool
+  val update : t -> w:elt array -> pos:int -> bool
 end
+
+(** Float factorisations ({!Mf_numeric.Ordered_field.Float_field}). *)
+module Float_lu : S with type elt = float
+
+(** Exact rational factorisations ({!Mf_numeric.Ordered_field.Rat_field}). *)
+module Rat_lu : S with type elt = Mf_numeric.Rat.t

@@ -28,7 +28,7 @@ val zero_stats : certified_stats
 (** [solve_relaxation model] solves the continuous relaxation with the
     float simplex only.  Returns the model-space solution and objective.
     [`Stalled] reports an exhausted pivot budget (see
-    {!Simplex.Make.outcome}); callers that must not fail should use
+    {!Simplex.S.outcome}); callers that must not fail should use
     {!solve_relaxation_certified} instead. *)
 val solve_relaxation :
   Model.t -> [ `Optimal of float array * float | `Infeasible | `Unbounded | `Stalled ]

@@ -2,7 +2,7 @@ module Instance = Mf_core.Instance
 module Workflow = Mf_core.Workflow
 module Mapping = Mf_core.Mapping
 module FS = Simplex.Float_solver
-module Sp = Sparse.Make (Mf_numeric.Ordered_field.Float_field)
+module Sp = Sparse.Float_csc
 
 type t = {
   inst : Instance.t;

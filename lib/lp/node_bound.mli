@@ -28,7 +28,7 @@
     and differ only in load and lock coefficients.  A depth with no
     recorded basis starts from the depth above's, mapped into its rows
     and columns (every node at one depth commits the same task, so the
-    map is fixed).  {!Simplex.Make.solve_sparse_from_basis}
+    map is fixed).  {!Simplex.S.solve_sparse_from_basis}
     re-optimizes from whatever basis it gets — repairing positions the
     new locks make singular, and running phase 1 from the stale vertex
     when it is infeasible — so staleness costs pivots, never soundness.
@@ -88,7 +88,7 @@ type stats = {
   factorizations : int;  (** LU factorizations across all solves *)
   fallbacks : int;
       (** warm starts that restarted from the all-artificial basis
-          after a numerical breakdown ({!Simplex.Make.detail}) *)
+          after a numerical breakdown ({!Simplex.S.detail}) *)
   repairs : int;
       (** starting-basis positions the solver replaced by an artificial:
           singular under the current locks, or missing from a mapped

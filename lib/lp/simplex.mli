@@ -1,20 +1,29 @@
-(** Two-phase primal simplex, functorised over an ordered field.
+(** Two-phase primal simplex over an ordered field, in two instances:
+    {!Float_solver} (hardware floats) and {!Rat_solver} (exact
+    rationals).
 
     One solver: a {e revised} simplex over a sparse LU-factorised basis
     ({!Sparse}, {!Lu}).  Per iteration it runs one BTRAN for the duals,
-    one O(nnz) pricing sweep, one FTRAN for the entering column and a
-    product-form eta update, with periodic refactorisation.
-    {!Make.solve_sparse_detailed} and {!Make.solve_sparse_from_basis}
-    take the constraint matrix in CSC form, the path the large
-    throughput-form LPs take; {!Make.solve}, {!Make.solve_detailed} and
-    {!Make.solve_from_basis} take a dense matrix and convert it.
+    one O(nnz) pricing sweep, one FTRAN for the entering column, under
+    Devex pricing one more BTRAN (the pivot row of the old basis) and
+    O(nnz) sweep to update the reference weights, and a product-form eta
+    update, with periodic refactorisation.
+    {!S.solve_sparse_detailed} and {!S.solve_sparse_from_basis} take the
+    constraint matrix in CSC form, the path the large throughput-form
+    LPs take; {!S.solve}, {!S.solve_detailed} and {!S.solve_from_basis}
+    take a dense matrix and convert it.
 
     The float instance solves the LP relaxations inside branch-and-bound
-    and {!Splitting}; the exact-rational instance
-    ({!Mf_numeric.Ordered_field.Rat_field}) certifies it — both in the
-    test-suite and at runtime, through the warm-started
-    {!Make.solve_sparse_from_basis} fallback taken when the float path
+    and {!Splitting}; the exact-rational instance certifies it — both in
+    the test-suite and at runtime, through the warm-started
+    {!S.solve_sparse_from_basis} fallback taken when the float path
     reports [Infeasible] or [Stalled] on a system known to be feasible.
+
+    Both instances are compiled from one source, the template
+    [simplex_body.mlh] (likewise [sparse_body.mlh] and [lu_body.mlh]),
+    which cppo includes once per field at build time.  No functor is
+    involved, so the float instance's arithmetic compiles to unboxed
+    float instructions on flat float arrays.
 
     Numerical discipline of the inexact instance: rows are equilibrated
     by exact powers of two, every threshold is {e relative} to the
@@ -22,7 +31,7 @@
     entering column's FTRAN image), pricing is Devex with a stall
     detector that falls back to Bland's rule (whose anti-cycling
     argument needs no tolerance assumptions), and a pivot budget turns
-    the remaining failure mode into the typed {!Make.Stalled} outcome.
+    the remaining failure mode into the typed [Stalled] outcome.
     Exact fields ([eps = rel_eps = 0]) run unscaled with exact
     comparisons and an unbounded default budget: termination is
     guaranteed because Bland's rule terminates from any basis and a
@@ -41,9 +50,11 @@
     objective. *)
 exception Non_finite of { row : int; col : int }
 
-module Make (F : Mf_numeric.Ordered_field.S) : sig
+module type S = sig
+  type elt
+
   type outcome =
-    | Optimal of F.t array * F.t  (** primal solution and objective value *)
+    | Optimal of elt array * elt  (** primal solution and objective value *)
     | Infeasible
     | Unbounded
     | Stalled
@@ -76,7 +87,7 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
             breakdown of a warm start (0 on a cold solve) *)
     repairs : int;
         (** basis positions the start factorisation replaced by an
-            artificial ({!Lu.Make.factorize_repair}): singular, repeated
+            artificial ({!Lu.S.factorize_repair}): singular, repeated
             or out-of-range entries of a warm-start basis *)
   }
 
@@ -84,7 +95,7 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
       Rows with negative [b] are negated internally.
       @raise Invalid_argument on dimension mismatches.
       @raise Non_finite on NaN/infinite coefficients (inexact fields). *)
-  val solve : a:F.t array array -> b:F.t array -> c:F.t array -> outcome
+  val solve : a:elt array array -> b:elt array -> c:elt array -> outcome
 
   (** [solve_detailed ?iter_budget ~a ~b ~c ()] is {!solve} with the
       full report.  [iter_budget] bounds the pivots of both phases.  For
@@ -92,7 +103,7 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
       where [cols] counts the structural columns plus one artificial per
       row; for exact fields it is unlimited. *)
   val solve_detailed :
-    ?iter_budget:int -> a:F.t array array -> b:F.t array -> c:F.t array -> unit -> detail
+    ?iter_budget:int -> a:elt array array -> b:elt array -> c:elt array -> unit -> detail
 
   (** [solve_from_basis ~a ~b ~c ~basis ()] warm-starts from a proposed
       basis — typically the float solver's final [detail.basis] — and
@@ -102,9 +113,9 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
       answer. *)
   val solve_from_basis :
     ?iter_budget:int ->
-    a:F.t array array ->
-    b:F.t array ->
-    c:F.t array ->
+    a:elt array array ->
+    b:elt array ->
+    c:elt array ->
     basis:int array ->
     unit ->
     detail
@@ -112,22 +123,22 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
   (** {2 Sparse-input entry points}
 
       The same solver without the dense detour: [a] is given in
-      compressed-sparse-column form ({!Sparse.Make.of_columns}).  The
+      compressed-sparse-column form ({!Sparse.S.of_columns}).  The
       large throughput-form LPs are ~99% zeros, so this is the only
       representation that scales past a few hundred tasks.  Cold solves
       price Devex in both phases. *)
 
   val solve_sparse :
-    a:F.t Sparse.repr -> b:F.t array -> c:F.t array -> outcome
+    a:elt Sparse.repr -> b:elt array -> c:elt array -> outcome
 
   val solve_sparse_detailed :
-    ?iter_budget:int -> a:F.t Sparse.repr -> b:F.t array -> c:F.t array -> unit -> detail
+    ?iter_budget:int -> a:elt Sparse.repr -> b:elt array -> c:elt array -> unit -> detail
 
   (** Warm start on the sparse path, re-optimizing from the proposed
       basis whatever it is.  Entries that are out of range or repeated,
       and positions past the array's end, start empty; surplus entries
       are dropped.  The basis is factorised in repair mode
-      ({!Lu.Make.factorize_repair}): every position without an
+      ({!Lu.S.factorize_repair}): every position without an
       acceptable pivot takes the artificial of the lowest uncovered
       row ([detail.repairs]).  A primal-feasible start runs phase 2
       only.  Otherwise phase 1 runs from the given basis: when some
@@ -143,9 +154,9 @@ module Make (F : Mf_numeric.Ordered_field.S) : sig
       routine started from that basis.  Every choice is deterministic. *)
   val solve_sparse_from_basis :
     ?iter_budget:int ->
-    a:F.t Sparse.repr ->
-    b:F.t array ->
-    c:F.t array ->
+    a:elt Sparse.repr ->
+    b:elt array ->
+    c:elt array ->
     basis:int array ->
     unit ->
     detail
@@ -153,7 +164,7 @@ end
 
 (** Float instance, used by {!Branch_bound}, {!Node_bound} and
     {!Splitting}. *)
-module Float_solver : module type of Make (Mf_numeric.Ordered_field.Float_field)
+module Float_solver : S with type elt = float
 
 (** Exact rational instance: the certification path. *)
-module Rat_solver : module type of Make (Mf_numeric.Ordered_field.Rat_field)
+module Rat_solver : S with type elt = Mf_numeric.Rat.t

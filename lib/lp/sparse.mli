@@ -4,7 +4,11 @@
     {!map_values} can hand the float path's matrix to the exact-rational
     certification path structure-intact (the integer index arrays are
     shared, only the value array is rebuilt).  All numerics beyond
-    construction — triangular solves, factorisation — live in {!Lu}. *)
+    construction — triangular solves, factorisation — live in {!Lu}.
+
+    The field-specific operations come in two instances, {!Float_csc}
+    and {!Rat_csc}, generated at build time from one source template
+    ([sparse_body.mlh]) rather than by a functor. *)
 
 type 'v repr = {
   rows : int;
@@ -17,23 +21,30 @@ type 'v repr = {
 (** Structure-preserving value conversion (e.g. float to rational). *)
 val map_values : ('a -> 'b) -> 'a repr -> 'b repr
 
-module Make (F : Mf_numeric.Ordered_field.S) : sig
-  type t = F.t repr
+module type S = sig
+  type elt
+  type t = elt repr
 
   val rows : t -> int
   val cols : t -> int
 
   (** [iter_col t j f] applies [f row value] to each stored entry of
       column [j], in storage order (not necessarily sorted by row). *)
-  val iter_col : t -> int -> (int -> F.t -> unit) -> unit
+  val iter_col : t -> int -> (int -> elt -> unit) -> unit
 
   (** [of_columns ~rows ~cols columns] builds from per-column entry
       lists.  @raise Invalid_argument when [columns] does not hold [cols]
       lists, on out-of-range rows or on duplicate (row, col) pairs. *)
-  val of_columns : rows:int -> cols:int -> (int * F.t) list array -> t
+  val of_columns : rows:int -> cols:int -> (int * elt) list array -> t
 
   (** [of_dense a ~cols] drops exact zeros of a dense row-major matrix
       (NaN and infinities are kept).  Rows may be longer than [cols];
       the excess is ignored. *)
-  val of_dense : F.t array array -> cols:int -> t
+  val of_dense : elt array array -> cols:int -> t
 end
+
+(** Float matrices ({!Mf_numeric.Ordered_field.Float_field}). *)
+module Float_csc : S with type elt = float
+
+(** Exact rational matrices ({!Mf_numeric.Ordered_field.Rat_field}). *)
+module Rat_csc : S with type elt = Mf_numeric.Rat.t

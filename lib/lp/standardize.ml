@@ -1,5 +1,5 @@
 module Ds = Mf_structures.Dyn_array
-module Sp = Sparse.Make (Mf_numeric.Ordered_field.Float_field)
+module Sp = Sparse.Float_csc
 
 type t = {
   a : float Sparse.repr;

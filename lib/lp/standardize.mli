@@ -14,7 +14,7 @@
 type t = {
   a : float Sparse.repr;
       (** constraint matrix in compressed-sparse-column form — the
-          representation {!Simplex.Make.solve_sparse_detailed} consumes
+          representation {!Simplex.S.solve_sparse_detailed} consumes
           directly, and the only one that scales to the n ~ 10^3..10^4
           throughput-form LPs (their tableaus are ~99% zeros) *)
   b : float array;

@@ -1,6 +1,8 @@
-(** Ordered-field abstraction used to functorise numerical algorithms
-    (notably the simplex solver) over either hardware floats or exact
-    rationals. *)
+(** Ordered-field abstraction shared by the numerical algorithms that
+    run over either hardware floats or exact rationals (notably the LP
+    core: {!Mf_lp.Sparse}, {!Mf_lp.Lu} and {!Mf_lp.Simplex} are written
+    once as templates over a module [F] and instantiated with each field
+    at build time). *)
 
 module type S = sig
   type t
@@ -37,22 +39,33 @@ module type S = sig
   val to_string : t -> string
 end
 
-(** Hardware double-precision floats with an absolute tolerance. *)
-module Float_field : S with type t = float = struct
+(** Hardware double-precision floats with an absolute tolerance.
+
+    The arithmetic is [external] primitives, not [let]-bound functions,
+    and the module is deliberately left unsealed: a primitive travels in
+    the signature, so a caller compiled against this module's [.cmi]
+    alone (dune's dev profile passes [-opaque]) still emits the unboxed
+    machine instruction instead of a closure call returning a boxed
+    float.  The LP core's float instance depends on this.  [compare] is
+    [Float.compare] ([compare nan nan = 0]) and [equal] is
+    [Float.equal] ([equal nan nan = true]), unlike [%equal]. *)
+module Float_field = struct
   type t = float
 
   let zero = 0.0
   let one = 1.0
-  let of_int = float_of_int
-  let of_float f = f
-  let to_float f = f
-  let add = ( +. )
-  let sub = ( -. )
-  let mul = ( *. )
-  let div = ( /. )
-  let neg f = -.f
-  let abs = Float.abs
-  let compare = Float.compare
+
+  external of_int : int -> float = "%floatofint"
+  external of_float : float -> float = "%identity"
+  external to_float : float -> float = "%identity"
+  external add : float -> float -> float = "%addfloat"
+  external sub : float -> float -> float = "%subfloat"
+  external mul : float -> float -> float = "%mulfloat"
+  external div : float -> float -> float = "%divfloat"
+  external neg : float -> float = "%negfloat"
+  external abs : float -> float = "%absfloat"
+  external compare : float -> float -> int = "%compare"
+
   let equal = Float.equal
   let eps = 1e-9
   let rel_eps = 1e-9

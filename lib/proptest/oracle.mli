@@ -17,7 +17,7 @@
     - [lp-vs-exact] — the float simplex closes every {!Mf_lp.Splitting}
       LP without the rational fallback, agrees with a cold exact-rational
       solve to rel 1e-6, and the bound never exceeds the exact optimum;
-    - [warm-start] — {!Mf_lp.Simplex.Make.solve_sparse_from_basis}
+    - [warm-start] — {!Mf_lp.Simplex.S.solve_sparse_from_basis}
       from a random, the all-artificial, or a perturbed copy's optimal
       basis agrees with the cold solve, float and exact-rational (see
       {!warm_start_case});
@@ -86,7 +86,7 @@ val replay : t -> case_seed:int -> outcome
 
 (** [warm_start_case ~instance ~start ~seed] runs one case of the
     [warm-start] oracle on {!Instances.lp_differential_instance}
-    [instance], starting {!Mf_lp.Simplex.Make.solve_sparse_from_basis}
+    [instance], starting {!Mf_lp.Simplex.S.solve_sparse_from_basis}
     from a basis of kind [start]: [0] distinct column ids drawn from
     [seed], [1] the all-artificial basis, [2] the float optimal basis
     of a copy perturbed from [seed].  Float and rational warm solves

@@ -369,7 +369,7 @@ module Rat = Mf_numeric.Rat
    same offending entry on each. *)
 let test_simplex_rejects_non_finite () =
   let module S = Simplex.Float_solver in
-  let module Sp = Mf_lp.Sparse.Make (Mf_numeric.Ordered_field.Float_field) in
+  let module Sp = Mf_lp.Sparse.Float_csc in
   let expect name (row, col) f =
     match f () with
     | exception Simplex.Non_finite loc ->
@@ -531,6 +531,76 @@ let test_simplex_warm_start_verdicts () =
       done)
     lps
 
+(* The standardized splitting LP of the BENCH_lp chain of size [n]
+   (generator seed 1, p=4, m=8, not canonicalized). *)
+let bench_lp_std n =
+  let inst = Gen.chain (Rng.create 1) (Gen.default ~tasks:n ~types:4 ~machines:8) in
+  match Mf_lp.Standardize.build (Splitting.model inst) with
+  | Some std -> std
+  | None -> Alcotest.failf "n=%d: standardize failed" n
+
+(* Bit-identity pin.  [bench --regress] allows 1.5x on pivot counts, so
+   a change to the pivot sequence could pass it unnoticed; this pins the
+   exact counters and objectives of two splitting LPs, and the node and
+   pivot counts, period and bound of one certified exact solve.  A
+   change that moves any of them changes the solver's arithmetic or its
+   choices, not only its speed. *)
+let test_simplex_bit_identity_pin () =
+  let module FS = Simplex.Float_solver in
+  let module Std = Mf_lp.Standardize in
+  List.iter
+    (fun (n, iterations, factorizations, eta_updates, refactorizations, objective) ->
+      let std = bench_lp_std n in
+      let d = FS.solve_sparse_detailed ~a:std.Std.a ~b:std.Std.b ~c:std.Std.c () in
+      let name what = Printf.sprintf "n=%d %s" n what in
+      Alcotest.(check int) (name "iterations") iterations d.FS.iterations;
+      Alcotest.(check int) (name "factorizations") factorizations d.FS.factorizations;
+      Alcotest.(check int) (name "eta updates") eta_updates d.FS.eta_updates;
+      Alcotest.(check int) (name "refactorizations") refactorizations d.FS.refactorizations;
+      match d.FS.outcome with
+      | FS.Optimal (_, obj) ->
+        Alcotest.(check string) (name "objective") (Printf.sprintf "%h" objective)
+          (Printf.sprintf "%h" obj)
+      | _ -> Alcotest.fail (name "not Optimal"))
+    [ (20, 94, 11, 84, 10, -0x1.07036d74eb69p-10); (50, 192, 20, 173, 19, -0x1.d0a0e289dc322p-12) ];
+  let module Solver = Mf_solve.Solver in
+  let inst = Gen.chain (Rng.create 1) (Gen.default ~tasks:14 ~types:3 ~machines:5) in
+  let o = Mf_solve.Portfolio.solve (Solver.request_exn ~want_certificate:true inst) in
+  let hex = Option.map (Printf.sprintf "%h") in
+  Alcotest.(check int) "exact-close s1 nodes" 1904 o.Solver.stats.Solver.exact_nodes;
+  Alcotest.(check int) "exact-close s1 LP pivots" 5156 o.Solver.stats.Solver.lp_pivots;
+  Alcotest.(check (option string)) "exact-close s1 period"
+    (Some "0x1.63fe62efaf111p+10") (hex o.Solver.period);
+  Alcotest.(check (option string)) "exact-close s1 bound"
+    (Some "0x1.01df639d36a78p+10") (hex o.Solver.lower_bound)
+
+(* Allocation guard: minor-heap words per (pivot x matrix entry) of a
+   repeated float solve of the n=50 splitting LP.  Counting words, not
+   time, makes the guard exact and noise-free.  A hot loop that boxes
+   again — a closure over the sweeps' accumulators, a field operation
+   that is not an [external] primitive, a generic [F.t array] access —
+   costs tens of words per entry (~40 when every product boxes).  What
+   remains, about 1 word per entry, is mostly the boxed float that the
+   phase [cost] closure returns: ~2 words per priced column.  Bytecode
+   boxes every float, so the guard runs on native code only. *)
+let test_simplex_allocation_guard () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> Alcotest.skip ()
+  | Sys.Native ->
+    let module FS = Simplex.Float_solver in
+    let module Std = Mf_lp.Standardize in
+    let std = bench_lp_std 50 in
+    let solve () = FS.solve_sparse_detailed ~a:std.Std.a ~b:std.Std.b ~c:std.Std.c () in
+    ignore (solve ());
+    let before = Gc.minor_words () in
+    let d = solve () in
+    let words = Gc.minor_words () -. before in
+    let entries = Array.length std.Std.a.Mf_lp.Sparse.values in
+    let per_entry = words /. float_of_int (d.FS.iterations * entries) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.2f minor words per pivot x entry <= 4" per_entry)
+      true (per_entry <= 4.0)
+
 (* ------------------------------------------------------------------ *)
 (* Splitting.round typed errors and deterministic tie-breaking         *)
 (* ------------------------------------------------------------------ *)
@@ -590,9 +660,8 @@ let test_splitting_round_tie_breaks_low () =
 (* LU factorisation: round trips against dense Gaussian elimination    *)
 (* ------------------------------------------------------------------ *)
 
-module Float_field = Mf_numeric.Ordered_field.Float_field
-module Sparse_f = Mf_lp.Sparse.Make (Float_field)
-module Lu_f = Mf_lp.Lu.Make (Float_field)
+module Sparse_f = Mf_lp.Sparse.Float_csc
+module Lu_f = Mf_lp.Lu.Float_lu
 
 (* Dense Gaussian elimination with partial pivoting: the reference
    solver the LU factors are checked against. *)
@@ -984,6 +1053,8 @@ let () =
           Alcotest.test_case "warm start from any basis" `Slow
             test_simplex_warm_start_any_basis;
           Alcotest.test_case "warm start verdicts" `Quick test_simplex_warm_start_verdicts;
+          Alcotest.test_case "bit-identity pin" `Quick test_simplex_bit_identity_pin;
+          Alcotest.test_case "allocation guard" `Quick test_simplex_allocation_guard;
         ] );
       ( "branch-bound",
         [

@@ -1,4 +1,5 @@
-(* Tests for the mf_numeric substrate: Bigint, Rat, Kahan, Stats. *)
+(* Tests for the mf_numeric substrate: Bigint, Rat, Ordered_field, Kahan,
+   Stats. *)
 
 module B = Mf_numeric.Bigint
 module R = Mf_numeric.Rat
@@ -382,6 +383,59 @@ let prop_stats_quantile_monotone =
       Stats.quantile lo xs <= Stats.quantile hi xs +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
+(* Ordered_field                                                       *)
+(* ------------------------------------------------------------------ *)
+
+module Ordered_field = Mf_numeric.Ordered_field
+
+(* Both fields still match [S]: the LP core instantiates them by textual
+   inclusion, so no functor application checks that any more. *)
+let _ : (module Ordered_field.S) = (module Ordered_field.Float_field)
+let rat_field = (module Ordered_field.Rat_field : Ordered_field.S with type t = R.t)
+
+let field_samples =
+  [
+    0.0; -0.0; infinity; neg_infinity; nan; 5e-324 (* smallest subnormal *); -2.5e-310;
+    max_float; -.max_float; 1.0; -1.0; 0.1; 3.0; -7.25; 1e300; 1e-300;
+  ]
+
+let bits x = Int64.bits_of_float x
+
+(* [Float_field]'s operations are [external] primitives, which the LP
+   core inlines.  They must equal [Stdlib.Float]'s bit for bit on signed
+   zeros, infinities, nan, subnormals and [max_float]. *)
+let test_float_field_matches_stdlib () =
+  let module F = Ordered_field.Float_field in
+  let same name want got = Alcotest.(check int64) name (bits want) (bits got) in
+  List.iter
+    (fun x ->
+      let name op = Printf.sprintf "%s %h" op x in
+      same (name "neg") (Float.neg x) (F.neg x);
+      same (name "abs") (Float.abs x) (F.abs x);
+      same (name "of_float") x (F.of_float x);
+      same (name "to_float") x (F.to_float x);
+      List.iter
+        (fun y ->
+          let name op = Printf.sprintf "%s %h %h" op x y in
+          same (name "add") (Float.add x y) (F.add x y);
+          same (name "sub") (Float.sub x y) (F.sub x y);
+          same (name "mul") (Float.mul x y) (F.mul x y);
+          same (name "div") (Float.div x y) (F.div x y);
+          Alcotest.(check int) (name "compare") (Float.compare x y) (F.compare x y);
+          Alcotest.(check bool) (name "equal") (Float.equal x y) (F.equal x y))
+        field_samples)
+    field_samples;
+  List.iter
+    (fun i -> same (Printf.sprintf "of_int %d" i) (Float.of_int i) (F.of_int i))
+    [ 0; 1; -1; 3; 1 lsl 53; (1 lsl 53) + 1; max_int; min_int ];
+  (* Unlike IEEE [=] and [%equal], both treat nan as equal to itself. *)
+  Alcotest.(check bool) "equal nan nan" true (F.equal nan nan);
+  Alcotest.(check int) "compare nan nan" 0 (F.compare nan nan);
+  let module Q = (val rat_field) in
+  Alcotest.(check bool) "rational tolerances are exact" true
+    (Q.equal Q.eps Q.zero && Q.equal Q.rel_eps Q.zero)
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -436,6 +490,11 @@ let () =
           prop_rat_compare_consistent_with_float;
           prop_rat_float_roundtrip;
         ];
+      ( "ord-field",
+        [
+          Alcotest.test_case "float field matches Stdlib.Float" `Quick
+            test_float_field_matches_stdlib;
+        ] );
       ( "kahan",
         [
           Alcotest.test_case "basic" `Quick test_kahan_basic;
