@@ -41,14 +41,10 @@ module type S = sig
   type elt
   type t
 
-  val factorize : dim:int -> col:(int -> (int -> elt -> unit) -> unit) -> basis:int array -> t
+  type source = { mat : elt Sparse.repr; aux_ind : int array; aux_val : elt array }
 
-  val factorize_repair :
-    repair:(pos:int -> row:int -> unit) ->
-    dim:int ->
-    col:(int -> (int -> elt -> unit) -> unit) ->
-    basis:int array ->
-    t
+  val factorize : src:source -> basis:int array -> t
+  val factorize_repair : repair:(pos:int -> row:int -> unit) -> src:source -> basis:int array -> t
 
   val dim : t -> int
   val eta_count : t -> int

@@ -24,15 +24,26 @@ module type S = sig
   type elt
   type t
 
-  (** [factorize ~dim ~col ~basis] factorises the [dim] x [dim] matrix
-      whose [p]-th column is the entries produced by [col basis.(p)].
-      [col j f] must call [f row value] once per stored entry of column
-      [j] of the full constraint matrix (artificials included).
-      @raise Singular when the basis is (numerically) singular.
-      @raise Invalid_argument when [basis] has the wrong length. *)
-  val factorize : dim:int -> col:(int -> (int -> elt -> unit) -> unit) -> basis:int array -> t
+  (** Where {!factorize} reads the basis columns, in place.  With
+      [dim = mat.rows] and [cols = mat.cols], a column id [j] names
+      - column [j] of the CSC matrix [mat] when [0 <= j < cols];
+      - the unit column e_r when [j = cols + r], [0 <= r < dim] (the
+        simplex's artificials);
+      - the sparse column with rows [aux_ind] and values [aux_val] when
+        [j = cols + dim] (the simplex's auxiliary column x0);
+      - an empty column when [j < 0]. *)
+  type source = { mat : elt Sparse.repr; aux_ind : int array; aux_val : elt array }
 
-  (** [factorize_repair ~repair ~dim ~col ~basis] is {!factorize} that
+  (** [factorize ~src ~basis] factorises the [dim] x [dim] matrix whose
+      [p]-th column is the column of [src] named by [basis.(p)], reading
+      each from its arrays.
+      @raise Singular when the basis is (numerically) singular.
+      @raise Invalid_argument when [basis] does not have [dim] entries,
+      when it names an id past [cols + dim], or when [aux_ind] and
+      [aux_val] differ in length. *)
+  val factorize : src:source -> basis:int array -> t
+
+  (** [factorize_repair ~repair ~src ~basis] is {!factorize} that
       never raises [Singular]: at an elimination step with no acceptable
       pivot it factorises the unit column of the lowest-index row not
       yet pivoted in place of [basis.(pos)], and calls
@@ -41,14 +52,10 @@ module type S = sig
       unit column [e_row] — the caller updates its basis to name that
       row's artificial.  Substitutions are reported in elimination
       order, and equal inputs give equal substitutions (the
-      column order and the pivot rule are deterministic).  Columns may
-      be empty ([col] calling [f] never), which always repairs. *)
-  val factorize_repair :
-    repair:(pos:int -> row:int -> unit) ->
-    dim:int ->
-    col:(int -> (int -> elt -> unit) -> unit) ->
-    basis:int array ->
-    t
+      column order and the pivot rule are deterministic).  Empty
+      columns (negative ids, or stored columns without entries) always
+      repair. *)
+  val factorize_repair : repair:(pos:int -> row:int -> unit) -> src:source -> basis:int array -> t
 
   val dim : t -> int
 

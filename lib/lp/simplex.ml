@@ -1,9 +1,11 @@
 (* Two-phase primal revised simplex over a sparse LU-factorised basis,
    one instance per ordered field.
 
-   Each pivot costs one BTRAN (duals), one O(nnz) pricing sweep, one
-   FTRAN (entering column), an optional BTRAN + sweep for the Devex
-   weight update, and a product-form eta append.  The basis is
+   Each pivot costs one BTRAN (duals), one O(nnz) pricing pass that
+   also applies the previous pivot's Devex weight update, one FTRAN
+   (entering column), one BTRAN of the pivot row for the Devex update
+   the next pass applies (Devex pricing only), and a product-form eta
+   append.  The basis is
    refactorised (Markowitz LU, see Lu) when the eta file reaches its cap
    of 64 etas, when the entries accumulated in it would pass twice the
    fill of L + U, or when an eta pivot is too small to divide by; the

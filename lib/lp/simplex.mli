@@ -4,10 +4,11 @@
 
     One solver: a {e revised} simplex over a sparse LU-factorised basis
     ({!Sparse}, {!Lu}).  Per iteration it runs one BTRAN for the duals,
-    one O(nnz) pricing sweep, one FTRAN for the entering column, under
-    Devex pricing one more BTRAN (the pivot row of the old basis) and
-    O(nnz) sweep to update the reference weights, and a product-form eta
-    update, with periodic refactorisation.
+    one O(nnz) pricing pass that also applies the previous pivot's Devex
+    reference-weight update, one FTRAN for the entering column, under
+    Devex pricing one more BTRAN (the pivot row of the old basis, which
+    the next pricing pass sweeps), and a product-form eta update, with
+    periodic refactorisation.
     {!S.solve_sparse_detailed} and {!S.solve_sparse_from_basis} take the
     constraint matrix in CSC form, the path the large throughput-form
     LPs take; {!S.solve}, {!S.solve_detailed} and {!S.solve_from_basis}

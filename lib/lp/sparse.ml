@@ -31,7 +31,6 @@ module type S = sig
 
   val rows : t -> int
   val cols : t -> int
-  val iter_col : t -> int -> (int -> elt -> unit) -> unit
   val of_columns : rows:int -> cols:int -> (int * elt) list array -> t
   val of_dense : elt array array -> cols:int -> t
 end

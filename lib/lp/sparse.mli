@@ -28,10 +28,6 @@ module type S = sig
   val rows : t -> int
   val cols : t -> int
 
-  (** [iter_col t j f] applies [f row value] to each stored entry of
-      column [j], in storage order (not necessarily sorted by row). *)
-  val iter_col : t -> int -> (int -> elt -> unit) -> unit
-
   (** [of_columns ~rows ~cols columns] builds from per-column entry
       lists.  @raise Invalid_argument when [columns] does not hold [cols]
       lists, on out-of-range rows or on duplicate (row, col) pairs. *)
