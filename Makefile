@@ -3,7 +3,7 @@
 # (see DESIGN.md §5), so there is no fmt target.
 
 .PHONY: all build test verify bench bench-quick bench-exact bench-lp \
-  bench-solve bench-parallel bench-daemon bench-dynamic bench-regress \
+  bench-parallel bench-daemon bench-dynamic bench-regress \
   daemon-smoke clean fuzz fuzz-quick fuzz-replay
 
 all: build
@@ -65,7 +65,7 @@ bench:
 # Small-size benchmark: every section at the quick tier except the slow
 # bechamel micro-benchmarks.
 bench-quick:
-	dune exec bench/main.exe -- --quick --only figures,ablation,eval,parallel,exact,lp,solve,daemon,dynamic
+	dune exec bench/main.exe -- --quick --only figures,ablation,eval,parallel,exact,lp,daemon,dynamic
 
 # Exact-search benchmark only (writes BENCH_exact.json): node reduction vs
 # the static baseline, solvable-size scan, --jobs identity, pruning ablation.
@@ -85,13 +85,6 @@ bench-lp:
 # machine the ratios are labelled overhead (speedup is not measurable).
 bench-parallel:
 	dune exec bench/main.exe -- --only parallel
-
-# Unified-solver benchmark only (writes BENCH_solve.json): portfolio
-# solves/sec and latency percentiles under a near-duplicate request storm
-# (machine permutations + type relabelings of a few base instances), the
-# canonical-cache hit rate, and a sampled cached-vs-fresh bit-identity check.
-bench-solve:
-	dune exec bench/main.exe -- --only solve
 
 # Daemon benchmark only (writes BENCH_daemon.json): a concurrent client
 # storm over socketpairs against a live scheduler — wire throughput and

@@ -428,15 +428,14 @@ let lp_scaling_regress_n = 200
 
 let lp_chain ~n ~seed = Gen.chain (Rng.create seed) (Gen.default ~tasks:n ~types:4 ~machines:8)
 
-(* One (n, seed) chain instance of the LP bench, standardized. *)
-let lp_instance ~n ~seed = Mf_lp.Standardize.build (Mf_lp.Splitting.model (lp_chain ~n ~seed))
+(* The root LP of one (n, seed) chain instance of the LP bench. *)
+let lp_instance ~n ~seed = Mf_lp.Splitting.build (lp_chain ~n ~seed)
 
-(* The float solve of one standardized LP and its wall time. *)
-let lp_revised_run std =
+(* The float solve of one LP and its wall time. *)
+let lp_revised_run (lp : Mf_lp.Splitting.lp) =
   let module FS = Mf_lp.Simplex.Float_solver in
-  let module Std = Mf_lp.Standardize in
   let t0 = Unix.gettimeofday () in
-  let d = FS.solve_sparse_detailed ~a:std.Std.a ~b:std.Std.b ~c:std.Std.c () in
+  let d = FS.solve_sparse_detailed ~a:lp.a ~b:lp.b ~c:lp.c () in
   (d, Unix.gettimeofday () -. t0)
 
 (* Scenario shared by the bench and the [--regress] check: a balanced
@@ -521,10 +520,7 @@ let regress_checks =
     List.concat_map
       (fun (n, seeds) ->
         let runs =
-          lazy
-            (List.filter_map
-               (fun seed -> Option.map (fun std -> fst (lp_revised_run std)) (lp_instance ~n ~seed))
-               seeds)
+          lazy (List.map (fun seed -> fst (lp_revised_run (lp_instance ~n ~seed))) seeds)
         in
         let check name = check (Printf.sprintf "lp.n%d.%s" n name) in
         [
@@ -889,22 +885,17 @@ let bench_exact () =
 
 (* Exact-rational certification of a float answer, warm-started from the
    float basis.  Returns (agreement at rel 1e-9, exact pivots, wall). *)
-let lp_certify_run std (d : Mf_lp.Simplex.Float_solver.detail) =
+let lp_certify_run (lp : Mf_lp.Splitting.lp) (d : Mf_lp.Simplex.Float_solver.detail) =
   let module FS = Mf_lp.Simplex.Float_solver in
   let module RS = Mf_lp.Simplex.Rat_solver in
-  let module Std = Mf_lp.Standardize in
-  let module R = Mf_numeric.Rat in
   match d.FS.outcome with
   | FS.Optimal (_, obj) -> (
-    let a = Mf_lp.Sparse.map_values R.of_float std.Std.a in
-    let b = Array.map R.of_float std.Std.b in
-    let c = Array.map R.of_float std.Std.c in
     let t0 = Unix.gettimeofday () in
-    let rd = RS.solve_sparse_from_basis ~a ~b ~c ~basis:d.FS.basis () in
+    let rd = Mf_lp.Mip.certify ~basis:d.FS.basis ~a:lp.a ~b:lp.b ~c:lp.c () in
     let wall = Unix.gettimeofday () -. t0 in
     match rd.RS.outcome with
     | RS.Optimal (_, robj) ->
-      let robj = R.to_float robj in
+      let robj = Mf_numeric.Rat.to_float robj in
       let agree = Float.abs (obj -. robj) <= 1e-9 *. Float.max 1.0 (Float.abs robj) in
       (agree, rd.RS.iterations, wall)
     | _ -> (false, rd.RS.iterations, wall))
@@ -938,28 +929,25 @@ let bench_lp () =
         List.iter
           (fun seed ->
             let inst = lp_chain ~n ~seed in
-            (match Mf_lp.Standardize.build (Splitting.model inst) with
-            | None -> ()
-            | Some std ->
-              let d, wall = lp_revised_run std in
-              let optimal, stalled =
-                match d.FS.outcome with
-                | FS.Optimal _ -> (1, 0)
-                | FS.Stalled -> (0, 1)
-                | FS.Infeasible | FS.Unbounded -> (0, 0)
-              in
-              opt := !opt + optimal;
-              stall := !stall + stalled;
-              piv := !piv + d.FS.iterations;
-              time := !time +. wall;
-              factz := !factz + d.FS.factorizations;
-              etaups := !etaups + d.FS.eta_updates;
-              refz := !refz + d.FS.refactorizations);
+            let d, wall = lp_revised_run (Splitting.build inst) in
+            let optimal, stalled =
+              match d.FS.outcome with
+              | FS.Optimal _ -> (1, 0)
+              | FS.Stalled -> (0, 1)
+              | FS.Infeasible | FS.Unbounded -> (0, 0)
+            in
+            opt := !opt + optimal;
+            stall := !stall + stalled;
+            piv := !piv + d.FS.iterations;
+            time := !time +. wall;
+            factz := !factz + d.FS.factorizations;
+            etaups := !etaups + d.FS.eta_updates;
+            refz := !refz + d.FS.refactorizations;
             let t0 = Unix.gettimeofday () in
             (match Splitting.solve inst with
             | Ok r ->
               let s = r.Splitting.stats in
-              (match r.Splitting.path with `Rational -> incr rational | `Float -> ());
+              (match s.Mf_lp.Mip.path with `Rational -> incr rational | `Float -> ());
               cert_factz := !cert_factz + s.Mf_lp.Mip.factorizations;
               cert_etaups := !cert_etaups + s.Mf_lp.Mip.eta_updates;
               cert_refz := !cert_refz + s.Mf_lp.Mip.refactorizations
@@ -975,9 +963,8 @@ let bench_lp () =
         let agreement =
           if n > lp_agree_cap then None
           else
-            Option.map
-              (fun std -> lp_certify_run std (fst (lp_revised_run std)))
-              (lp_instance ~n ~seed:1)
+            let lp = lp_instance ~n ~seed:1 in
+            Some (lp_certify_run lp (fst (lp_revised_run lp)))
         in
         let mean_piv = per_seed (float_of_int !piv) and mean_time = per_seed !time in
         Printf.printf "  %4d | %22s | %d/%d rational, %.3fs avg, %d factz / %d eta%s\n" n
@@ -1002,14 +989,11 @@ let bench_lp () =
   let scaling =
     List.map
       (fun n ->
-        match lp_instance ~n ~seed:1 with
-        | None -> failwith "scaling instance standardization failed"
-        | Some std ->
-          let d, wall = lp_revised_run std in
-          Printf.printf "  %4d | revised %s %5dpiv %7.3fs (%d factz, %d eta, %d refz)\n" n
-            (outcome_name d.FS.outcome) d.FS.iterations wall d.FS.factorizations
-            d.FS.eta_updates d.FS.refactorizations;
-          (n, d, wall))
+        let d, wall = lp_revised_run (lp_instance ~n ~seed:1) in
+        Printf.printf "  %4d | revised %s %5dpiv %7.3fs (%d factz, %d eta, %d refz)\n" n
+          (outcome_name d.FS.outcome) d.FS.iterations wall d.FS.factorizations
+          d.FS.eta_updates d.FS.refactorizations;
+        (n, d, wall))
       big_sizes
   in
   let json = "BENCH_lp.json" in
@@ -1152,121 +1136,6 @@ let bench_dynamic () =
     dynamic_min_recovery gate_ok replay_identical
     (String.concat ",\n" (List.map row_json rows))
     (regress_json "dynamic");
-  close_out oc;
-  Printf.printf "  (machine-readable copy written to %s)\n" json
-
-(* ------------------------------------------------------------------ *)
-(* Unified solver: portfolio throughput under a near-duplicate storm    *)
-(* ------------------------------------------------------------------ *)
-
-let bench_solve () =
-  section "Unified solver: portfolio + canonical answer cache";
-  let module Instance = Mf_core.Instance in
-  let module Workflow = Mf_core.Workflow in
-  let module Mapping = Mf_core.Mapping in
-  let module Solver = Mf_solve.Solver in
-  let module Portfolio = Mf_solve.Portfolio in
-  let module Cache = Mf_solve.Cache in
-  let bases = if !quick then 4 else 8 in
-  let variants = if !quick then 4 else 8 in
-  let passes = 2 in
-  (* Variant k of an instance: machines rotated by k, type labels rotated
-     by k — a near-duplicate that canonicalizes to the same key. *)
-  let variant k inst =
-    let n = Instance.task_count inst in
-    let m = Instance.machines inst in
-    let p = Instance.type_count inst in
-    let wf = Instance.workflow inst in
-    let perm u = (u + k) mod m in
-    let w = Array.init n (fun i -> Array.init m (fun u -> Instance.w inst i (perm u))) in
-    let f = Array.init n (fun i -> Array.init m (fun u -> Instance.f inst i (perm u))) in
-    let types = Array.init n (fun i -> (Workflow.ttype wf i + k) mod p) in
-    let successor = Array.init n (Workflow.successor wf) in
-    Instance.create ~workflow:(Workflow.in_forest ~types ~successor) ~machines:m ~w ~f
-  in
-  let base b = Gen.chain (Rng.create (1000 + b)) (Gen.default ~tasks:12 ~types:3 ~machines:6) in
-  let requests =
-    (* interleave: pass over all bases for each variant index, so hits do
-       not trivially follow their miss back-to-back *)
-    List.concat_map
-      (fun _pass ->
-        List.concat_map
-          (fun k -> List.init bases (fun b -> variant k (base b)))
-          (List.init variants Fun.id))
-      (List.init passes Fun.id)
-  in
-  let budget = Solver.Nodes 200_000 in
-  let cache = Cache.create () in
-  let latencies = ref [] in
-  let t_all0 = Unix.gettimeofday () in
-  let outcomes =
-    List.map
-      (fun inst ->
-        let t0 = Unix.gettimeofday () in
-        let out = Portfolio.solve ~cache (Solver.request_exn ~budget inst) in
-        latencies := (Unix.gettimeofday () -. t0) :: !latencies;
-        (inst, out))
-      requests
-  in
-  let wall = Unix.gettimeofday () -. t_all0 in
-  let total = List.length requests in
-  let stats = Cache.stats cache in
-  let solves_per_s = float_of_int total /. wall in
-  let lat = Array.of_list !latencies in
-  Array.sort compare lat;
-  let percentile q =
-    lat.(min (Array.length lat - 1) (int_of_float (ceil (q *. float_of_int (Array.length lat - 1)))))
-  in
-  let p50 = percentile 0.50 and p99 = percentile 0.99 in
-  let hit_rate = Cache.hit_rate cache in
-  (* Bit-identity: every cached answer must equal a fresh no-cache solve
-     of the same (near-duplicate) instance, bit for bit. *)
-  let identical = ref 0 in
-  let sampled =
-    List.filteri (fun i _ -> i mod 7 = 0) (List.filter (fun (_, o) -> o.Solver.stats.Solver.cache_hit) outcomes)
-  in
-  List.iter
-    (fun (inst, (cached : Solver.outcome)) ->
-      let fresh = Portfolio.solve (Solver.request_exn ~budget inst) in
-      let same_mapping =
-        match (cached.Solver.mapping, fresh.Solver.mapping) with
-        | Some a, Some b -> Mapping.to_array a = Mapping.to_array b
-        | None, None -> true
-        | _ -> false
-      in
-      if
-        same_mapping
-        && cached.Solver.status = fresh.Solver.status
-        && cached.Solver.period = fresh.Solver.period
-        && cached.Solver.lower_bound = fresh.Solver.lower_bound
-      then incr identical
-      else
-        Printf.printf "  BIT-IDENTITY VIOLATION: cached answer differs from fresh solve\n")
-    sampled;
-  Printf.printf
-    "  %d requests (%d bases x %d variants x %d passes): %.0f solves/s\n\
-    \  latency p50 %.3f ms, p99 %.3f ms\n\
-    \  cache: %d hits / %d lookups (%.1f%% hit rate), %d entries\n\
-    \  bit-identity vs fresh solve: %d/%d sampled cache hits identical\n"
-    total bases variants passes solves_per_s (1000.0 *. p50) (1000.0 *. p99) stats.Cache.hits
-    (stats.Cache.hits + stats.Cache.misses)
-    (100.0 *. hit_rate) stats.Cache.length !identical (List.length sampled);
-  let json = "BENCH_solve.json" in
-  let oc = open_out json in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": { \"bases\": %d, \"variants\": %d, \"passes\": %d,\n\
-    \                \"instance\": { \"tasks\": 12, \"types\": 3, \"machines\": 6, \
-     \"application\": \"chain\" },\n\
-    \                \"node_budget\": 200000 },\n\
-    \  \"requests\": %d,\n\
-    \  \"solves_per_s\": %.1f,\n\
-    \  \"latency_ms\": { \"p50\": %.4f, \"p99\": %.4f },\n\
-    \  \"cache\": { \"hits\": %d, \"misses\": %d, \"evictions\": %d, \"hit_rate\": %.4f },\n\
-    \  \"bit_identity\": { \"sampled\": %d, \"identical\": %d }\n\
-     }\n"
-    bases variants passes total solves_per_s (1000.0 *. p50) (1000.0 *. p99) stats.Cache.hits
-    stats.Cache.misses stats.Cache.evictions hit_rate (List.length sampled) !identical;
   close_out oc;
   Printf.printf "  (machine-readable copy written to %s)\n" json
 
@@ -1472,7 +1341,6 @@ let sections =
     ("parallel", "multicore runner (BENCH_parallel.json)", bench_parallel);
     ("exact", "exact branch-and-bound (BENCH_exact.json)", bench_exact);
     ("lp", "splitting-LP simplex (BENCH_lp.json)", bench_lp);
-    ("solve", "unified solver and answer cache (BENCH_solve.json)", bench_solve);
     ("daemon", "daemon client storm (BENCH_daemon.json)", bench_daemon);
     ("dynamic", "breakdowns and the online re-mapper (BENCH_dynamic.json)", bench_dynamic);
     ("micro", "bechamel micro-benchmarks", micro_benchmarks);

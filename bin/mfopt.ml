@@ -340,7 +340,9 @@ let exact_cmd =
           None
         | Ok r ->
           Printf.printf "       LP lower bound %.2f ms (%s path)\n" r.Mf_lp.Splitting.period
-            (match r.Mf_lp.Splitting.path with `Float -> "float" | `Rational -> "rational");
+            (match r.Mf_lp.Splitting.stats.Mf_lp.Mip.path with
+            | `Float -> "float"
+            | `Rational -> "rational");
           Some (Mf_solve.Engine.certified_lower_bound r)
     in
     let node_bound, nb_stats =
@@ -609,7 +611,7 @@ let lp_cmd =
       Printf.printf "divisible-workload LP bound: %.2f ms period (%.6f /ms)%s\n"
         r.Mf_lp.Splitting.period
         (1.0 /. r.Mf_lp.Splitting.period)
-        (match r.Mf_lp.Splitting.path with
+        (match r.Mf_lp.Splitting.stats.Mf_lp.Mip.path with
         | `Float -> ""
         | `Rational -> "  [rational-certified fallback]");
       (let s = r.Mf_lp.Splitting.stats in

@@ -41,7 +41,9 @@ let () =
     | Error e -> failwith (Mf_lp.Splitting.describe_error e)
   in
   Printf.printf "divisible-workload LP bound: %.2f ms (%s path)\n" lp.Mf_lp.Splitting.period
-    (match lp.Mf_lp.Splitting.path with `Float -> "float" | `Rational -> "rational-certified");
+    (match lp.Mf_lp.Splitting.stats.Mf_lp.Mip.path with
+    | `Float -> "float"
+    | `Rational -> "rational-certified");
   Printf.printf "throughput headroom vs exact: %.1f%%\n"
     (100.0 *. (dfs.Mf_exact.Dfs.period -. lp.Mf_lp.Splitting.period) /. dfs.Mf_exact.Dfs.period);
   Printf.printf "\nshares of each task per machine (rows: tasks, columns: machines):\n";

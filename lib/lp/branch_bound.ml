@@ -33,15 +33,15 @@ let solve ?(node_budget = 200_000) ?(int_tol = 1e-6) model =
       | FS.Unbounded -> `Unbounded
       | FS.Optimal (x, obj) ->
         `Optimal (std.Standardize.recover x, obj +. std.Standardize.obj_offset)
-      | FS.Stalled ->
+      | FS.Stalled -> (
         (* An exhausted pivot budget must neither loop nor prune unsoundly:
            certify the node exactly, warm-started from the float basis. *)
         let module R = Mf_numeric.Rat in
-        let a = Sparse.map_values R.of_float std.Standardize.a in
-        let b = Array.map R.of_float std.Standardize.b in
-        let c = Array.map R.of_float std.Standardize.c in
-        let rd = RS.solve_sparse_from_basis ~a ~b ~c ~basis:d.FS.basis () in
-        (match rd.RS.outcome with
+        let rd =
+          Mip.certify ~basis:d.FS.basis ~a:std.Standardize.a ~b:std.Standardize.b
+            ~c:std.Standardize.c ()
+        in
+        match rd.RS.outcome with
         | RS.Infeasible -> `Infeasible
         | RS.Unbounded -> `Unbounded
         | RS.Optimal (x, obj) ->

@@ -1,12 +1,16 @@
-(** LP-relaxation entry points: the continuous relaxation of a {!Model}
-    solved by the float simplex, by the exact-rational one, or by the
-    float one with exact-rational certification of its failures.
-    Integer models are solved by {!Branch_bound}. *)
+(** LP-relaxation entry points and exact-rational certification.
+
+    {!solve_relaxation} and {!solve_relaxation_exact} solve the
+    continuous relaxation of a {!Model}, the path of the paper's MIP (9)
+    ({!Micro_mip}, {!Branch_bound}).  {!certify} re-solves any float
+    standard-form LP in exact rationals; {!Splitting}, {!Branch_bound}
+    and the LP bench call it, each with its own rule for when. *)
 
 (** Which solver produced a certified answer: the float simplex alone,
     or the exact-rational fallback it warm-started. *)
 type path = [ `Float | `Rational ]
 
+(** Work of a certified solve (see {!Splitting.solve}). *)
 type certified_stats = {
   float_iterations : int;  (** pivots of the float attempt *)
   exact_iterations : int;  (** pivots of the rational fallback (0 on the float path) *)
@@ -25,11 +29,27 @@ type certified_stats = {
 (** All-zero stats record, the identity for aggregation. *)
 val zero_stats : certified_stats
 
+(** [certify ?basis ~a ~b ~c ()] solves the float standard-form LP
+    [min c'x, a x = b, x >= 0] in exact rationals: every coefficient is
+    converted exactly, the matrix keeps its index arrays.  With [basis]
+    (typically a float solve's final [detail.basis]) the rational solver
+    starts from it ({!Simplex.S.solve_sparse_from_basis}: repaired where
+    singular, phase 2 straight away when feasible, phase 1 from it
+    otherwise — never a cold restart); without, it solves cold.  The
+    exact instance has no pivot budget, so the outcome is never
+    [Stalled]. *)
+val certify :
+  ?basis:int array ->
+  a:float Sparse.repr ->
+  b:float array ->
+  c:float array ->
+  unit ->
+  Simplex.Rat_solver.detail
+
 (** [solve_relaxation model] solves the continuous relaxation with the
     float simplex only.  Returns the model-space solution and objective.
     [`Stalled] reports an exhausted pivot budget (see
-    {!Simplex.S.outcome}); callers that must not fail should use
-    {!solve_relaxation_certified} instead. *)
+    {!Simplex.S.outcome}). *)
 val solve_relaxation :
   Model.t -> [ `Optimal of float array * float | `Infeasible | `Unbounded | `Stalled ]
 
@@ -38,13 +58,3 @@ val solve_relaxation :
     validate the float path. *)
 val solve_relaxation_exact :
   Model.t -> [ `Optimal of float array * float | `Infeasible | `Unbounded ]
-
-(** [solve_relaxation_certified model] is {!solve_relaxation} with the
-    failure modes removed: when the float path reports [`Infeasible],
-    [`Unbounded] or [`Stalled], the relaxation is re-solved by the
-    exact-rational simplex warm-started from the float solver's final
-    basis, and that verdict is final.  The stats record which path
-    produced the answer and how many pivots each solver spent. *)
-val solve_relaxation_certified :
-  Model.t ->
-  [ `Optimal of float array * float | `Infeasible | `Unbounded ] * certified_stats

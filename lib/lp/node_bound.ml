@@ -2,7 +2,6 @@ module Instance = Mf_core.Instance
 module Workflow = Mf_core.Workflow
 module Mapping = Mf_core.Mapping
 module FS = Simplex.Float_solver
-module Sp = Sparse.Float_csc
 
 type t = {
   inst : Instance.t;
@@ -249,21 +248,6 @@ let locked_bound t =
    with Exit -> best := infinity);
   !best
 
-(* The reduced LP of the current prefix.  Variables: y(i,u) for the
-   [nu] uncommitted tasks (all m columns per task; rule-incompatible
-   ones left empty with zero cost, hence inert), the throughput rho,
-   and one capacity slack per machine.  Rows: one flow row per
-   uncommitted task, one capacity row per machine.
-
-   Flow row of uncommitted [i]: successes minus downstream demand = 0.
-   When succ(i) is also uncommitted the demand is its execution rate
-   (entries -1 in succ's columns); when succ(i) is committed (or [i] is
-   a sink) the committed chain below pins the demand to x * rho, so the
-   demand moves into the rho column with coefficient -x (x = 1 for a
-   sink's output).
-
-   Capacity row of machine [u]: uncommitted work w(i,u) y(i,u) plus the
-   committed load load(u) * rho plus slack = 1.  Objective: max rho. *)
 (* Does the parent's stored optimum assign (essentially) zero rate to
    every machine column the latest push killed for its task?  If so the
    parent optimum is feasible for this node's LP, so the bound carries
@@ -323,59 +307,14 @@ let start_basis t ~nu =
       Some (Array.of_list (List.filter (fun j -> j >= 0) (List.map map (Array.to_list pbasis)))))
 
 let bound t ~cutoff =
-  let n = t.n and m = t.m in
-
-  let nu = n - t.depth in
-  (* slot.(i): row (and column-block) index of uncommitted task i *)
-  let slot = Array.make n (-1) in
-  let uncommitted = Array.make nu (-1) in
-  let next = ref 0 in
-  for i = 0 to n - 1 do
-    if not t.committed.(i) then begin
-      slot.(i) <- !next;
-      uncommitted.(!next) <- i;
-      incr next
-    end
-  done;
+  let m = t.m and nu = t.n - t.depth in
+  let prefix =
+    { Splitting.committed = t.committed; x = t.x; load = t.load; allowed = compatible t }
+  in
   let solve_current () =
     t.solves <- t.solves + 1;
-    let rows = nu + m in
-    let cols = (nu * m) + 1 + m in
-    let columns = Array.make cols [] in
-    for s = 0 to nu - 1 do
-      let i = uncommitted.(s) in
-      let pred_entries =
-        List.filter_map
-          (fun p -> if t.committed.(p) then None else Some (slot.(p), -1.0))
-          (Workflow.predecessors (Instance.workflow t.inst) i)
-      in
-      for u = 0 to m - 1 do
-        if compatible t i u then
-          columns.((s * m) + u) <-
-            (s, 1.0 -. Instance.f t.inst i u)
-            :: (nu + u, Instance.w t.inst i u)
-            :: pred_entries
-      done
-    done;
-    let rho_col = ref [] in
-    for u = m - 1 downto 0 do
-      if t.load.(u) > 0.0 then rho_col := (nu + u, t.load.(u)) :: !rho_col
-    done;
-    for s = nu - 1 downto 0 do
-      let i = uncommitted.(s) in
-      let sc = t.succ.(i) in
-      if sc < 0 then rho_col := (s, -1.0) :: !rho_col
-      else if t.committed.(sc) then rho_col := (s, -.t.x.(sc)) :: !rho_col
-    done;
-    columns.(nu * m) <- !rho_col;
-    for u = 0 to m - 1 do
-      columns.((nu * m) + 1 + u) <- [ (nu + u, 1.0) ]
-    done;
-    let a = Sp.of_columns ~rows ~cols columns in
-    let b = Array.init rows (fun r -> if r < nu then 0.0 else 1.0) in
-    let c = Array.make cols 0.0 in
-    c.(nu * m) <- -1.0;
-    let iter_budget = 200 + (20 * rows) in
+    let { Splitting.a; b; c } = Splitting.build ~prefix t.inst in
+    let iter_budget = 200 + (20 * (nu + m)) in
     let detail =
       match start_basis t ~nu with
       | Some basis ->

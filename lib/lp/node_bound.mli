@@ -2,14 +2,15 @@
 
     One [t] tracks a branch-and-bound assignment prefix through
     {!push}/{!pop} calls mirroring the search's assign/undo journal, and
-    {!bound} solves the {e reduced} splitting LP of the remaining
-    subproblem: because the search assigns tasks in backward order
-    (successors first), every committed task's product count [x] is
-    exact at push time, so the committed region collapses into
-    per-machine load coefficients on the throughput column and the LP
-    keeps one flow row and [m] rate columns {e per uncommitted task
-    only}.  The LP shrinks as the search descends — smallest exactly
-    where node counts explode.
+    {!bound} solves the splitting LP of the tasks the prefix leaves
+    uncommitted, written by {!Splitting.build} (the builder of the root
+    LP, so with nothing pushed the two LPs are one): because the search
+    assigns tasks in backward order (successors first), every committed
+    task's product count [x] is exact at push time, so the committed
+    region collapses into per-machine load coefficients on the
+    throughput column and the LP keeps one flow row and [m] rate
+    columns {e per uncommitted task only}.  The LP shrinks as the search
+    descends — smallest exactly where node counts explode.
 
     The relaxation is rule-aware.  Committing a task to a machine locks
     that machine under the search's mapping rule — to the task's type

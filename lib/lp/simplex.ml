@@ -64,22 +64,6 @@ module type S = sig
     repairs : int;
   }
 
-  val solve : a:elt array array -> b:elt array -> c:elt array -> outcome
-
-  val solve_detailed :
-    ?iter_budget:int -> a:elt array array -> b:elt array -> c:elt array -> unit -> detail
-
-  val solve_from_basis :
-    ?iter_budget:int ->
-    a:elt array array ->
-    b:elt array ->
-    c:elt array ->
-    basis:int array ->
-    unit ->
-    detail
-
-  val solve_sparse : a:elt Sparse.repr -> b:elt array -> c:elt array -> outcome
-
   val solve_sparse_detailed :
     ?iter_budget:int -> a:elt Sparse.repr -> b:elt array -> c:elt array -> unit -> detail
 

@@ -9,16 +9,15 @@
     Devex pricing one more BTRAN (the pivot row of the old basis, which
     the next pricing pass sweeps), and a product-form eta update, with
     periodic refactorisation.
-    {!S.solve_sparse_detailed} and {!S.solve_sparse_from_basis} take the
-    constraint matrix in CSC form, the path the large throughput-form
-    LPs take; {!S.solve}, {!S.solve_detailed} and {!S.solve_from_basis}
-    take a dense matrix and convert it.
+    Two entry points, {!S.solve_sparse_detailed} (cold) and
+    {!S.solve_sparse_from_basis} (warm), both take the constraint matrix
+    in CSC form ({!Sparse}).
 
-    The float instance solves the LP relaxations inside branch-and-bound
-    and {!Splitting}; the exact-rational instance certifies it — both in
-    the test-suite and at runtime, through the warm-started
-    {!S.solve_sparse_from_basis} fallback taken when the float path
-    reports [Infeasible] or [Stalled] on a system known to be feasible.
+    The float instance solves the LP relaxations inside branch-and-bound,
+    {!Splitting} and {!Node_bound}; the exact-rational instance certifies
+    it — both in the test-suite and at runtime, through {!Mip.certify},
+    warm-started from the float basis when the float path reports
+    [Infeasible] or [Stalled] on a system known to be feasible.
 
     Both instances are compiled from one source, the template
     [simplex_body.mlh] (likewise [sparse_body.mlh] and [lu_body.mlh]),
@@ -39,8 +38,9 @@
     strict objective improvement can never revisit a basis.
 
     Problems must be given in standard form
-    [min c'x  s.t.  Ax = b, x >= 0]; {!Standardize} converts general
-    models. *)
+    [min c'x  s.t.  Ax = b, x >= 0]: {!Splitting.build} writes the
+    throughput LP in it, and {!Standardize} converts the general models
+    of the MIP path. *)
 
 (** Raised when an input coefficient is NaN or infinite (inexact fields
     only): such values would corrupt the row equilibration silently.
@@ -69,10 +69,11 @@ module type S = sig
     basis : int array;
         (** final basis, [basis.(i)] = column basic in row [i]; columns
             [>= n] are phase-1 artificials (redundant rows).  Feed it to
-            {!solve_from_basis} of the exact instance to certify a float
-            result from it: the basis is repaired, phase 2 runs when the
-            repaired basis is feasible and phase 1 runs from it
-            otherwise — never a cold restart. *)
+            {!solve_sparse_from_basis} of the exact instance (through
+            {!Mip.certify}) to certify a float result from it: the
+            basis is repaired, phase 2 runs when the repaired basis is
+            feasible and phase 1 runs from it otherwise — never a cold
+            restart. *)
     iterations : int;  (** pivots performed, both phases *)
     degenerate : int;  (** pivots with no objective progress *)
     bland_pivots : int;  (** pivots taken under the Bland fallback *)
@@ -92,51 +93,22 @@ module type S = sig
             or out-of-range entries of a warm-start basis *)
   }
 
-  (** [solve ~a ~b ~c] minimizes [c'x] subject to [a x = b], [x >= 0].
-      Rows with negative [b] are negated internally.
+  (** [solve_sparse_detailed ?iter_budget ~a ~b ~c ()] minimizes [c'x]
+      subject to [a x = b], [x >= 0], cold, pricing Devex in both
+      phases.  [a] is in compressed-sparse-column form
+      ({!Sparse.S.of_columns}): the throughput-form LPs are ~99% zeros.
+      Rows with negative [b] are negated internally.  [iter_budget]
+      bounds the pivots of both phases.  For inexact fields it defaults
+      to [max 4000 (100 rows + 10 cols)], where [cols] counts the
+      structural columns plus one artificial per row; for exact fields
+      it is unlimited.
       @raise Invalid_argument on dimension mismatches.
       @raise Non_finite on NaN/infinite coefficients (inexact fields). *)
-  val solve : a:elt array array -> b:elt array -> c:elt array -> outcome
-
-  (** [solve_detailed ?iter_budget ~a ~b ~c ()] is {!solve} with the
-      full report.  [iter_budget] bounds the pivots of both phases.  For
-      inexact fields it defaults to [max 4000 (100 rows + 10 cols)],
-      where [cols] counts the structural columns plus one artificial per
-      row; for exact fields it is unlimited. *)
-  val solve_detailed :
-    ?iter_budget:int -> a:elt array array -> b:elt array -> c:elt array -> unit -> detail
-
-  (** [solve_from_basis ~a ~b ~c ~basis ()] warm-starts from a proposed
-      basis — typically the float solver's final [detail.basis] — and
-      re-optimizes from it whatever it is: {!solve_sparse_from_basis}
-      on the sparse copy of [a].  Intended for the exact instance,
-      where a cold phase 1 is the dominant cost of certifying a float
-      answer. *)
-  val solve_from_basis :
-    ?iter_budget:int ->
-    a:elt array array ->
-    b:elt array ->
-    c:elt array ->
-    basis:int array ->
-    unit ->
-    detail
-
-  (** {2 Sparse-input entry points}
-
-      The same solver without the dense detour: [a] is given in
-      compressed-sparse-column form ({!Sparse.S.of_columns}).  The
-      large throughput-form LPs are ~99% zeros, so this is the only
-      representation that scales past a few hundred tasks.  Cold solves
-      price Devex in both phases. *)
-
-  val solve_sparse :
-    a:elt Sparse.repr -> b:elt array -> c:elt array -> outcome
-
   val solve_sparse_detailed :
     ?iter_budget:int -> a:elt Sparse.repr -> b:elt array -> c:elt array -> unit -> detail
 
-  (** Warm start on the sparse path, re-optimizing from the proposed
-      basis whatever it is.  Entries that are out of range or repeated,
+  (** Warm start, re-optimizing from the proposed basis whatever it
+      is.  Entries that are out of range or repeated,
       and positions past the array's end, start empty; surplus entries
       are dropped.  The basis is factorised in repair mode
       ({!Lu.S.factorize_repair}): every position without an

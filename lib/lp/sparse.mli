@@ -34,8 +34,9 @@ module type S = sig
   val of_columns : rows:int -> cols:int -> (int * elt) list array -> t
 
   (** [of_dense a ~cols] drops exact zeros of a dense row-major matrix
-      (NaN and infinities are kept).  Rows may be longer than [cols];
-      the excess is ignored. *)
+      (NaN and infinities are kept), the way tests write small LPs.
+      Rows may be longer than [cols]; the excess is ignored.
+      @raise Invalid_argument on a row shorter than [cols]. *)
   val of_dense : elt array array -> cols:int -> t
 end
 

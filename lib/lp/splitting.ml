@@ -2,14 +2,87 @@ module Instance = Mf_core.Instance
 module Workflow = Mf_core.Workflow
 module Mapping = Mf_core.Mapping
 module Period = Mf_core.Period
+module FS = Simplex.Float_solver
+module RS = Simplex.Rat_solver
 
-type path = [ `Float | `Rational ]
+type prefix = {
+  committed : bool array;
+  x : float array;
+  load : float array;
+  allowed : int -> int -> bool;
+}
+
+type lp = { a : float Sparse.repr; b : float array; c : float array }
+
+(* The layout and the entry order are stated in splitting.mli.  The
+   order is part of the contract: the solver's dot products follow it,
+   so it fixes every float the LP computes, at the root and at every
+   search node alike. *)
+let build ?prefix inst =
+  let n = Instance.task_count inst and m = Instance.machines inst in
+  let wf = Instance.workflow inst in
+  let p =
+    match prefix with
+    | Some p -> p
+    | None ->
+      {
+        committed = Array.make n false;
+        x = [||];
+        load = Array.make m 0.0;
+        allowed = (fun _ _ -> true);
+      }
+  in
+  (* slot.(i): flow row and column block of uncommitted task [i] *)
+  let slot = Array.make n (-1) in
+  let nu = ref 0 in
+  for i = 0 to n - 1 do
+    if not p.committed.(i) then begin
+      slot.(i) <- !nu;
+      incr nu
+    end
+  done;
+  let nu = !nu in
+  let rows = nu + m and cols = (nu * m) + 1 + m in
+  let columns = Array.make cols [] in
+  let rho = ref [] in
+  for u = m - 1 downto 0 do
+    if p.load.(u) > 0.0 then rho := (nu + u, p.load.(u)) :: !rho
+  done;
+  for i = n - 1 downto 0 do
+    let s = slot.(i) in
+    if s >= 0 then begin
+      let preds =
+        List.filter_map
+          (fun q -> if p.committed.(q) then None else Some (slot.(q), -1.0))
+          (Workflow.predecessors wf i)
+      in
+      for u = 0 to m - 1 do
+        if p.allowed i u then
+          columns.((s * m) + u) <-
+            (s, 1.0 -. Instance.f inst i u) :: (nu + u, Instance.w inst i u) :: preds
+      done;
+      match Workflow.successor wf i with
+      | None -> rho := (s, -1.0) :: !rho
+      | Some j when p.committed.(j) -> rho := (s, -.p.x.(j)) :: !rho
+      | Some _ -> ()
+    end
+  done;
+  columns.(nu * m) <- !rho;
+  for u = 0 to m - 1 do
+    columns.((nu * m) + 1 + u) <- [ (nu + u, 1.0) ]
+  done;
+  let c = Array.make cols 0.0 in
+  c.(nu * m) <- -1.0;
+  {
+    a = Sparse.Float_csc.of_columns ~rows ~cols columns;
+    b = Array.init rows (fun r -> if r < nu then 0.0 else 1.0);
+    c;
+  }
 
 type result = {
   period : float;
   shares : float array array;
   loads : float array;
-  path : path;
   stats : Mip.certified_stats;
 }
 
@@ -19,71 +92,59 @@ let describe_error = function
   | `Infeasible -> "LP reported infeasible"
   | `Unbounded -> "LP reported unbounded"
 
-(* The LP is posed in *throughput* form: with [y(i,u)] the per-time-unit
-   processing rates and [rho] the system throughput (finished products per
-   time unit), maximize [rho] subject to flow conservation and unit
-   machine capacity.  This is the period form under the substitution
-   [y = x / K], [rho = 1 / K] — same optimum, same shares — but the
-   period form starts phase 1 at a massively degenerate vertex (every
-   non-sink flow row and every load row has rhs 0, and the period
-   variable starts at 0), which sent the simplex onto plateaus of tens
-   of thousands of zero-step pivots at n >= 40.  In throughput form the
-   load rows have rhs 1, so the initial vertex is non-degenerate on the
-   capacity side and the objective moves from the first pivots. *)
-let build_model inst =
-  let n = Instance.task_count inst in
-  let m = Instance.machines inst in
-  let wf = Instance.workflow inst in
-  let model = Model.create () in
-  let nv =
-    Array.init n (fun i ->
-        Array.init m (fun u ->
-            Model.add_var model ~name:(Printf.sprintf "y_%d_%d" i u) Model.Continuous))
-  in
-  let rho = Model.add_var model ~name:"rho" Model.Continuous in
-  (* Flow conservation: successes of task i equal downstream demand —
-     the successor's total intake, or the output rate [rho] at a sink. *)
-  for i = 0 to n - 1 do
-    let successes =
-      Linexpr.of_terms
-        (List.init m (fun u -> (1.0 -. Instance.f inst i u, nv.(i).(u))))
-        0.0
-    in
-    let demand =
-      match Workflow.successor wf i with
-      | None -> Linexpr.var rho
-      | Some j -> Linexpr.of_terms (List.init m (fun u -> (1.0, nv.(j).(u)))) 0.0
-    in
-    Model.add_constraint model
-      ~name:(Printf.sprintf "flow_%d" i)
-      (Linexpr.sub successes demand) Model.Eq 0.0
-  done;
-  (* Unit machine capacity. *)
-  for u = 0 to m - 1 do
-    let load = Linexpr.of_terms (List.init n (fun i -> (Instance.w inst i u, nv.(i).(u)))) 0.0 in
-    Model.add_constraint model ~name:(Printf.sprintf "load_%d" u) load Model.Le 1.0
-  done;
-  Model.set_objective model ~minimize:false (Linexpr.var rho);
-  (model, nv)
-
-let model inst = fst (build_model inst)
-
 let solve inst =
   let n = Instance.task_count inst in
   let m = Instance.machines inst in
-  let model, nv = build_model inst in
-  match Mip.solve_relaxation_certified model with
-  | `Infeasible, _ -> Error `Infeasible
-  | `Unbounded, _ -> Error `Unbounded
-  | `Optimal (_, rho), _ when rho <= 0.0 ->
+  let { a; b; c } = build inst in
+  let d = FS.solve_sparse_detailed ~a ~b ~c () in
+  let stats =
+    {
+      Mip.float_iterations = d.FS.iterations;
+      exact_iterations = 0;
+      factorizations = d.FS.factorizations;
+      eta_updates = d.FS.eta_updates;
+      refactorizations = d.FS.refactorizations;
+      path = `Float;
+    }
+  in
+  let verdict, stats =
+    match d.FS.outcome with
+    | FS.Optimal (y, obj) -> (`Optimal (y, -.obj), stats)
+    | FS.Infeasible | FS.Unbounded | FS.Stalled ->
+      (* The LP is feasible and bounded, so a float failure is numerical:
+         certify it, warm-started from the float basis.  That verdict is
+         final. *)
+      let rd = Mip.certify ~basis:d.FS.basis ~a ~b ~c () in
+      let stats =
+        {
+          stats with
+          exact_iterations = rd.RS.iterations;
+          factorizations = stats.factorizations + rd.RS.factorizations;
+          eta_updates = stats.eta_updates + rd.RS.eta_updates;
+          refactorizations = stats.refactorizations + rd.RS.refactorizations;
+          path = `Rational;
+        }
+      in
+      let module R = Mf_numeric.Rat in
+      ( (match rd.RS.outcome with
+        | RS.Optimal (y, obj) -> `Optimal (Array.map R.to_float y, -.R.to_float obj)
+        | RS.Infeasible -> `Infeasible
+        | RS.Unbounded -> `Unbounded
+        | RS.Stalled -> assert false),
+        stats )
+  in
+  match verdict with
+  | `Infeasible -> Error `Infeasible
+  | `Unbounded -> Error `Unbounded
+  | `Optimal (_, rho) when rho <= 0.0 ->
     (* Zero throughput cannot happen for a well-formed instance (w > 0,
        f < 1 guarantee a positive-rate schedule); keep the function
        total anyway. *)
     Error `Infeasible
-  | `Optimal (sol, rho), stats ->
+  | `Optimal (y, rho) ->
     let period = 1.0 /. rho in
     (* Back to period-form product counts: x = y / rho. *)
-    let counts = Array.init n (fun i -> Array.init m (fun u -> sol.(nv.(i).(u)) /. rho)) in
+    let counts = Array.init n (fun i -> Array.init m (fun u -> y.((i * m) + u) /. rho)) in
     let shares =
       Array.map
         (fun row ->
@@ -100,13 +161,16 @@ let solve inst =
           done;
           !acc)
     in
-    Ok { period; shares; loads; path = stats.Mip.path; stats }
+    Ok { period; shares; loads; stats }
 
 let solve_exact inst =
-  match Mip.solve_relaxation_exact (model inst) with
-  | `Optimal (_, rho) when rho > 0.0 -> Ok (1.0 /. rho)
-  | `Optimal _ | `Infeasible -> Error `Infeasible
-  | `Unbounded -> Error `Unbounded
+  let { a; b; c } = build inst in
+  match (Mip.certify ~a ~b ~c ()).RS.outcome with
+  | RS.Optimal (_, obj) when Mf_numeric.Rat.to_float obj < 0.0 ->
+    Ok (1.0 /. -.Mf_numeric.Rat.to_float obj)
+  | RS.Optimal _ | RS.Infeasible -> Error `Infeasible
+  | RS.Unbounded -> Error `Unbounded
+  | RS.Stalled -> assert false
 
 type round_error =
   | No_specialized_mapping

@@ -30,23 +30,59 @@
     uses a single machine), and [round] turns the shares into a feasible
     specialized mapping, giving an LP-guided heuristic.
 
-    Solving goes through {!Mip.solve_relaxation_certified}: the float
-    simplex answers almost always, and any float-path failure is
-    re-solved by the exact-rational simplex warm-started from the float
-    basis.  [solve] therefore returns a typed result instead of raising,
-    and the result records which path produced it — sweeps over large
-    grids never abort on a numerically hard seed. *)
+    One builder ({!build}) writes this LP in standard form, at the root
+    and at every exact-search node ({!Node_bound}), and {!solve} solves
+    it with the float simplex, certifying any float failure in exact
+    rationals ({!Mip.certify}) — sweeps over large grids never abort on
+    a numerically hard seed. *)
 
-(** Which solver produced the answer (see {!Mip.path}). *)
-type path = [ `Float | `Rational ]
+(** What a search prefix has fixed, as the LP sees it.  Tasks are
+    committed successors first, so a committed task's product count is
+    exact and the committed region enters the LP as numbers. *)
+type prefix = {
+  committed : bool array;  (** [committed.(i)]: task [i] is placed *)
+  x : float array;
+      (** products of committed task [i] per finished product; read
+          only where [committed] *)
+  load : float array;
+      (** [load.(u)]: busy time per finished product committed to
+          machine [u] *)
+  allowed : int -> int -> bool;
+      (** [allowed i u]: may uncommitted task [i] use machine [u]?  A
+          disallowed rate column is left empty. *)
+}
+
+(** A throughput LP in standard form [min c'y, a y = b, y >= 0]. *)
+type lp = { a : float Sparse.repr; b : float array; c : float array }
+
+(** [build ?prefix inst] is the throughput LP over the [nu] tasks
+    [prefix] leaves uncommitted (all [n] without [prefix]: the root LP).
+    Slot [s] is the [s]-th uncommitted task in increasing id.
+
+    Columns: the rate y(slot, u) at [slot * m + u], rho at [nu * m], and
+    the slack of machine [u]'s capacity row at [nu * m + 1 + u].  Rows:
+    the flow rows by slot ([b = 0]), then the [m] capacity rows
+    ([b = 1]).  [c] is [-1] on rho and [0] elsewhere, so the optimum is
+    [-rho*].
+
+    Flow row of slot [s] (task [i]): [sum_u (1 - f(i,u)) y(s,u)] minus
+    the demand: [sum_u y(s',u)] for an uncommitted successor in slot
+    [s'], [x j * rho] for a committed successor [j], [rho] for a sink.
+    Capacity row of machine [u]: [sum_s w(i,u) y(s,u) + load u * rho +
+    slack u = 1].
+
+    Each rate column lists its own flow row, its capacity row, then the
+    flow rows of its uncommitted predecessors; the rho column lists its
+    flow entries by slot, then its load entries by machine. *)
+val build : ?prefix:prefix -> Mf_core.Instance.t -> lp
 
 type result = {
   period : float;  (** the LP optimum — a bound no integral mapping beats *)
   shares : float array array;
       (** [shares.(i).(u)]: fraction of task [i]'s workload on machine [u] *)
   loads : float array;  (** per-machine time per finished product *)
-  path : path;  (** [`Rational] when the float simplex needed certification *)
-  stats : Mip.certified_stats;  (** pivot counts of both attempts *)
+  stats : Mip.certified_stats;
+      (** pivot counts of both attempts, and which one answered *)
 }
 
 (** Why an LP solve failed.  Unreachable for well-formed instances — the
@@ -56,21 +92,17 @@ type error = [ `Infeasible | `Unbounded ]
 
 val describe_error : error -> string
 
-(** [solve inst] solves the divisible-workload LP.  Never raises on
-    well-formed instances; a numerically hard tableau takes the
-    rational-certified path instead of failing.  This is the only entry
-    point — the untyped [solve_exn] escape hatch is gone, so every
-    caller handles (or consciously converts) the typed failure. *)
+(** [solve inst] solves the root LP with the float simplex.  When the
+    float path reports [Infeasible], [Unbounded] or [Stalled], the LP is
+    re-solved by {!Mip.certify} from the float solver's final basis,
+    and that verdict is final ([stats.path = `Rational]).  Never raises
+    on well-formed instances. *)
 val solve : Mf_core.Instance.t -> (result, error) Stdlib.result
 
 (** [solve_exact inst] solves the same LP entirely in exact rational
     arithmetic (no float attempt, no warm start) and returns the optimum
     period.  Ground truth for the [lp-differential] suite. *)
 val solve_exact : Mf_core.Instance.t -> (float, error) Stdlib.result
-
-(** [model inst] is the LP as a {!Model.t}, exposed so the bench can
-    drive the simplex backends directly on the standardized tableau. *)
-val model : Mf_core.Instance.t -> Model.t
 
 (** Why rounding failed: the instance admits no specialized mapping at
     all ([m < p]), or some task has an empty eligible-machine list. *)

@@ -250,7 +250,9 @@ let lp_prop inst =
     | Error e -> failf "LP failed: %s" (Splitting.describe_error e)
   in
   check (lp.Splitting.period > 0.0) "LP period %.17g not positive" lp.Splitting.period;
-  check (lp.Splitting.path = `Float) "float simplex did not close the splitting LP";
+  check
+    (lp.Splitting.stats.Mf_lp.Mip.path = `Float)
+    "float simplex did not close the splitting LP";
   check
     (lp.Splitting.period <= optimum *. (1.0 +. 1e-9))
     "LP bound %.17g exceeds exact optimum %.17g" lp.Splitting.period optimum;
@@ -280,7 +282,7 @@ let lp_oracle =
 (* warm-start: re-optimizing from any basis agrees with the cold solve  *)
 (* ------------------------------------------------------------------ *)
 
-(* The standardized splitting LP of an lp-differential instance, solved
+(* The splitting LP of an lp-differential instance, solved
    cold and then warm from a starting basis of one of three kinds:
    (0) distinct column ids drawn at random, artificials included;
    (1) the all-artificial basis; (2) the float optimal basis of a
@@ -296,68 +298,61 @@ let warm_start_kinds = [| "random"; "all-artificial"; "perturbed optimum" |]
 let warm_start_case ~instance ~start ~seed =
   let module FS = Mf_lp.Simplex.Float_solver in
   let module RS = Mf_lp.Simplex.Rat_solver in
-  let module Std = Mf_lp.Standardize in
   let module Sp = Mf_lp.Sparse in
   let body () =
-    let inst = Instances.lp_differential_instance instance in
-    match Std.build (Splitting.model inst) with
-    | None -> failf "standardization failed"
-    | Some std ->
-      let a = std.Std.a and b = std.Std.b and c = std.Std.c in
-      let rows = Array.length b and n = Array.length c in
-      let rng = Mf_prng.Rng.create seed in
-      let basis =
-        match start with
-        | 0 ->
-          let ids = Array.init (n + rows) Fun.id in
-          Mf_prng.Rng.shuffle rng ids;
-          Array.sub ids 0 rows
-        | 1 -> Array.init rows (fun i -> n + i)
-        | _ ->
-          let jiggle v = v *. (1.0 +. (float_of_int (Mf_prng.Rng.int rng 9 - 4) /. 64.0)) in
-          let pa = Sp.map_values jiggle a in
-          let pb = Array.map jiggle b and pc = Array.map jiggle c in
-          (FS.solve_sparse_detailed ~a:pa ~b:pb ~c:pc ()).FS.basis
-      in
-      let kind = warm_start_kinds.(start) in
-      let check_basis solver (got : int array) =
-        let seen = Array.make (n + rows) false in
-        Array.iter
-          (fun j ->
-            check (j >= 0 && j < n + rows) "%s warm basis (%s) names column %d, outside [0, %d)"
-              solver kind j (n + rows);
-            check (not seen.(j)) "%s warm basis (%s) repeats column %d" solver kind j;
-            seen.(j) <- true)
-          got
-      in
-      let fname = function
-        | FS.Optimal _ -> "optimal"
-        | FS.Infeasible -> "infeasible"
-        | FS.Unbounded -> "unbounded"
-        | FS.Stalled -> "stalled"
-      in
-      let cold = FS.solve_sparse_detailed ~a ~b ~c () in
-      let warm = FS.solve_sparse_from_basis ~a ~b ~c ~basis () in
-      check_basis "float" warm.FS.basis;
-      (match (cold.FS.outcome, warm.FS.outcome) with
-      | FS.Optimal (_, co), FS.Optimal (_, wo) ->
-        check (rel_close co wo) "float warm objective (%s) %.17g vs cold %.17g" kind wo co
-      | co, wo ->
-        check (fname co = fname wo) "float warm verdict (%s) %s vs cold %s" kind (fname wo)
-          (fname co));
-      let ra = Sp.map_values Rat.of_float a in
-      let rb = Array.map Rat.of_float b and rc = Array.map Rat.of_float c in
-      let rcold = RS.solve_sparse_detailed ~a:ra ~b:rb ~c:rc () in
-      let rwarm = RS.solve_sparse_from_basis ~a:ra ~b:rb ~c:rc ~basis () in
-      check_basis "rational" rwarm.RS.basis;
-      check (rwarm.RS.fallbacks = 0) "rational warm start (%s) restarted %d times" kind
-        rwarm.RS.fallbacks;
-      match (rcold.RS.outcome, rwarm.RS.outcome) with
-      | RS.Optimal (_, co), RS.Optimal (_, wo) ->
-        check (Rat.compare co wo = 0) "rational warm objective (%s) %s vs cold %s" kind
-          (Rat.to_string wo) (Rat.to_string co)
-      | RS.Infeasible, RS.Infeasible | RS.Unbounded, RS.Unbounded -> ()
-      | _ -> failf "rational warm verdict (%s) differs from the cold solve" kind
+    let { Splitting.a; b; c } = Splitting.build (Instances.lp_differential_instance instance) in
+    let rows = Array.length b and n = Array.length c in
+    let rng = Mf_prng.Rng.create seed in
+    let basis =
+      match start with
+      | 0 ->
+        let ids = Array.init (n + rows) Fun.id in
+        Mf_prng.Rng.shuffle rng ids;
+        Array.sub ids 0 rows
+      | 1 -> Array.init rows (fun i -> n + i)
+      | _ ->
+        let jiggle v = v *. (1.0 +. (float_of_int (Mf_prng.Rng.int rng 9 - 4) /. 64.0)) in
+        let pa = Sp.map_values jiggle a in
+        let pb = Array.map jiggle b and pc = Array.map jiggle c in
+        (FS.solve_sparse_detailed ~a:pa ~b:pb ~c:pc ()).FS.basis
+    in
+    let kind = warm_start_kinds.(start) in
+    let check_basis solver (got : int array) =
+      let seen = Array.make (n + rows) false in
+      Array.iter
+        (fun j ->
+          check (j >= 0 && j < n + rows) "%s warm basis (%s) names column %d, outside [0, %d)"
+            solver kind j (n + rows);
+          check (not seen.(j)) "%s warm basis (%s) repeats column %d" solver kind j;
+          seen.(j) <- true)
+        got
+    in
+    let fname = function
+      | FS.Optimal _ -> "optimal"
+      | FS.Infeasible -> "infeasible"
+      | FS.Unbounded -> "unbounded"
+      | FS.Stalled -> "stalled"
+    in
+    let cold = FS.solve_sparse_detailed ~a ~b ~c () in
+    let warm = FS.solve_sparse_from_basis ~a ~b ~c ~basis () in
+    check_basis "float" warm.FS.basis;
+    (match (cold.FS.outcome, warm.FS.outcome) with
+    | FS.Optimal (_, co), FS.Optimal (_, wo) ->
+      check (rel_close co wo) "float warm objective (%s) %.17g vs cold %.17g" kind wo co
+    | co, wo ->
+      check (fname co = fname wo) "float warm verdict (%s) %s vs cold %s" kind (fname wo)
+        (fname co));
+    let rcold = Mf_lp.Mip.certify ~a ~b ~c () in
+    let rwarm = Mf_lp.Mip.certify ~basis ~a ~b ~c () in
+    check_basis "rational" rwarm.RS.basis;
+    check (rwarm.RS.fallbacks = 0) "rational warm start (%s) restarted %d times" kind
+      rwarm.RS.fallbacks;
+    match (rcold.RS.outcome, rwarm.RS.outcome) with
+    | RS.Optimal (_, co), RS.Optimal (_, wo) ->
+      check (Rat.compare co wo = 0) "rational warm objective (%s) %s vs cold %s" kind
+        (Rat.to_string wo) (Rat.to_string co)
+    | RS.Infeasible, RS.Infeasible | RS.Unbounded, RS.Unbounded -> ()
+    | _ -> failf "rational warm verdict (%s) differs from the cold solve" kind
   in
   prop_of body ()
 

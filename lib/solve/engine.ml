@@ -45,7 +45,9 @@ let heuristics (req : request) =
     }
 
 let certified_lower_bound (r : Splitting.result) =
-  let margin = match r.Splitting.path with `Rational -> 1e-9 | `Float -> 1e-6 in
+  let margin =
+    match r.Splitting.stats.Mf_lp.Mip.path with `Rational -> 1e-9 | `Float -> 1e-6
+  in
   r.Splitting.period *. (1.0 -. margin)
 
 let lp_stats (r : Splitting.result) =
@@ -54,7 +56,7 @@ let lp_stats (r : Splitting.result) =
     zero_stats with
     lp_pivots = s.Mf_lp.Mip.float_iterations + s.Mf_lp.Mip.exact_iterations;
     lp_path =
-      (match r.Splitting.path with `Float -> Float_path | `Rational -> Rational_path);
+      (match s.Mf_lp.Mip.path with `Float -> Float_path | `Rational -> Rational_path);
   }
 
 let lp (req : request) =

@@ -767,6 +767,38 @@ let test_node_bound_warm_matches_fresh () =
     (Printf.sprintf "walk exercised basis repair (%d repairs)" s.Node_bound.repairs)
     true (s.Node_bound.repairs > 0)
 
+(* One LP, one answer: with nothing pushed the node LP is the root
+   splitting LP, written by the same builder, so the root node bound is
+   [Splitting.solve]'s period deflated by the node safety factor, bit
+   for bit.  In-trees carry the weight: their rate columns hold several
+   predecessor entries, whose order two builders could write
+   differently (on chains it does not show). *)
+let test_node_bound_root_is_splitting () =
+  let check name inst =
+    let period =
+      match Mf_lp.Splitting.solve inst with
+      | Ok r -> r.Mf_lp.Splitting.period
+      | Error e -> Alcotest.failf "%s: %s" name (Mf_lp.Splitting.describe_error e)
+    in
+    let root = Node_bound.bound (Node_bound.create ~rule:Mapping.General inst) ~cutoff:infinity in
+    let want = period *. (1.0 -. 1e-6) in
+    if not (Int64.equal (Int64.bits_of_float root) (Int64.bits_of_float want)) then
+      Alcotest.failf "%s: root node bound %h, splitting period x (1 - 1e-6) %h" name root want
+  in
+  List.iter
+    (fun n ->
+      check (Printf.sprintf "chain n=%d" n)
+        (Gen.chain (Rng.create 1) (Gen.default ~tasks:n ~types:4 ~machines:8)))
+    [ 20; 50; 200 ];
+  List.iter
+    (fun n ->
+      for seed = 1 to 5 do
+        check
+          (Printf.sprintf "in-tree n=%d seed %d" n seed)
+          (Gen.in_tree (Rng.create seed) (Gen.default ~tasks:n ~types:3 ~machines:6))
+      done)
+    [ 8; 20; 60; 120 ]
+
 let test_node_bound_push_order_contract () =
   let inst = chain_instance ~seed:1 ~n:5 ~p:2 ~m:3 () in
   let t = Node_bound.create ~rule:Mapping.Specialized inst in
@@ -824,6 +856,7 @@ let () =
           Alcotest.test_case "deterministic replay" `Quick test_node_bound_deterministic_replay;
           Alcotest.test_case "push order contract" `Quick test_node_bound_push_order_contract;
           Alcotest.test_case "warm bound = fresh bound" `Quick test_node_bound_warm_matches_fresh;
+          Alcotest.test_case "root bound = splitting LP" `Quick test_node_bound_root_is_splitting;
           Alcotest.test_case "dfs arm agrees with plain" `Slow test_dfs_node_bound_agrees;
         ] );
       ( "brute",

@@ -364,9 +364,8 @@ let test_splitting_round_feasible () =
 module Simplex = Mf_lp.Simplex
 module Rat = Mf_numeric.Rat
 
-(* Every case through the cold dense entry point and both warm-start
-   entry points (dense and CSC input): the one finite scan names the
-   same offending entry on each. *)
+(* Every case through both entry points, cold and warm: the one finite
+   scan names the same offending entry on each. *)
 let test_simplex_rejects_non_finite () =
   let module S = Simplex.Float_solver in
   let module Sp = Mf_lp.Sparse.Float_csc in
@@ -380,11 +379,11 @@ let test_simplex_rejects_non_finite () =
     (fun (name, loc, a, b, c) ->
       let n = Array.length c in
       let basis = Array.init (Array.length b) (fun i -> n + i) in
-      expect (name ^ ", solve") loc (fun () -> ignore (S.solve ~a ~b ~c));
-      expect (name ^ ", solve_from_basis") loc (fun () ->
-          ignore (S.solve_from_basis ~a ~b ~c ~basis ()));
+      let a = Sp.of_dense a ~cols:n in
+      expect (name ^ ", solve_sparse_detailed") loc (fun () ->
+          ignore (S.solve_sparse_detailed ~a ~b ~c ()));
       expect (name ^ ", solve_sparse_from_basis") loc (fun () ->
-          ignore (S.solve_sparse_from_basis ~a:(Sp.of_dense a ~cols:n) ~b ~c ~basis ())))
+          ignore (S.solve_sparse_from_basis ~a ~b ~c ~basis ())))
     [
       ( "nan in a row",
         (1, 0),
@@ -405,14 +404,18 @@ let test_simplex_rejects_non_finite () =
 
 let test_simplex_stall_budget () =
   let module S = Simplex.Float_solver in
-  let a = [| [| 1.0; 1.0; 1.0; 0.0 |]; [| 1.0; 3.0; 0.0; 1.0 |] |] in
+  let a =
+    Mf_lp.Sparse.Float_csc.of_dense
+      [| [| 1.0; 1.0; 1.0; 0.0 |]; [| 1.0; 3.0; 0.0; 1.0 |] |]
+      ~cols:4
+  in
   let b = [| 4.0; 6.0 |] in
   let c = [| -3.0; -2.0; 0.0; 0.0 |] in
-  let d = S.solve_detailed ~iter_budget:1 ~a ~b ~c () in
+  let d = S.solve_sparse_detailed ~iter_budget:1 ~a ~b ~c () in
   (match d.S.outcome with
   | S.Stalled -> ()
   | _ -> Alcotest.fail "expected Stalled under a 1-pivot budget");
-  match S.solve ~a ~b ~c with
+  match (S.solve_sparse_detailed ~a ~b ~c ()).S.outcome with
   | S.Optimal _ -> ()
   | _ -> Alcotest.fail "expected Optimal under the default budget"
 
@@ -437,12 +440,13 @@ let test_simplex_warm_start_agrees () =
   let rng = Rng.create 99 in
   for case = 1 to 25 do
     let a, b, c = random_standard_lp rng ~rows:3 ~n:6 in
-    let d = FS.solve_detailed ~a ~b ~c () in
-    let ra = Array.map (Array.map Rat.of_float) a in
+    let d = FS.solve_sparse_detailed ~a:(Mf_lp.Sparse.Float_csc.of_dense a ~cols:6) ~b ~c () in
+    let ra = Mf_lp.Sparse.Rat_csc.of_dense (Array.map (Array.map Rat.of_float) a) ~cols:6 in
     let rb = Array.map Rat.of_float b in
     let rc = Array.map Rat.of_float c in
-    let warm = RS.solve_from_basis ~a:ra ~b:rb ~c:rc ~basis:d.FS.basis () in
-    match (d.FS.outcome, warm.RS.outcome, RS.solve ~a:ra ~b:rb ~c:rc) with
+    let warm = RS.solve_sparse_from_basis ~a:ra ~b:rb ~c:rc ~basis:d.FS.basis () in
+    let cold = RS.solve_sparse_detailed ~a:ra ~b:rb ~c:rc () in
+    match (d.FS.outcome, warm.RS.outcome, cold.RS.outcome) with
     | FS.Optimal (_, fobj), RS.Optimal (_, wobj), RS.Optimal (_, cobj) ->
       Alcotest.(check bool)
         (Printf.sprintf "case %d: warm start = cold exact optimum" case)
@@ -508,10 +512,13 @@ let test_simplex_warm_start_verdicts () =
             let basis = [| p; q |] in
             let case = Printf.sprintf "%s from [%d; %d]" name p q in
             let ok_basis bs = Array.for_all (fun j -> j >= 0 && j < ids) bs in
-            let fd = FS.solve_from_basis ~a ~b ~c ~basis () in
-            let ra = Array.map (Array.map Rat.of_float) a in
+            let fd =
+              FS.solve_sparse_from_basis ~a:(Mf_lp.Sparse.Float_csc.of_dense a ~cols:3) ~b ~c
+                ~basis ()
+            in
+            let ra = Mf_lp.Sparse.Rat_csc.of_dense (Array.map (Array.map Rat.of_float) a) ~cols:3 in
             let rd =
-              RS.solve_from_basis ~a:ra ~b:(Array.map Rat.of_float b)
+              RS.solve_sparse_from_basis ~a:ra ~b:(Array.map Rat.of_float b)
                 ~c:(Array.map Rat.of_float c) ~basis ()
             in
             Alcotest.(check bool) (case ^ ": float basis valid") true (ok_basis fd.FS.basis);
@@ -531,13 +538,10 @@ let test_simplex_warm_start_verdicts () =
       done)
     lps
 
-(* The standardized splitting LP of the BENCH_lp chain of size [n]
-   (generator seed 1, p=4, m=8, not canonicalized). *)
-let bench_lp_std n =
-  let inst = Gen.chain (Rng.create 1) (Gen.default ~tasks:n ~types:4 ~machines:8) in
-  match Mf_lp.Standardize.build (Splitting.model inst) with
-  | Some std -> std
-  | None -> Alcotest.failf "n=%d: standardize failed" n
+(* The root LP of the BENCH_lp chain of size [n] (generator seed 1,
+   p=4, m=8, not canonicalized). *)
+let bench_lp n =
+  Splitting.build (Gen.chain (Rng.create 1) (Gen.default ~tasks:n ~types:4 ~machines:8))
 
 (* A sparse {-1, 0, 1} LP plus a row of ones, feasible by construction
    (b = A x0 for a sparse nonnegative x0, so most right-hand sides are
@@ -562,10 +566,13 @@ let degenerate_lp seed =
 
 (* Bit-identity pin.  [bench --regress] allows 1.5x on pivot counts, so
    a change to the pivot sequence could pass it unnoticed; this pins the
-   exact counters and objectives of four splitting LPs and one
+   exact counters and objectives of five splitting LPs and one
    degenerate LP, and the node and pivot counts, period and bound of two
    certified portfolio solves.  A change that moves any of them changes
-   the solver's arithmetic or its choices, not only its speed.
+   the solver's arithmetic or its choices, not only its speed.  The
+   in-tree LP is the one whose columns carry several predecessor
+   entries, so it also pins the order in which {!Splitting.build} lists
+   them; on a chain that order does not show.
 
    Three cases pin paths of the pricing pass.  The n=160 and n=200 LPs
    overflow their Devex weights, which resets them and re-prices; at
@@ -577,12 +584,11 @@ let degenerate_lp seed =
    deadline ledger's pivot charge. *)
 let test_simplex_bit_identity_pin () =
   let module FS = Simplex.Float_solver in
-  let module Std = Mf_lp.Standardize in
   List.iter
-    (fun (n, iterations, factorizations, eta_updates, refactorizations, objective) ->
-      let std = bench_lp_std n in
-      let d = FS.solve_sparse_detailed ~a:std.Std.a ~b:std.Std.b ~c:std.Std.c () in
-      let name what = Printf.sprintf "n=%d %s" n what in
+    (fun (lp_name, (lp : Splitting.lp), iterations, factorizations, eta_updates, refactorizations,
+          objective) ->
+      let d = FS.solve_sparse_detailed ~a:lp.a ~b:lp.b ~c:lp.c () in
+      let name what = Printf.sprintf "%s %s" lp_name what in
       Alcotest.(check int) (name "iterations") iterations d.FS.iterations;
       Alcotest.(check int) (name "factorizations") factorizations d.FS.factorizations;
       Alcotest.(check int) (name "eta updates") eta_updates d.FS.eta_updates;
@@ -593,13 +599,22 @@ let test_simplex_bit_identity_pin () =
           (Printf.sprintf "%h" obj)
       | _ -> Alcotest.fail (name "not Optimal"))
     [
-      (20, 94, 11, 84, 10, -0x1.07036d74eb69p-10);
-      (50, 192, 20, 173, 19, -0x1.d0a0e289dc322p-12);
-      (160, 570, 52, 519, 51, -0x1.85d69b404e33p-14);
-      (200, 778, 67, 712, 66, -0x1.54ce3f034a0aap-15);
+      ("n=20", bench_lp 20, 94, 11, 84, 10, -0x1.07036d74eb69p-10);
+      ("n=50", bench_lp 50, 192, 20, 173, 19, -0x1.d0a0e289dc322p-12);
+      ("n=160", bench_lp 160, 570, 52, 519, 51, -0x1.85d69b404e33p-14);
+      ("n=200", bench_lp 200, 778, 67, 712, 66, -0x1.54ce3f034a0aap-15);
+      ( "in-tree n=60",
+        Splitting.build (Gen.in_tree (Rng.create 3) (Gen.default ~tasks:60 ~types:3 ~machines:6)),
+        440,
+        34,
+        407,
+        33,
+        -0x1.ef17bbb28798dp-13 );
     ];
   (let a, b, c = degenerate_lp 708 in
-   let d = FS.solve_detailed ~a ~b ~c () in
+   let d =
+     FS.solve_sparse_detailed ~a:(Mf_lp.Sparse.Float_csc.of_dense a ~cols:(Array.length c)) ~b ~c ()
+   in
    Alcotest.(check int) "degenerate iterations" 149 d.FS.iterations;
    Alcotest.(check int) "degenerate Bland pivots" 1 d.FS.bland_pivots;
    Alcotest.(check int) "degenerate factorizations" 11 d.FS.factorizations;
@@ -653,14 +668,13 @@ let test_simplex_allocation_guard () =
   | Sys.Bytecode | Sys.Other _ -> Alcotest.skip ()
   | Sys.Native ->
     let module FS = Simplex.Float_solver in
-    let module Std = Mf_lp.Standardize in
-    let std = bench_lp_std 50 in
-    let solve () = FS.solve_sparse_detailed ~a:std.Std.a ~b:std.Std.b ~c:std.Std.c () in
+    let lp = bench_lp 50 in
+    let solve () = FS.solve_sparse_detailed ~a:lp.a ~b:lp.b ~c:lp.c () in
     ignore (solve ());
     let before = Gc.minor_words () in
     let d = solve () in
     let words = Gc.minor_words () -. before in
-    let entries = Array.length std.Std.a.Mf_lp.Sparse.values in
+    let entries = Array.length lp.a.Mf_lp.Sparse.values in
     let per_entry = words /. float_of_int (d.FS.iterations * entries) in
     Alcotest.(check bool)
       (Printf.sprintf "%.2f minor words per pivot x entry <= 0.5" per_entry)
@@ -693,7 +707,6 @@ let test_splitting_round_tie_breaks_low () =
       Splitting.period = 1.0;
       shares = Array.make_matrix n m (1.0 /. float_of_int m);
       loads = Array.make m 0.0;
-      path = `Float;
       stats = Mip.zero_stats;
     }
   in
@@ -1102,7 +1115,7 @@ let test_lp_differential () =
     match Splitting.solve inst with
     | Error e -> Alcotest.fail (Printf.sprintf "%s: spurious %s" name (Splitting.describe_error e))
     | Ok r ->
-      (match r.Splitting.path with `Rational -> incr rational | `Float -> ());
+      (match r.Splitting.stats.Mip.path with `Rational -> incr rational | `Float -> ());
       r
   in
   for i = 0 to lp_differential_small - 1 do
@@ -1124,21 +1137,14 @@ let test_lp_differential () =
          with exact phase-2 pivots. *)
       let module FS = Simplex.Float_solver in
       let module RS = Simplex.Rat_solver in
-      let module Std = Mf_lp.Standardize in
-      match Std.build (Splitting.model inst) with
-      | None -> Alcotest.fail (name ^ ": standardize failed")
-      | Some std -> (
-        let d = FS.solve_sparse_detailed ~a:std.Std.a ~b:std.Std.b ~c:std.Std.c () in
-        let ra = Mf_lp.Sparse.map_values Rat.of_float std.Std.a in
-        let rb = Array.map Rat.of_float std.Std.b in
-        let rc = Array.map Rat.of_float std.Std.c in
-        let warm = RS.solve_sparse_from_basis ~a:ra ~b:rb ~c:rc ~basis:d.FS.basis () in
-        match warm.RS.outcome with
-        | RS.Optimal (_, obj) ->
-          let rho = Std.model_objective std (Rat.to_float obj) in
-          Alcotest.(check bool) (name ^ ": positive throughput") true (rho > 0.0);
-          check_rel name r.Splitting.period (1.0 /. rho)
-        | _ -> Alcotest.fail (name ^ ": warm-started exact solve not Optimal")))
+      let { Splitting.a; b; c } = Splitting.build inst in
+      let d = FS.solve_sparse_detailed ~a ~b ~c () in
+      match (Mip.certify ~basis:d.FS.basis ~a ~b ~c ()).RS.outcome with
+      | RS.Optimal (_, obj) ->
+        let rho = -.Rat.to_float obj in
+        Alcotest.(check bool) (name ^ ": positive throughput") true (rho > 0.0);
+        check_rel name r.Splitting.period (1.0 /. rho)
+      | _ -> Alcotest.fail (name ^ ": warm-started exact solve not Optimal"))
     lp_differential_large;
   (* The fallback is a safety net, not the common path: the float solver
      should certify the overwhelming majority of the suite on its own. *)
