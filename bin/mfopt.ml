@@ -365,10 +365,8 @@ let exact_cmd =
         (if r.Mf_exact.Dfs.optimal then "proved optimal" else "node budget exhausted")
         dt;
       Printf.printf
-        "       nodes %d (+%d certify) over %d root subtrees, incumbent final at node %d of \
-         its subtree\n"
-        r.Mf_exact.Dfs.nodes s.Mf_exact.Dfs.certify_nodes s.Mf_exact.Dfs.root_subtrees
-        s.Mf_exact.Dfs.best_at_node;
+        "       nodes %d over %d root subtrees, incumbent final at node %d of its subtree\n"
+        r.Mf_exact.Dfs.nodes s.Mf_exact.Dfs.root_subtrees s.Mf_exact.Dfs.best_at_node;
       Printf.printf "       prunes: %d bound, %d dominance (%d states), %d symmetry skips\n"
         s.Mf_exact.Dfs.bound_prunes s.Mf_exact.Dfs.dominance_prunes
         s.Mf_exact.Dfs.dominance_states s.Mf_exact.Dfs.symmetry_skips;

@@ -13,7 +13,6 @@ type stats = {
   symmetry_skips : int;
   best_at_node : int;
   root_subtrees : int;
-  certify_nodes : int;
   lp_solves : int;
   lp_prunes : int;
   nogood_records : int;
@@ -27,7 +26,6 @@ let zero_stats =
     symmetry_skips = 0;
     best_at_node = 0;
     root_subtrees = 1;
-    certify_nodes = 0;
     lp_solves = 0;
     lp_prunes = 0;
     nogood_records = 0;
@@ -368,11 +366,6 @@ let make_ctx ~rule ~setup ~dominance ~symmetry ~node_bound ~pivot_charge ~cancel
     cancel;
   }
 
-(* Phase 1 minimises; phase 2 re-derives the canonical optimal mapping by
-   hunting the first leaf (in fixed serial order) whose period is
-   bit-equal to the proven optimum. *)
-type mode = Optimize | Certify of float
-
 type search = {
   ctx : ctx;
   st : State.t;
@@ -380,7 +373,8 @@ type search = {
   hosted : int list array;
   lb_ref : float array;  (* refined per-task lower bounds (journalled) *)
   class_rep : int array;  (* scratch: class -> lowest unused member *)
-  shared_best : float Atomic.t;
+  (* The subtree's own incumbent: no other search reads it, so every
+     prune is a pure function of (instance, prefix, seed, budget). *)
   mutable local_best_p : float;
   mutable local_best : int array option;
   mutable nodes : int;
@@ -391,9 +385,8 @@ type search = {
   mutable last_pivots : int;
   mutable exhausted : bool;
   mutable stop : bool;
-  mode : mode;
   (* Machines this subtree is pinned to for the first [Array.length pins]
-     depths — the deterministic root split.  Empty for the certify pass. *)
+     depths — the deterministic root split. *)
   pins : int array;
   use_dominance : bool;
   table : (string, float array list ref) Hashtbl.t;
@@ -433,7 +426,7 @@ type search = {
 let table_entry_cap = 8
 let table_state_cap = 200_000
 
-let make_search ?(with_lp = true) ctx ~shared ~budget ~seed_p ~mode ~pins =
+let make_search ?(with_lp = true) ctx ~budget ~seed_p ~pins =
   {
     ctx;
     st = State.create ctx.inst;
@@ -441,7 +434,6 @@ let make_search ?(with_lp = true) ctx ~shared ~budget ~seed_p ~mode ~pins =
     hosted = Array.make ctx.m [];
     lb_ref = Array.copy ctx.contrib_lb;
     class_rep = Array.make ctx.m (-1);
-    shared_best = shared;
     local_best_p = seed_p;
     local_best = None;
     nodes = 0;
@@ -450,14 +442,7 @@ let make_search ?(with_lp = true) ctx ~shared ~budget ~seed_p ~mode ~pins =
     last_pivots = 0;
     exhausted = false;
     stop = false;
-    mode;
     pins;
-    (* Dominance stays on in Certify mode: a stored state's subtree was
-       fully explored (ties admitted) without stopping, so it holds no
-       leaf with period <= p_star; any p_star completion of a dominated
-       state maps to a completion of the stored state with period <=
-       p_star — impossible.  Without the table, a tree the optimize phase
-       closed mainly via dominance could exhaust certify's budget. *)
     use_dominance = ctx.dominance;
     table = Hashtbl.create 4096;
     table_states = 0;
@@ -490,24 +475,9 @@ let make_search ?(with_lp = true) ctx ~shared ~budget ~seed_p ~mode ~pins =
        a);
   }
 
-(* Lock-free monotone minimum over the shared incumbent.  CAS on the
-   physically-read boxed float is the standard OCaml 5 min-loop. *)
-let rec atomic_min a v =
-  let cur = Atomic.get a in
-  if v < cur && not (Atomic.compare_and_set a cur v) then atomic_min a v
-
-(* Candidate/bound admission.  In Optimize mode both are strict against
-   the freshest incumbent (local never beats shared, so shared suffices).
-   In Certify mode candidates may tie the target and bounds get a hair of
-   relative slack: the refined bounds re-associate products the leaf
-   evaluates in a different order, so they are admissible only up to ulps. *)
-let[@inline] admits s v =
-  match s.mode with Optimize -> v < Atomic.get s.shared_best | Certify p -> v <= p
-
-let[@inline] bound_ok s b =
-  match s.mode with
-  | Optimize -> b < Atomic.get s.shared_best
-  | Certify p -> b <= p *. (1.0 +. 1e-12)
+(* Candidate/bound admission: strict against the subtree's incumbent, so
+   every mapping with a smaller period survives. *)
+let[@inline] admits s v = v < s.local_best_p
 
 let[@inline] rule_allows s u ty =
   match s.ctx.rule with
@@ -528,19 +498,11 @@ let[@inline] setup_cost s u ty =
 
 let record_leaf s =
   let cmax = s.path_cmax.(s.ctx.n) in
-  match s.mode with
-  | Optimize ->
-    if cmax < s.local_best_p then begin
-      s.local_best_p <- cmax;
-      s.local_best <- Some (State.to_array s.st);
-      s.best_at <- s.nodes;
-      atomic_min s.shared_best cmax
-    end
-  | Certify p ->
-    if cmax = p then begin
-      s.local_best <- Some (State.to_array s.st);
-      s.stop <- true
-    end
+  if cmax < s.local_best_p then begin
+    s.local_best_p <- cmax;
+    s.local_best <- Some (State.to_array s.st);
+    s.best_at <- s.nodes
+  end
 
 let leq_all a b =
   let len = Array.length a in
@@ -645,10 +607,9 @@ let rec bnb s k =
     if dominated then s.dom_prunes <- s.dom_prunes + 1
     else if not (lp_check s k) then begin
       (* No-good: the LP certifies that no completion of this frontier
-         improves the incumbent (or ties the certify target) — exactly
-         the contract of a recorded table state, so identical-key
-         frontiers with componentwise >= loads now prune without
-         re-solving the LP. *)
+         improves the incumbent — exactly the contract of a recorded
+         table state, so identical-key frontiers with componentwise >=
+         loads now prune without re-solving the LP. *)
       table_note s entries key loads;
       s.nogood_records <- s.nogood_records + 1
     end
@@ -670,15 +631,10 @@ and lp_check s k =
   | Some _ when k = 0 -> true
   | Some nb ->
     s.lp_solves <- s.lp_solves + 1;
-    (* The cutoff mirrors [bound_ok]: any oracle value below it cannot
+    (* The cutoff is the incumbent: any oracle value below it cannot
        prune, which lets the oracle stop early; values at or above it
        must be sound bounds, and the prune below stays exact. *)
-    let cutoff =
-      match s.mode with
-      | Optimize -> Atomic.get s.shared_best
-      | Certify p -> p *. (1.0 +. 1e-12)
-    in
-    let lpb = nb.nb_bound ~cutoff in
+    let lpb = nb.nb_bound ~cutoff:s.local_best_p in
     (* Charge the evaluation's pivots (read as a delta of the oracle's
        cumulative counter) against the subtree budget — the deadline
        calibration's missing half: node-LP pivots are real work. *)
@@ -687,7 +643,7 @@ and lp_check s k =
       s.charged <- s.charged + ((pv - s.last_pivots) * s.ctx.pivot_charge);
       s.last_pivots <- pv
     end;
-    bound_ok s lpb
+    admits s lpb
     ||
     (s.lp_prunes <- s.lp_prunes + 1;
      false)
@@ -804,7 +760,7 @@ and child s k task ty slot =
       let bound =
         Float.max (Float.max cmax' rmax') ((State.total_load s.st +. rem') /. c.fm)
       in
-      if bound_ok s bound then begin
+      if admits s bound then begin
         s.nodes <- s.nodes + 1;
         s.path_cmax.(k + 1) <- cmax';
         s.path_rmax.(k + 1) <- rmax';
@@ -876,10 +832,7 @@ let has_repeated_task_profiles inst =
    split always deepens the pending prefixes — progress is guaranteed. *)
 let child_prefixes ctx prefix =
   (* Candidate enumeration never evaluates bounds: skip the LP oracle. *)
-  let s =
-    make_search ~with_lp:false ctx ~shared:(Atomic.make infinity) ~budget:max_int
-      ~seed_p:infinity ~mode:Optimize ~pins:[||]
-  in
+  let s = make_search ~with_lp:false ctx ~budget:max_int ~seed_p:infinity ~pins:[||] in
   let len = Array.length prefix in
   (* Replay the pinned assignments with the same rule/setup bookkeeping
      as [child], so candidate enumeration below sees the exact search
@@ -946,8 +899,8 @@ type sub_result = {
   r_nogood : int;
 }
 
-let run_subtree ctx ~shared ~budget ~seed_p prefix =
-  let s = make_search ctx ~shared ~budget ~seed_p ~mode:Optimize ~pins:prefix in
+let run_subtree ctx ~budget ~seed_p prefix =
+  let s = make_search ctx ~budget ~seed_p ~pins:prefix in
   expand s 0;
   {
     r_best_p = s.local_best_p;
@@ -964,22 +917,6 @@ let run_subtree ctx ~shared ~budget ~seed_p prefix =
     r_lp_prunes = s.lp_prunes;
     r_nogood = s.nogood_records;
   }
-
-(* Phase 2: serial, jobs-independent reconstruction of the mapping behind
-   the proven optimal value.  Hunts the first leaf in canonical
-   (dominance-pruned) DFS order whose period is bit-equal to p_star; the
-   first-improving leaf of the serial run is always such a leaf, so this
-   terminates fast and the mapping reported for --jobs N matches --jobs 1
-   exactly.  Budget exhaustion here is still possible in principle; the
-   caller then falls back to the (equally jobs-independent) incumbent
-   allocation. *)
-let certify ctx ~p_star ~budget =
-  let s =
-    make_search ctx ~shared:(Atomic.make infinity) ~budget ~seed_p:infinity
-      ~mode:(Certify p_star) ~pins:[||]
-  in
-  expand s 0;
-  (s.local_best, s.nodes)
 
 (* Pending prefixes are capped so a pathological split cascade cannot
    build an unbounded frontier: once the cap is reached, exhausted
@@ -1031,7 +968,7 @@ let solve ?(node_budget = 20_000_000) ?(setup = 0.0) ?(jobs = 1) ?pool ?dominanc
     { mapping = seed_mp; period = seed_p; optimal = true; nodes = 0; stats = zero_stats }
   else begin
   let roots, root_skips = child_prefixes ctx [||] in
-  (* Each subtree searches against its own incumbent cell seeded from the
+  (* Each subtree searches against its own incumbent seeded from the
      deterministic best so far, so every run is a pure function of
      (instance, prefix, incumbent, budget) — node counts, prune counters
      and the exhaustion flag are bit-identical for every --jobs value,
@@ -1087,7 +1024,7 @@ let solve ?(node_budget = 20_000_000) ?(setup = 0.0) ?(jobs = 1) ?pool ?dominanc
     let prefixes = Array.of_list !pending in
     let round =
       run_round prefixes ~f:(fun (prefix, _) ->
-          run_subtree ctx ~shared:(Atomic.make seed_round) ~budget:per ~seed_p:seed_round prefix)
+          run_subtree ctx ~budget:per ~seed_p:seed_round prefix)
     in
     (* The pool path raises from [map_array] itself; this covers the
        serial path, where cancelled subtrees stop and return partials. *)
@@ -1181,31 +1118,15 @@ let solve ?(node_budget = 20_000_000) ?(setup = 0.0) ?(jobs = 1) ?pool ?dominanc
       && (!split_happened || !retry_happened
          || max 1 (!budget_left / List.length still) > !last_per)
   done;
-  let p_star = !best_p in
   let optimal = !pending = [] in
-  let certify_nodes = ref 0 in
+  (* The reported mapping is the carried incumbent allocation, a pure
+     function of the rounds' deterministic results, hence the same for
+     every --jobs value.  [best_alloc] is [Some] exactly when [best_p]
+     improved on the seed. *)
   let mapping, period =
-    if p_star >= seed_p then (seed_mp, seed_p)
-    else begin
-      (* [best_alloc] is [Some] whenever [best_p] improved on the seed,
-         so the [None] arm is unreachable; it degrades to the seed rather
-         than crash should that invariant ever break. *)
-      let fallback () =
-        match !best_alloc with
-        | Some a -> (Mapping.of_array inst a, p_star)
-        | None -> (seed_mp, seed_p)
-      in
-      if optimal then begin
-        match certify ctx ~p_star ~budget:node_budget with
-        | Some a, cn ->
-          certify_nodes := cn;
-          (Mapping.of_array inst a, p_star)
-        | None, cn ->
-          certify_nodes := cn;
-          fallback ()
-      end
-      else fallback ()
-    end
+    match !best_alloc with
+    | Some a -> (Mapping.of_array inst a, !best_p)
+    | None -> (seed_mp, seed_p)
   in
   {
     mapping;
@@ -1222,7 +1143,6 @@ let solve ?(node_budget = 20_000_000) ?(setup = 0.0) ?(jobs = 1) ?pool ?dominanc
         symmetry_skips = !sym_skips;
         best_at_node = !best_at;
         root_subtrees = !subtrees;
-        certify_nodes = !certify_nodes;
         lp_solves = !lp_solves;
         lp_prunes = !lp_prunes;
         nogood_records = !nogoods;

@@ -41,9 +41,11 @@
     seeded from the deterministic round start, so node counts, prune
     counters and the exhaustion flag — not just the period — are
     bit-identical for every [--jobs] value.  The reported {e mapping} is
-    re-derived by a serial canonical reconstruction pass, so results for
-    any [--jobs] agree with the serial run bit-for-bit whenever the
-    search proves optimality.
+    the incumbent allocation carried across rounds: each round's strict
+    improvements are merged in canonical subtree order, so the mapping
+    too agrees with the serial run bit-for-bit for any [--jobs], whether
+    or not the search proves optimality.  The search is one pass: the
+    rounds that prove the optimum also produce the mapping reported.
 
     Like the paper's MIP runs — which "with more than 15 tasks ... is not
     able to find solutions anymore" — the search carries a node budget;
@@ -62,11 +64,6 @@ type stats = {
   root_subtrees : int;
       (** total subtrees spawned over all rounds: the initial root split
           plus every child emitted by dynamic re-splitting *)
-  certify_nodes : int;
-      (** nodes spent by the serial mapping-reconstruction pass, counted
-          separately from [nodes] (which measures the optimization search
-          only, so node counts compare like-for-like with
-          {!solve_static}) *)
   lp_solves : int;
       (** per-node LP bound evaluations (0 without a [node_bound] oracle) *)
   lp_prunes : int;

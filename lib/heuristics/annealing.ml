@@ -5,9 +5,11 @@ module Period = Mf_core.Period
 module Rng = Mf_prng.Rng
 module State = Mf_eval.State
 
-type params = { initial_temperature : float; cooling : float; steps : int }
-
-let default_params = { initial_temperature = 0.5; cooling = 0.995; steps = 3000 }
+(* Schedule: the initial temperature is this fraction of the starting
+   period, multiplied by [cooling] after each of the [steps] proposals. *)
+let initial_temperature = 0.5
+let cooling = 0.995
+let steps = 3000
 
 type proposal = Move of int * int | Swap of int * int
 
@@ -28,15 +30,15 @@ let propose rng st n m =
     if u = v then None else Some (Swap (u, v))
   end
 
-let run ?(params = default_params) rng inst mp =
+let run rng inst mp =
   Mapping.check inst mp Mapping.Specialized;
   let n = Instance.task_count inst and m = Instance.machines inst in
   let st = State.of_mapping inst mp in
   let current = ref (State.period st) in
   let best = ref (State.to_array st) in
   let best_period = ref !current in
-  let temperature = ref (params.initial_temperature *. !current) in
-  for _ = 1 to params.steps do
+  let temperature = ref (initial_temperature *. !current) in
+  for _ = 1 to steps do
     (match propose rng st n m with
     | None -> ()
     | Some prop ->
@@ -60,7 +62,7 @@ let run ?(params = default_params) rng inst mp =
           best := State.to_array st
         end
       end);
-    temperature := !temperature *. params.cooling
+    temperature := !temperature *. cooling
   done;
   Mapping.of_array inst !best
 
@@ -106,15 +108,15 @@ let propose_reference rng inst a =
     end
   end
 
-let run_reference ?(params = default_params) rng inst mp =
+let run_reference rng inst mp =
   Mapping.check inst mp Mapping.Specialized;
   let a = Mapping.to_array mp in
   let period_of arr = Period.period inst (Mapping.of_array inst arr) in
   let current = ref (period_of a) in
   let best = ref (Array.copy a) in
   let best_period = ref !current in
-  let temperature = ref (params.initial_temperature *. !current) in
-  for _ = 1 to params.steps do
+  let temperature = ref (initial_temperature *. !current) in
+  for _ = 1 to steps do
     (match propose_reference rng inst a with
     | None -> ()
     | Some undo ->
@@ -132,6 +134,6 @@ let run_reference ?(params = default_params) rng inst mp =
         end
       end
       else undo ());
-    temperature := !temperature *. params.cooling
+    temperature := !temperature *. cooling
   done;
   Mapping.of_array inst !best

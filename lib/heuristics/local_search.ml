@@ -41,7 +41,10 @@ let best_group_swap st current =
   done;
   !best
 
-let improve ?(max_rounds = 100) inst mp =
+(* Descent rounds at most, for both implementations. *)
+let max_rounds = 100
+
+let improve inst mp =
   let st = State.of_mapping inst mp in
   let current = ref (State.period st) in
   let improved = ref true in
@@ -126,7 +129,7 @@ let best_group_swap_reference inst a current =
   done;
   !best
 
-let improve_reference ?(max_rounds = 100) inst mp =
+let improve_reference inst mp =
   let a = Mapping.to_array mp in
   let current = ref (period_of inst a) in
   let improved = ref true in

@@ -1,7 +1,6 @@
 type t = H1 | H2 | H3 | H4 | H4w | H4f
 
 let all = [ H1; H2; H3; H4; H4w; H4f ]
-let informed = [ H2; H3; H4; H4w; H4f ]
 
 let name = function
   | H1 -> "H1"

@@ -16,9 +16,6 @@ type t = H1 | H2 | H3 | H4 | H4w | H4f
 (** All heuristics, in the paper's presentation order. *)
 val all : t list
 
-(** The informed heuristics (everything but the random baseline H1). *)
-val informed : t list
-
 val name : t -> string
 
 (** [of_name s] parses a heuristic name: case-insensitive, surrounding

@@ -11,9 +11,13 @@ type result = {
 
 type node = { bound : float; lo : float array; hi : float array }
 
+(* An integer variable within this distance of an integer counts as
+   integral. *)
+let int_tol = 1e-6
+
 (* All bounding happens in minimization space; [Standardize.model_objective]
    converts back only for the final report. *)
-let solve ?(node_budget = 200_000) ?(int_tol = 1e-6) model =
+let solve ?(node_budget = 200_000) model =
   let nvars = Model.var_count model in
   let int_vars = Model.integer_vars model in
   let root_lo = Array.init nvars (Model.var_lo model) in

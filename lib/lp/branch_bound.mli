@@ -21,6 +21,6 @@ type result = {
   nodes : int;
 }
 
-(** [solve ?node_budget ?int_tol model] (defaults: 200k nodes, tolerance
-    1e-6). *)
-val solve : ?node_budget:int -> ?int_tol:float -> Model.t -> result
+(** [solve ?node_budget model] (default: 200k nodes); an integer
+    variable within 1e-6 of an integer counts as integral. *)
+val solve : ?node_budget:int -> Model.t -> result

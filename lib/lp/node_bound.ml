@@ -424,8 +424,6 @@ let bound t ~cutoff =
       | _ -> comb)
   end
 
-let solves (t : t) = t.solves
-
 let stats (t : t) =
   {
     solves = t.solves;

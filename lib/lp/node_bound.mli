@@ -72,9 +72,6 @@ val pop : t -> unit
     fails. *)
 val bound : t -> cutoff:float -> float
 
-(** Number of LP solves performed so far. *)
-val solves : t -> int
-
 (** Work counters, cumulative over the oracle's lifetime. *)
 type stats = {
   solves : int;  (** LP solves actually performed *)

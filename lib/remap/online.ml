@@ -62,8 +62,6 @@ let remapper ?budget ?original inst : Desim.remapper =
         | _ -> None
       end
 
-let simulate ?warmup ?buffer_capacity ?budget ?remap_eval_cost ?(restore = true)
-    ~breakdowns ~horizon ~seed ?on_event inst mp =
-  let rm = remapper ?budget ?original:(if restore then Some mp else None) inst in
-  Desim.run ?warmup ?buffer_capacity ~breakdowns ~remapper:rm ?remap_eval_cost
-    ~horizon ~seed ?on_event inst mp
+let simulate ?warmup ?buffer_capacity ?budget ~breakdowns ~horizon ~seed ?on_event inst mp =
+  let rm = remapper ?budget ~original:mp inst in
+  Desim.run ?warmup ?buffer_capacity ~breakdowns ~remapper:rm ~horizon ~seed ?on_event inst mp

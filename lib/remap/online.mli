@@ -31,13 +31,11 @@ val remapper :
 
 (** [simulate ~breakdowns ~horizon ~seed inst mp] is
     {!Mf_sim.Desim.run} with the online re-mapper wired in, restoring
-    toward [mp] (disable with [~restore:false]). *)
+    toward [mp]. *)
 val simulate :
   ?warmup:float ->
   ?buffer_capacity:int ->
   ?budget:int ->
-  ?remap_eval_cost:float ->
-  ?restore:bool ->
   breakdowns:Mf_sim.Breakdown.t ->
   horizon:float ->
   seed:int ->

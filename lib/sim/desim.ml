@@ -38,16 +38,17 @@ type ev =
   | Repaired of { machine : int }
   | Commit of { stamp : int; moves : (int * int) array; latency : float }
 
-let run ?warmup ?buffer_capacity ?breakdowns:bd ?remapper
-    ?(remap_eval_cost = 0.01) ~horizon ~seed ?on_event inst mp =
+(* Simulated time one re-map evaluation costs: a decision's latency is
+   its [evals] times this. *)
+let remap_eval_cost = 0.01
+
+let run ?warmup ?buffer_capacity ?breakdowns:bd ?remapper ~horizon ~seed ?on_event inst mp =
   let warmup = Option.value warmup ~default:(horizon /. 5.0) in
   if horizon <= warmup || warmup < 0.0 then
     invalid_arg "Desim.run: need 0 <= warmup < horizon";
   (match buffer_capacity with
   | Some c when c < 1 -> invalid_arg "Desim.run: buffer capacity must be at least 1"
   | _ -> ());
-  if Float.is_nan remap_eval_cost || remap_eval_cost < 0.0 then
-    invalid_arg "Desim.run: remap_eval_cost must be non-negative";
   let n = Instance.task_count inst in
   let m = Instance.machines inst in
   (match bd with

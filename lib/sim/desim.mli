@@ -42,7 +42,7 @@
 
     An optional {!remapper} is consulted after every availability change
     (breakdown or repair).  Its decision costs simulated time — [evals]
-    work units at [remap_eval_cost] each — and the resulting commit
+    work units at 0.01 time units each — and the resulting commit
     {e races the next failure}: if availability changes again before the
     commit lands, the decision is stale and is dropped.  Moves only
     re-route {e future} executions; an in-flight product stays with the
@@ -97,9 +97,8 @@ type remapper =
     from per-machine Splitmix64-derived streams that never touch the
     product-loss stream.
 
-    [remapper] is consulted on each breakdown/repair; [remap_eval_cost]
-    (default [0.01] time units) converts its reported evaluation count
-    into simulated decision latency.
+    [remapper] is consulted on each breakdown/repair; each evaluation it
+    reports costs 0.01 time units of simulated decision latency.
 
     @raise Invalid_argument if [horizon <= warmup], [buffer_capacity < 1],
     the breakdown model's machine count differs from the instance's, a
@@ -110,7 +109,6 @@ val run :
   ?buffer_capacity:int ->
   ?breakdowns:Breakdown.t ->
   ?remapper:remapper ->
-  ?remap_eval_cost:float ->
   horizon:float ->
   seed:int ->
   ?on_event:(Event.t -> unit) ->

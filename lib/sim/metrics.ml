@@ -60,8 +60,8 @@ let lost_per_breakdown inst mp (r : Desim.result) =
     let expected = if p > 0.0 then r.Desim.window /. p else 0.0 in
     Some ((expected -. float_of_int r.Desim.outputs) /. float_of_int total)
 
-let remap_latency_histogram ?(buckets = 8) (r : Desim.result) =
-  if buckets < 1 then invalid_arg "Metrics.remap_latency_histogram: buckets < 1";
+let remap_latency_histogram (r : Desim.result) =
+  let buckets = 8 in
   let ls = r.Desim.remap_latencies in
   if Array.length ls = 0 then []
   else begin

@@ -53,11 +53,10 @@ val adjusted_throughput :
 val lost_per_breakdown :
   Mf_core.Instance.t -> Mf_core.Mapping.t -> Desim.result -> float option
 
-(** [remap_latency_histogram ?buckets result] buckets the landed re-map
-    decision latencies into [(lo, hi, count)] equal-width bins ([[]] when
-    no re-map landed). *)
-val remap_latency_histogram :
-  ?buckets:int -> Desim.result -> (float * float * int) list
+(** [remap_latency_histogram result] buckets the landed re-map decision
+    latencies into 8 equal-width [(lo, hi, count)] bins ([[]] when no
+    re-map landed). *)
+val remap_latency_histogram : Desim.result -> (float * float * int) list
 
 (** [dynamic_report ?model inst mp result] renders the availability
     metrics as text: breakdown/downtime per machine, measured vs analytic

@@ -125,18 +125,13 @@ let node_bound_factory ~rule inst =
   in
   (factory, stats)
 
-let exact ?lower_bound ?incumbent ?pool ?lp_bound ?pivot_charge ?cancel (req : request) =
+let exact ?lower_bound ?incumbent ?pool ?pivot_charge ?cancel (req : request) =
   let inst = req.instance in
   if not (feasible req.rule inst) then infeasible Exact
   else
     let node_budget = node_allowance req.budget in
-    let use_lp =
-      match lp_bound with
-      | Some b -> b
-      | None -> Instance.task_count inst >= lp_bound_threshold
-    in
     let node_bound, nb_pivots =
-      if use_lp then
+      if Instance.task_count inst >= lp_bound_threshold then
         let factory, stats = node_bound_factory ~rule:req.rule inst in
         (Some factory, fun () -> (stats ()).Mf_lp.Node_bound.pivots)
       else (None, fun () -> 0)

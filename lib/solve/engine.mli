@@ -28,9 +28,9 @@ val heuristics : Solver.request -> Solver.outcome
     or when rounding fails ([m < p]), [Infeasible] when the LP is. *)
 val lp : Solver.request -> Solver.outcome
 
-(** Task count from which {!exact}'s auto default turns the per-node LP
-    bound on: the measured crossover below which the plain search
-    finishes faster than the LP solves it would save. *)
+(** Task count from which {!exact} turns the per-node LP bound on: the
+    measured crossover below which the plain search finishes faster
+    than the LP solves it would save. *)
 val lp_bound_threshold : int
 
 (** [node_bound_factory ~rule inst] adapts {!Mf_lp.Node_bound} to the
@@ -55,12 +55,10 @@ val node_bound_factory :
     bit-identical either way (the Dfs --jobs invariant), only the wall
     time changes.
 
-    [lp_bound] toggles the per-node warm-started LP bound oracle
-    ({!Mf_lp.Node_bound}, rule-aware): default {e auto} — on exactly
-    when the instance has at least 14 tasks, the measured crossover
-    below which the plain search finishes faster than the LP solves it
-    would save.  The oracles' simplex iterations are reported in the
-    outcome's [lp_pivots].
+    The per-node warm-started LP bound oracle ({!Mf_lp.Node_bound},
+    rule-aware) is on exactly when the instance has at least
+    {!lp_bound_threshold} tasks.  The oracles' simplex iterations are
+    reported in the outcome's [lp_pivots].
 
     [pivot_charge] (default 0) prices oracle pivots in node-equivalents
     against the node budget — [Dfs.solve]'s option; the portfolio
@@ -72,7 +70,6 @@ val exact :
   ?lower_bound:float ->
   ?incumbent:Mf_core.Mapping.t * float ->
   ?pool:Mf_parallel.Pool.t ->
-  ?lp_bound:bool ->
   ?pivot_charge:int ->
   ?cancel:Mf_parallel.Pool.token ->
   Solver.request ->

@@ -364,11 +364,12 @@ let test_differential_general_setup () =
       <= 1e-9 *. r.Dfs.period)
   done
 
-(* --jobs must not change anything observable: the optimal value is
-   schedule-independent and the mapping is re-derived canonically.  The
-   [~pool] run uses an explicitly created 3-domain pool because the
-   [~jobs] path clamps to the physical core count — on a 1-core CI host
-   only the external pool actually exercises workers and stealing. *)
+(* --jobs must not change anything observable: every subtree search is a
+   pure function of its inputs, and the reported mapping is the incumbent
+   carried across the deterministic rounds.  The [~pool] run uses an
+   explicitly created 3-domain pool because the [~jobs] path clamps to
+   the physical core count — on a 1-core CI host only the external pool
+   actually exercises workers and stealing. *)
 let test_jobs_identity () =
   Mf_parallel.Pool.with_pool ~domains:3 (fun pool ->
       List.iter
@@ -418,7 +419,7 @@ let test_exhausted_rerun_keeps_incumbent () =
         (Printf.sprintf "period consistent with mapping (seed %d)" seed)
         true
         (Float.abs (Period.period inst r.Dfs.mapping -. r.Dfs.period) <= 1e-9 *. r.Dfs.period);
-      (* The fallback allocation comes out of the deterministic round
+      (* The reported allocation comes out of the deterministic round
          structure, so exhaustion must not break the --jobs identity.
          An explicit pool, not ~jobs: see [test_jobs_identity]. *)
       let r4 =
@@ -819,10 +820,23 @@ let test_dfs_node_bound_agrees () =
   let rule = Mapping.Specialized in
   for seed = 1 to 8 do
     let inst = chain_instance ~seed ~n:9 ~p:3 ~m:4 () in
-    let factory () = nb_oracle (Node_bound.create ~rule inst) in
+    (* Each oracle counts its [nb_bound] calls into [calls] (atomic: the
+       [~jobs:4] search calls from several domains), so the test sees
+       every node-LP evaluation, counted by the search or not. *)
+    let factory calls () =
+      let o = nb_oracle (Node_bound.create ~rule inst) in
+      {
+        o with
+        Dfs.nb_bound =
+          (fun ~cutoff ->
+            Atomic.incr calls;
+            o.Dfs.nb_bound ~cutoff);
+      }
+    in
+    let calls = Atomic.make 0 and calls4 = Atomic.make 0 in
     let plain = Dfs.solve ~rule inst in
-    let lp = Dfs.solve ~node_bound:factory ~rule inst in
-    let lp4 = Dfs.solve ~jobs:4 ~node_bound:factory ~rule inst in
+    let lp = Dfs.solve ~node_bound:(factory calls) ~rule inst in
+    let lp4 = Dfs.solve ~jobs:4 ~node_bound:(factory calls4) ~rule inst in
     Alcotest.(check bool) (Printf.sprintf "plain optimal (seed %d)" seed) true plain.Dfs.optimal;
     Alcotest.(check bool) (Printf.sprintf "lp optimal (seed %d)" seed) true lp.Dfs.optimal;
     Alcotest.(check (float 1e-9))
@@ -832,6 +846,12 @@ let test_dfs_node_bound_agrees () =
       (Printf.sprintf "oracle evaluated (seed %d)" seed)
       true
       (lp.Dfs.stats.Dfs.lp_solves > 0);
+    Alcotest.(check int)
+      (Printf.sprintf "oracle calls = lp_solves (seed %d)" seed)
+      lp.Dfs.stats.Dfs.lp_solves (Atomic.get calls);
+    Alcotest.(check int)
+      (Printf.sprintf "j4 oracle calls = lp_solves (seed %d)" seed)
+      lp4.Dfs.stats.Dfs.lp_solves (Atomic.get calls4);
     Alcotest.(check int)
       (Printf.sprintf "j1 = j4 nodes (seed %d)" seed)
       lp.Dfs.nodes lp4.Dfs.nodes;

@@ -639,7 +639,7 @@ let test_simplex_bit_identity_pin () =
         Gen.chain (Rng.create 1) (Gen.default ~tasks:14 ~types:3 ~machines:5),
         Solver.Unlimited,
         1904,
-        5156,
+        4713,
         "0x1.63fe62efaf111p+10",
         "0x1.01df639d36a78p+10" );
       ( "deadline n=50",
