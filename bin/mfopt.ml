@@ -479,18 +479,24 @@ let simulate_cmd =
     let inst = Instance_io.read_file file in
     let mp = Registry.solve ~seed heuristic inst in
     let analytic = Period.throughput inst mp in
-    let printed = ref 0 in
-    let on_event e =
-      if trace && !printed < 40 then begin
-        incr printed;
-        print_endline (Mf_sim.Event.to_string e)
-      end
+    (* Without --trace no listener is passed, so the simulator builds no
+       events. *)
+    let on_event =
+      if not trace then None
+      else
+        let printed = ref 0 in
+        Some
+          (fun e ->
+            if !printed < 40 then begin
+              incr printed;
+              print_endline (Mf_sim.Event.to_string e)
+            end)
     in
     Printf.printf "mapping (%s): analytic throughput %.6g /ms, period %.2f ms\n"
       (Registry.name heuristic) analytic (Period.period inst mp);
     let r, model =
       match breakdowns with
-      | None -> (Mf_sim.Desim.run ~horizon ~seed ~on_event inst mp, None)
+      | None -> (Mf_sim.Desim.run ~horizon ~seed ?on_event inst mp, None)
       | Some (mtbf, mttr, wear) ->
         let bd =
           Breakdown.uniform ~machines:(Instance.machines inst) ~mtbf ~mttr ~wear
@@ -504,8 +510,8 @@ let simulate_cmd =
         let r =
           if remap then
             Mf_remap.Online.simulate ~budget:remap_budget ~breakdowns:bd ~horizon ~seed
-              ~on_event inst mp
-          else Mf_sim.Desim.run ~breakdowns:bd ~horizon ~seed ~on_event inst mp
+              ?on_event inst mp
+          else Mf_sim.Desim.run ~breakdowns:bd ~horizon ~seed ?on_event inst mp
         in
         (r, Some bd)
     in

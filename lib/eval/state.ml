@@ -10,37 +10,42 @@ module Kahan = Mf_numeric.Kahan
    records were the dominant allocation of the exact search, and in
    OCaml 5 every minor collection synchronises all domains, so hot-path
    allocation destroys parallel scaling).  [Bulk] covers moves and swaps,
-   whose footprint is exactly the set of x entries and machine loads the
-   operation touched.  The assign/tcount/ntasks lists are
-   head-most-recent, so restoring them front to back rewinds duplicated
-   indices correctly. *)
+   whose footprint is exactly the set of x entries and load slots (the
+   touched machines and the total) the operation touched.  The
+   assign/tcount/ntasks lists are head-most-recent, so restoring them
+   front to back rewinds duplicated indices correctly. *)
 type op =
   | Bulk of {
       xs : (int * float) array; (* task, previous x *)
-      loads : (int * float * float) array; (* machine, previous (sum, comp) *)
+      loads : (int * float * float) array; (* load slot, previous (sum, comp) *)
       assigns : (int * int) list; (* task, previous machine *)
       tcounts : (int * int) list; (* flat (machine, type) index, previous count *)
       ntasks : (int * int) list; (* machine, previous task count *)
       prev_period : float;
       prev_valid : bool;
-      prev_tload : float * float;
     }
 
-(* Floats per flat journal entry: previous (load sum, load comp, extra,
-   period, tload sum, tload comp) of the assigned machine. *)
+(* Floats per flat journal entry: the assigned machine's previous load
+   sum, load compensation and extra, the previous period, and the
+   previous total-load sum and compensation. *)
 let ja_floats = 6
 
 type t = {
   inst : Instance.t;
-  wf : Workflow.t;
   n : int;
   m : int;
   p : int;
   order : int array; (* backward order: successors first *)
+  succ : int array; (* task -> successor, -1 = sink *)
+  preds : int array array; (* task -> predecessors, Workflow order *)
+  ttype : int array; (* task -> type *)
   assign : int array; (* task -> machine, -1 = unassigned *)
   x : float array; (* product counts; nan when unassigned *)
-  load : Kahan.t array; (* per-machine compensated loads *)
-  tload : Kahan.t; (* compensated sum of all machine loads *)
+  (* Compensated loads: slot u < m is machine u, slot m the total over
+     all machines; [lsum] holds the running sums, [lcomp] their
+     compensations (see [add_load]). *)
+  lsum : float array;
+  lcomp : float array;
   extra : float array; (* flat costs injected via assign_task ?extra *)
   tcount : int array; (* (u * p + ty) -> tasks of type ty on u *)
   ntasks : int array; (* tasks per machine *)
@@ -81,17 +86,22 @@ type t = {
 let create inst =
   let n = Instance.task_count inst and m = Instance.machines inst in
   let p = Instance.type_count inst in
+  let wf = Instance.workflow inst in
   {
     inst;
-    wf = Instance.workflow inst;
     n;
     m;
     p;
-    order = Workflow.backward_order (Instance.workflow inst);
+    order = Workflow.backward_order wf;
+    succ =
+      Array.init n (fun i ->
+          match Workflow.successor wf i with Some j -> j | None -> -1);
+    preds = Array.init n (fun i -> Array.of_list (Workflow.predecessors wf i));
+    ttype = Array.init n (Workflow.ttype wf);
     assign = Array.make n (-1);
     x = Array.make n nan;
-    load = Array.init m (fun _ -> Kahan.create ());
-    tload = Kahan.create ();
+    lsum = Array.make (m + 1) 0.0;
+    lcomp = Array.make (m + 1) 0.0;
     extra = Array.make m 0.0;
     tcount = Array.make (m * p) 0;
     ntasks = Array.make m 0;
@@ -120,6 +130,20 @@ let create inst =
     frow = Array.init n (fun i -> Array.init m (fun u -> Instance.f inst i u));
   }
 
+(* Neumaier's add into load slot [k], with exactly [Kahan.add]'s float
+   operations, so every slot holds the value a [Kahan.t] would.  It is
+   written out here because dune's default profile compiles with
+   [-opaque]: a call to [Kahan.add] or [Kahan.total] from this module is
+   a real call that boxes its float, and [try_*] would allocate. *)
+let[@inline] add_load t k x =
+  let s = t.lsum.(k) in
+  let r = s +. x in
+  if Float.abs s >= Float.abs x then t.lcomp.(k) <- t.lcomp.(k) +. ((s -. r) +. x)
+  else t.lcomp.(k) <- t.lcomp.(k) +. ((x -. r) +. s);
+  t.lsum.(k) <- r
+
+let[@inline] load t k = t.lsum.(k) +. t.lcomp.(k)
+
 let check_task t i = if i < 0 || i >= t.n then invalid_arg "State: task out of range"
 let check_machine t u = if u < 0 || u >= t.m then invalid_arg "State: machine out of range"
 let instance t = t.inst
@@ -134,13 +158,13 @@ let x t i =
 
 let[@inline] machine_load t u =
   check_machine t u;
-  Kahan.total t.load.(u)
+  load t u
 
 let[@inline] tasks_on t u =
   check_machine t u;
   t.ntasks.(u)
 
-let[@inline] total_load t = Kahan.total t.tload
+let[@inline] total_load t = load t t.m
 
 let hosts_type t ~machine ~ty =
   check_machine t machine;
@@ -150,7 +174,7 @@ let hosts_type t ~machine ~ty =
 let move_allowed t ~task ~machine =
   check_task t task;
   check_machine t machine;
-  let ty = Workflow.ttype t.wf task in
+  let ty = t.ttype.(task) in
   let own = if t.assign.(task) = machine then 1 else 0 in
   t.ntasks.(machine) - own = t.tcount.((machine * t.p) + ty) - own
 
@@ -158,7 +182,7 @@ let refresh_period t =
   if not t.period_valid then begin
     let mx = ref 0.0 in
     for u = 0 to t.m - 1 do
-      let lu = Kahan.total t.load.(u) in
+      let lu = load t u in
       if lu > !mx then mx := lu
     done;
     t.period <- !mx;
@@ -181,8 +205,8 @@ let undo_depth t = t.depth
 let reset t =
   Array.fill t.assign 0 t.n (-1);
   Array.fill t.x 0 t.n nan;
-  Array.iter Kahan.reset t.load;
-  Kahan.reset t.tload;
+  Array.fill t.lsum 0 (t.m + 1) 0.0;
+  Array.fill t.lcomp 0 (t.m + 1) 0.0;
   Array.fill t.extra 0 t.m 0.0;
   Array.fill t.tcount 0 (t.m * t.p) 0;
   Array.fill t.ntasks 0 t.m 0;
@@ -201,9 +225,9 @@ let of_mapping inst mp =
     let u = Mapping.machine mp i in
     t.assign.(i) <- u;
     t.x.(i) <- xs.(i);
-    Kahan.add t.load.(u) (xs.(i) *. Instance.w inst i u);
-    Kahan.add t.tload (xs.(i) *. Instance.w inst i u);
-    let ti = (u * t.p) + Workflow.ttype t.wf i in
+    add_load t u (xs.(i) *. t.wrow.(i).(u));
+    add_load t t.m (xs.(i) *. t.wrow.(i).(u));
+    let ti = (u * t.p) + t.ttype.(i) in
     t.tcount.(ti) <- t.tcount.(ti) + 1;
     t.ntasks.(u) <- t.ntasks.(u) + 1
   done;
@@ -216,11 +240,10 @@ let of_mapping inst mp =
 (* ------------------------------------------------------------------ *)
 
 let[@inline] x_succ t task =
-  match Workflow.successor t.wf task with
-  | None -> 1.0
-  | Some j ->
-    if t.assign.(j) < 0 then invalid_arg "State: successor not yet assigned"
-    else t.x.(j)
+  let j = t.succ.(task) in
+  if j < 0 then 1.0
+  else if t.assign.(j) < 0 then invalid_arg "State: successor not yet assigned"
+  else t.x.(j)
 
 let[@inline] x_candidate t ~task ~machine =
   check_task t task;
@@ -258,23 +281,23 @@ let assign_task_with t ~extra ~task ~machine =
   t.ja_task.(e) <- task;
   t.ja_machine.(e) <- machine;
   let base = ja_floats * e in
-  t.ja_f.(base) <- Kahan.raw_sum t.load.(machine);
-  t.ja_f.(base + 1) <- Kahan.raw_comp t.load.(machine);
+  t.ja_f.(base) <- t.lsum.(machine);
+  t.ja_f.(base + 1) <- t.lcomp.(machine);
   t.ja_f.(base + 2) <- t.extra.(machine);
   t.ja_f.(base + 3) <- t.period;
-  t.ja_f.(base + 4) <- Kahan.raw_sum t.tload;
-  t.ja_f.(base + 5) <- Kahan.raw_comp t.tload;
+  t.ja_f.(base + 4) <- t.lsum.(t.m);
+  t.ja_f.(base + 5) <- t.lcomp.(t.m);
   t.ja_len <- e + 1;
   t.assign.(task) <- machine;
   t.x.(task) <- xi;
-  Kahan.add t.load.(machine) ((xi *. t.wrow.(task).(machine)) +. extra);
-  Kahan.add t.tload ((xi *. t.wrow.(task).(machine)) +. extra);
+  add_load t machine ((xi *. t.wrow.(task).(machine)) +. extra);
+  add_load t t.m ((xi *. t.wrow.(task).(machine)) +. extra);
   t.extra.(machine) <- t.extra.(machine) +. extra;
-  let ti = (machine * t.p) + Workflow.ttype t.wf task in
+  let ti = (machine * t.p) + t.ttype.(task) in
   t.tcount.(ti) <- t.tcount.(ti) + 1;
   t.ntasks.(machine) <- t.ntasks.(machine) + 1;
   (* Loads only grow under assignment, so the cached max updates in O(1). *)
-  let lu = Kahan.total t.load.(machine) in
+  let lu = load t machine in
   if lu > t.period then t.period <- lu;
   t.depth <- t.depth + 1
 
@@ -290,16 +313,16 @@ let begin_eval t =
   t.tgen <- t.tgen + 1;
   t.n_aff <- 0
 
-let touch t v =
+let[@inline] touch t v =
   if t.mstamp.(v) <> t.mgen then begin
     t.mstamp.(v) <- t.mgen;
-    t.mold.(v) <- Kahan.total t.load.(v);
+    t.mold.(v) <- load t v;
     t.mdelta.(v) <- 0.0;
     t.touched.(t.n_touched) <- v;
     t.n_touched <- t.n_touched + 1
   end
 
-let stamp_task t j xj' =
+let[@inline] stamp_task t j xj' =
   if t.tstamp.(j) <> t.tgen then begin
     t.tstamp.(j) <- t.tgen;
     t.aff.(t.n_aff) <- j;
@@ -326,7 +349,7 @@ let tentative_period t =
     let best = ref !mx in
     for v = 0 to t.m - 1 do
       if t.mstamp.(v) <> t.mgen then begin
-        let lv = Kahan.total t.load.(v) in
+        let lv = load t v in
         if lv > !best then best := lv
       end
     done;
@@ -337,7 +360,9 @@ let tentative_period t =
    in the subtree is the product of the per-task factors on its path to
    the sink; only [task]'s factor changes, so they all scale by the same
    ratio [r].  Unassigned tasks (partial states) are skipped: by the
-   downstream-closure invariant their whole upstream cone is unassigned. *)
+   downstream-closure invariant their whole upstream cone is unassigned.
+   The walk pushes predecessors in [Workflow.predecessors] order, which
+   fixes the order the per-machine deltas accumulate in. *)
 let eval_move t ~task ~machine =
   check_task t task;
   check_machine t machine;
@@ -354,12 +379,9 @@ let eval_move t ~task ~machine =
   t.mdelta.(old_u) <- t.mdelta.(old_u) -. (xi *. t.wrow.(task).(old_u));
   touch t machine;
   t.mdelta.(machine) <- t.mdelta.(machine) +. (xi' *. t.wrow.(task).(machine));
-  let sp = ref 0 in
-  let push j =
-    t.stack.(!sp) <- j;
-    incr sp
-  in
-  List.iter push (Workflow.predecessors t.wf task);
+  let ps = t.preds.(task) in
+  Array.blit ps 0 t.stack 0 (Array.length ps);
+  let sp = ref (Array.length ps) in
   while !sp > 0 do
     decr sp;
     let j = t.stack.(!sp) in
@@ -370,7 +392,9 @@ let eval_move t ~task ~machine =
       stamp_task t j xj';
       touch t v;
       t.mdelta.(v) <- t.mdelta.(v) +. ((xj' -. xj) *. t.wrow.(j).(v));
-      List.iter push (Workflow.predecessors t.wf j)
+      let ps = t.preds.(j) in
+      Array.blit ps 0 t.stack !sp (Array.length ps);
+      sp := !sp + Array.length ps
     end
   done
 
@@ -386,16 +410,11 @@ let eval_swap t ~u ~v =
     let uj = t.assign.(j) in
     if uj >= 0 then begin
       let nj = if uj = u then v else if uj = v then u else uj in
-      let succ_affected =
-        match Workflow.successor t.wf j with
-        | None -> false
-        | Some s -> t.tstamp.(s) = t.tgen
-      in
+      let s = t.succ.(j) in
+      let succ_affected = s >= 0 && t.tstamp.(s) = t.tgen in
       if nj <> uj || succ_affected then begin
         let xs =
-          match Workflow.successor t.wf j with
-          | None -> 1.0
-          | Some s -> if t.tstamp.(s) = t.tgen then t.xnew.(s) else t.x.(s)
+          if s < 0 then 1.0 else if succ_affected then t.xnew.(s) else t.x.(s)
         in
         let xj' = xs /. (1.0 -. t.frow.(j).(nj)) in
         stamp_task t j xj';
@@ -426,17 +445,16 @@ let commit t changes =
         (j, t.x.(j)))
   in
   let loads =
-    Array.init t.n_touched (fun k ->
-        let v = t.touched.(k) in
-        let s, c = Kahan.snapshot t.load.(v) in
-        (v, s, c))
+    Array.init (t.n_touched + 1) (fun k ->
+        let v = if k < t.n_touched then t.touched.(k) else t.m in
+        (v, t.lsum.(v), t.lcomp.(v)))
   in
   let assigns = ref [] and tcounts = ref [] and ntasks = ref [] in
   List.iter
     (fun (i, nu) ->
       let ou = t.assign.(i) in
       if nu <> ou then begin
-        let ty = Workflow.ttype t.wf i in
+        let ty = t.ttype.(i) in
         assigns := (i, ou) :: !assigns;
         t.assign.(i) <- nu;
         let oi = (ou * t.p) + ty and ni = (nu * t.p) + ty in
@@ -454,11 +472,10 @@ let commit t changes =
     let j = t.aff.(k) in
     t.x.(j) <- t.xnew.(j)
   done;
-  let prev_tload = Kahan.snapshot t.tload in
   for k = 0 to t.n_touched - 1 do
     let v = t.touched.(k) in
-    Kahan.add t.load.(v) t.mdelta.(v);
-    Kahan.add t.tload t.mdelta.(v)
+    add_load t v t.mdelta.(v);
+    add_load t t.m t.mdelta.(v)
   done;
   ensure_tag_capacity t;
   Bytes.unsafe_set t.jtag t.depth '\001';
@@ -472,7 +489,6 @@ let commit t changes =
         ntasks = !ntasks;
         prev_period = t.period;
         prev_valid = t.period_valid;
-        prev_tload;
       }
     :: t.journal;
   t.depth <- t.depth + 1;
@@ -503,11 +519,13 @@ let undo t =
     let base = ja_floats * e in
     t.assign.(task) <- -1;
     t.x.(task) <- nan;
-    Kahan.restore_raw t.load.(machine) ~sum:t.ja_f.(base) ~comp:t.ja_f.(base + 1);
+    t.lsum.(machine) <- t.ja_f.(base);
+    t.lcomp.(machine) <- t.ja_f.(base + 1);
     t.extra.(machine) <- t.ja_f.(base + 2);
     t.period <- t.ja_f.(base + 3);
-    Kahan.restore_raw t.tload ~sum:t.ja_f.(base + 4) ~comp:t.ja_f.(base + 5);
-    let ti = (machine * t.p) + Workflow.ttype t.wf task in
+    t.lsum.(t.m) <- t.ja_f.(base + 4);
+    t.lcomp.(t.m) <- t.ja_f.(base + 5);
+    let ti = (machine * t.p) + t.ttype.(task) in
     t.tcount.(ti) <- t.tcount.(ti) - 1;
     t.ntasks.(machine) <- t.ntasks.(machine) - 1;
     t.period_valid <- true
@@ -518,8 +536,11 @@ let undo t =
     | Bulk b :: rest ->
       t.journal <- rest;
       Array.iter (fun (j, xv) -> t.x.(j) <- xv) b.xs;
-      Array.iter (fun (v, s, c) -> Kahan.restore t.load.(v) (s, c)) b.loads;
-      Kahan.restore t.tload b.prev_tload;
+      Array.iter
+        (fun (v, s, c) ->
+          t.lsum.(v) <- s;
+          t.lcomp.(v) <- c)
+        b.loads;
       List.iter (fun (i, ou) -> t.assign.(i) <- ou) b.assigns;
       List.iter (fun (idx, c) -> t.tcount.(idx) <- c) b.tcounts;
       List.iter (fun (u, c) -> t.ntasks.(u) <- c) b.ntasks;
@@ -531,6 +552,7 @@ let undo t =
 (* ------------------------------------------------------------------ *)
 
 let check ?(tol = 1e-9) t =
+  let wf = Instance.workflow t.inst in
   let fail fmt = Printf.ksprintf failwith fmt in
   let close a b = Float.abs (a -. b) <= tol *. Float.max 1.0 (Float.abs b) in
   let x_ref = Array.make t.n nan in
@@ -539,7 +561,7 @@ let check ?(tol = 1e-9) t =
       if t.assign.(i) >= 0 then begin
         let u = t.assign.(i) in
         let downstream =
-          match Workflow.successor t.wf i with
+          match Workflow.successor wf i with
           | None -> 1.0
           | Some j ->
             if t.assign.(j) < 0 then
@@ -560,7 +582,7 @@ let check ?(tol = 1e-9) t =
   for i = 0 to t.n - 1 do
     let u = t.assign.(i) in
     if u >= 0 then begin
-      let ti = (u * t.p) + Workflow.ttype t.wf i in
+      let ti = (u * t.p) + Workflow.ttype wf i in
       ref_count.(ti) <- ref_count.(ti) + 1;
       ref_ntasks.(u) <- ref_ntasks.(u) + 1
     end
@@ -568,7 +590,7 @@ let check ?(tol = 1e-9) t =
   let max_load = ref 0.0 in
   for u = 0 to t.m - 1 do
     let expect = Kahan.total acc.(u) +. t.extra.(u) in
-    let got = Kahan.total t.load.(u) in
+    let got = load t u in
     if not (close got expect) then
       fail "State.check: load(%d) drifted: %.17g vs %.17g" u got expect;
     if got > !max_load then max_load := got;
@@ -585,7 +607,7 @@ let check ?(tol = 1e-9) t =
     fail "State.check: cached period %.17g, loads say %.17g" t.period !max_load;
   let tsum = ref 0.0 in
   for u = 0 to t.m - 1 do
-    tsum := !tsum +. Kahan.total t.load.(u)
+    tsum := !tsum +. load t u
   done;
-  if not (close (Kahan.total t.tload) !tsum) then
-    fail "State.check: total load drifted: %.17g vs %.17g" (Kahan.total t.tload) !tsum
+  if not (close (load t t.m) !tsum) then
+    fail "State.check: total load drifted: %.17g vs %.17g" (load t t.m) !tsum

@@ -18,19 +18,6 @@ let reset acc =
   acc.sum <- 0.0;
   acc.comp <- 0.0
 
-let snapshot acc = (acc.sum, acc.comp)
-
-let restore acc (sum, comp) =
-  acc.sum <- sum;
-  acc.comp <- comp
-
-let[@inline] raw_sum acc = acc.sum
-let[@inline] raw_comp acc = acc.comp
-
-let restore_raw acc ~sum ~comp =
-  acc.sum <- sum;
-  acc.comp <- comp
-
 let sum xs =
   let acc = create () in
   Array.iter (add acc) xs;

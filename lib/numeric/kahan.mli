@@ -17,24 +17,6 @@ val total : t -> float
 (** [reset acc] clears the accumulator back to [0.0]. *)
 val reset : t -> unit
 
-(** [snapshot acc] is the internal (running sum, compensation) pair, for
-    callers that must save and later {e exactly} restore accumulator state
-    — the incremental evaluator's undo journal. *)
-val snapshot : t -> float * float
-
-(** [restore acc s] resets [acc] to a state previously captured with
-    {!snapshot}. *)
-val restore : t -> float * float -> unit
-
-(** [raw_sum] / [raw_comp] are the components of {!snapshot} exposed
-    separately, and [restore_raw] their counterpart: allocation-free
-    save/restore for journals that store the pair in flat float arrays
-    (the branch-and-bound hot path). *)
-val raw_sum : t -> float
-
-val raw_comp : t -> float
-val restore_raw : t -> sum:float -> comp:float -> unit
-
 (** [sum xs] is the compensated sum of an array. *)
 val sum : float array -> float
 

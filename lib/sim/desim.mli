@@ -19,6 +19,16 @@
     throughput regime ("a large number of products must be produced",
     initialization and clean-up phases abstracted away).
 
+    Dispatch is event-driven: after each event only the machines it can
+    have enabled try to start (the machine that finished and the host of
+    the task its product feeds; the hosts of a started task's
+    predecessors under a finite buffer capacity; every machine after a
+    repair, a landed re-map and at time 0), in increasing index.  That
+    starts machines in the order repeated scans of every machine would,
+    so results do not depend on the optimisation.  The simulation loop
+    allocates no per-event values of its own; {!Event.t} values are built
+    only for an [on_event] listener.
+
     The measured steady-state throughput converges to the analytic
     [1 / period] of {!Mf_core.Period} — the validation the paper's C++
     simulator provided.
@@ -100,10 +110,13 @@ type remapper =
     [remapper] is consulted on each breakdown/repair; each evaluation it
     reports costs 0.01 time units of simulated decision latency.
 
+    [on_event] receives every event in time order; without it no
+    {!Event.t} is built.
+
     @raise Invalid_argument if [horizon <= warmup], [buffer_capacity < 1],
     the breakdown model's machine count differs from the instance's, a
-    re-map move is out of range, or the mapping is invalid for the
-    instance. *)
+    re-map move is out of range, or the mapping does not fit the
+    instance (another task count, or a machine out of range). *)
 val run :
   ?warmup:float ->
   ?buffer_capacity:int ->

@@ -142,6 +142,50 @@ let test_try_swap_matches_full () =
   Alcotest.(check (array int)) "allocation untouched" a (State.to_array st);
   State.check st
 
+(* try_move and try_swap write only preallocated scratch: each call
+   allocates at most the box of its float result.  A compensated add or
+   an upstream walk that boxes again shows up as tens of words per call.
+   Native code only: bytecode boxes every float. *)
+let test_moves_allocation_guard () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> Alcotest.skip ()
+  | Sys.Native ->
+    (* The BENCH_dynamic chain: 56 tasks, 8 machines, [i mod 8]. *)
+    let n = 56 and m = 8 in
+    let inst =
+      Instance.create
+        ~workflow:(Workflow.chain ~types:(Array.make n 0))
+        ~machines:m ~w:(Array.make_matrix n m 100.0) ~f:(Array.make_matrix n m 0.0)
+    in
+    let st = State.of_mapping inst (Mapping.of_array inst (Array.init n (fun i -> i mod m))) in
+    let per_call calls f =
+      let before = Gc.minor_words () in
+      f ();
+      (Gc.minor_words () -. before) /. float_of_int calls
+    in
+    let moves =
+      per_call (n * m) (fun () ->
+          for i = 0 to n - 1 do
+            for u = 0 to m - 1 do
+              ignore (State.try_move st ~task:i ~machine:u)
+            done
+          done)
+    in
+    let swaps =
+      per_call (m * (m - 1) / 2) (fun () ->
+          for u = 0 to m - 1 do
+            for v = u + 1 to m - 1 do
+              ignore (State.try_swap st ~u ~v)
+            done
+          done)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "try_move: %.1f minor words per call <= 4" moves)
+      true (moves <= 4.0);
+    Alcotest.(check bool)
+      (Printf.sprintf "try_swap: %.1f minor words per call <= 4" swaps)
+      true (swaps <= 4.0)
+
 (* ------------------------------------------------------------------ *)
 (* apply / undo                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -386,6 +430,7 @@ let () =
           Alcotest.test_case "try_move vs full" `Quick test_try_move_matches_full;
           Alcotest.test_case "try_swap vs full" `Quick test_try_swap_matches_full;
           Alcotest.test_case "apply/undo roundtrip" `Quick test_apply_undo_roundtrip;
+          Alcotest.test_case "allocation guard" `Quick test_moves_allocation_guard;
         ] );
       ( "assign",
         [

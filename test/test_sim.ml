@@ -18,28 +18,28 @@ module Rng = Mf_prng.Rng
 
 let test_calendar_order () =
   let cal = Calendar.create () in
-  Calendar.schedule cal ~time:3.0 "c";
-  Calendar.schedule cal ~time:1.0 "a";
-  Calendar.schedule cal ~time:2.0 "b";
+  Calendar.schedule cal ~time:3.0 3;
+  Calendar.schedule cal ~time:1.0 1;
+  Calendar.schedule cal ~time:2.0 2;
   Alcotest.(check int) "length" 3 (Calendar.length cal);
-  Alcotest.(check (option (pair (float 0.0) string))) "first" (Some (1.0, "a")) (Calendar.next cal);
-  Alcotest.(check (option (pair (float 0.0) string))) "second" (Some (2.0, "b")) (Calendar.next cal);
-  Alcotest.(check (option (pair (float 0.0) string))) "third" (Some (3.0, "c")) (Calendar.next cal);
+  Alcotest.(check (option (pair (float 0.0) int))) "first" (Some (1.0, 1)) (Calendar.next cal);
+  Alcotest.(check (option (pair (float 0.0) int))) "second" (Some (2.0, 2)) (Calendar.next cal);
+  Alcotest.(check (option (pair (float 0.0) int))) "third" (Some (3.0, 3)) (Calendar.next cal);
   Alcotest.(check bool) "empty" true (Calendar.is_empty cal)
 
 let test_calendar_fifo_on_ties () =
   let cal = Calendar.create () in
-  Calendar.schedule cal ~time:1.0 "first";
-  Calendar.schedule cal ~time:1.0 "second";
-  Alcotest.(check (option (pair (float 0.0) string))) "tie order" (Some (1.0, "first"))
+  Calendar.schedule cal ~time:1.0 1;
+  Calendar.schedule cal ~time:1.0 2;
+  Alcotest.(check (option (pair (float 0.0) int))) "tie order" (Some (1.0, 1))
     (Calendar.next cal);
-  Alcotest.(check (option (pair (float 0.0) string))) "tie order 2" (Some (1.0, "second"))
+  Alcotest.(check (option (pair (float 0.0) int))) "tie order 2" (Some (1.0, 2))
     (Calendar.next cal)
 
 let test_calendar_rejects_bad_time () =
   let cal = Calendar.create () in
   Alcotest.check_raises "negative" (Invalid_argument "Calendar.schedule: bad time") (fun () ->
-      Calendar.schedule cal ~time:(-1.0) ())
+      Calendar.schedule cal ~time:(-1.0) 0)
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic no-failure pipeline                                   *)
@@ -194,7 +194,20 @@ let test_sim_validation () =
   let inst = Gen.chain (Rng.create 1) (Gen.default ~tasks:2 ~types:1 ~machines:1) in
   let mp = Mapping.of_array inst [| 0; 0 |] in
   Alcotest.check_raises "bad window" (Invalid_argument "Desim.run: need 0 <= warmup < horizon")
-    (fun () -> ignore (Desim.run ~warmup:10.0 ~horizon:5.0 ~seed:1 inst mp))
+    (fun () -> ignore (Desim.run ~warmup:10.0 ~horizon:5.0 ~seed:1 inst mp));
+  (* A mapping built for another instance is refused up front, in both
+     directions: more tasks and machines than the instance, and fewer. *)
+  let chain ~n ~m =
+    Instance.create
+      ~workflow:(Workflow.chain ~types:(Array.make n 0))
+      ~machines:m ~w:(Array.make_matrix n m 10.0) ~f:(Array.make_matrix n m 0.0)
+  in
+  let small = chain ~n:3 ~m:2 and large = chain ~n:4 ~m:3 in
+  let wrong = Invalid_argument "Desim.run: mapping sized for a different instance" in
+  Alcotest.check_raises "larger mapping" wrong (fun () ->
+      ignore (Desim.run ~horizon:100.0 ~seed:1 small (Mapping.of_array large [| 0; 1; 2; 2 |])));
+  Alcotest.check_raises "smaller mapping" wrong (fun () ->
+      ignore (Desim.run ~horizon:100.0 ~seed:1 large (Mapping.of_array small [| 0; 1; 1 |])))
 
 (* Property: on random small instances, simulated throughput is within 10%
    of analytic for long horizons. *)
@@ -704,6 +717,102 @@ let test_dyn_validation () =
     (Invalid_argument "Desim.run: breakdown model sized for a different machine count")
     (fun () -> ignore (Desim.run ~breakdowns:model ~horizon:100.0 ~seed:1 inst mp))
 
+(* The BENCH_dynamic chain: 56 equal tasks on 8 machines, 7 each
+   ([i mod 8]); only machine 0 fails (mtbf 48 periods, mttr 16, one
+   crew). *)
+let bench_dynamic_chain () =
+  let n = 56 and m = 8 in
+  let inst =
+    Instance.create
+      ~workflow:(Workflow.chain ~types:(Array.make n 0))
+      ~machines:m ~w:(Array.make_matrix n m 100.0) ~f:(Array.make_matrix n m 0.0)
+  in
+  let mp = Mapping.of_array inst (Array.init n (fun i -> i mod m)) in
+  let p = Period.period inst mp in
+  let laws = Array.make m Breakdown.immortal in
+  laws.(0) <- { Breakdown.mtbf = 48.0 *. p; mttr = 16.0 *. p; wear = 0.0 };
+  (inst, mp, p, Breakdown.make ~crews:1 laws)
+
+(* perfbench's in-tree: n=40, p=4, m=12 under its H4w mapping. *)
+let bench_in_tree () =
+  let inst = Gen.in_tree (Rng.create 7) (Gen.default ~tasks:40 ~types:4 ~machines:12) in
+  let mp = Mf_heuristics.H4_family.h4w inst in
+  (inst, mp, Period.period inst mp)
+
+(* Exact values of three runs, recorded from the simulator before its
+   dispatch became event-driven: a change to dispatch, the calendar or
+   the re-mapper's evaluator that alters any event shows here, where the
+   replay tests (a run against itself) cannot see it. *)
+let test_dyn_bit_identity_pin () =
+  let sum = Array.fold_left ( + ) 0 in
+  let hex = Printf.sprintf "%h" in
+  let counted run =
+    let events = ref 0 in
+    let r = run (fun _ -> incr events) in
+    (r, !events)
+  in
+  let pin what (r : Desim.result) events ~outputs ~consumed ~executions ~lost
+      ~throughput ~busy0 ~n_events =
+    let c s = what ^ ": " ^ s in
+    Alcotest.(check int) (c "outputs") outputs r.Desim.outputs;
+    Alcotest.(check int) (c "consumed") consumed r.Desim.consumed;
+    Alcotest.(check int) (c "executions") executions (sum r.Desim.executions);
+    Alcotest.(check int) (c "lost") lost (sum r.Desim.lost);
+    Alcotest.(check string) (c "throughput") throughput (hex r.Desim.throughput);
+    Alcotest.(check string) (c "busy.(0)") busy0 (hex r.Desim.busy.(0));
+    Alcotest.(check int) (c "events") n_events events
+  in
+  let inst, mp, p, model = bench_dynamic_chain () in
+  let r, events =
+    counted (fun on_event ->
+        Online.simulate ~breakdowns:model ~horizon:(256.0 *. p) ~seed:1 ~on_event inst mp)
+  in
+  pin "chain" r events ~outputs:196 ~consumed:260 ~executions:13504 ~lost:0
+    ~throughput:"0x1.6666666666666p-10" ~busy0:"0x1.c29860e892824p+16" ~n_events:27282;
+  Alcotest.(check (array int)) "chain: breakdowns" [| 6; 0; 0; 0; 0; 0; 0; 0 |]
+    r.Desim.breakdowns;
+  Alcotest.(check int) "chain: remaps" 12 r.Desim.remaps;
+  Alcotest.(check (array int)) "chain: designed mapping restored" (Mapping.to_array mp)
+    r.Desim.final_mapping;
+  let inst, mp, p = bench_in_tree () in
+  let model =
+    Breakdown.uniform ~machines:12 ~mtbf:(50.0 *. p) ~mttr:(5.0 *. p) ~crews:2 ()
+  in
+  let r, events =
+    counted (fun on_event ->
+        Online.simulate ~breakdowns:model ~horizon:(64.0 *. p) ~seed:1 ~on_event inst mp)
+  in
+  pin "in-tree" r events ~outputs:90 ~consumed:3923 ~executions:6679 ~lost:85
+    ~throughput:"0x1.61d77013743e2p-11" ~busy0:"0x1.bed22a1c9c9edp+16" ~n_events:13564;
+  Alcotest.(check (array int)) "in-tree: breakdowns"
+    [| 4; 2; 0; 0; 1; 2; 0; 2; 1; 1; 2; 2 |] r.Desim.breakdowns;
+  Alcotest.(check int) "in-tree: remaps" 33 r.Desim.remaps;
+  let r, events =
+    counted (fun on_event ->
+        Desim.run ~buffer_capacity:1 ~horizon:(200.0 *. p) ~seed:2 ~on_event inst mp)
+  in
+  pin "blocking in-tree" r events ~outputs:158 ~consumed:4075 ~executions:8512 ~lost:121
+    ~throughput:"0x1.8d8f8657d94dcp-12" ~busy0:"0x1.fcb3c7a788108p+18" ~n_events:17224
+
+(* The dispatch loop allocates a few words per event at most: a boxed
+   event payload or a closure per readiness check shows up as tens of
+   words.  Native code only: bytecode boxes every float. *)
+let test_dyn_allocation_guard () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> Alcotest.skip ()
+  | Sys.Native ->
+    let inst, mp, p, _ = bench_dynamic_chain () in
+    let horizon = 200.0 *. p in
+    let before = Gc.minor_words () in
+    ignore (Desim.run ~horizon ~seed:1 inst mp);
+    let words = Gc.minor_words () -. before in
+    let events = ref 0 in
+    ignore (Desim.run ~horizon ~seed:1 ~on_event:(fun _ -> incr events) inst mp);
+    let per_event = words /. float_of_int !events in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.1f minor words per event (%d events) <= 8" per_event !events)
+      true (per_event <= 8.0)
+
 let () =
   Alcotest.run "mf_sim"
     [
@@ -766,6 +875,8 @@ let () =
           Alcotest.test_case "replay bit-identical" `Quick test_dyn_replay_bit_identical;
           Alcotest.test_case "jobs identity" `Quick test_dyn_jobs_identity;
           Alcotest.test_case "validation" `Quick test_dyn_validation;
+          Alcotest.test_case "bit-identity pin" `Quick test_dyn_bit_identity_pin;
+          Alcotest.test_case "allocation guard" `Quick test_dyn_allocation_guard;
         ] );
       ("props", List.map QCheck_alcotest.to_alcotest [ prop_sim_close_to_analytic ]);
     ]
