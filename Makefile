@@ -102,7 +102,8 @@ bench-dynamic:
 
 # Daemon smoke (part of `make verify`, under timeout 60): start mfoptd on
 # a temp socket, run three concurrent clients (solve, mid-solve CANCEL,
-# malformed line), then SIGTERM and require exit 0 with a telemetry dump.
+# malformed line), re-send the solve as a cache hit, then SIGTERM and
+# require exit 0 with a telemetry dump.
 daemon-smoke:
 	dune build bin/mfopt.exe bin/mfoptd.exe
 	timeout 60 sh scripts/daemon_smoke.sh

@@ -49,6 +49,29 @@ let compare_columns inst u v =
   in
   go_w 0
 
+(* One little-endian 64-bit word each: n, m, the types, the successors
+   (-1 for none), then the IEEE bits of every w entry and every f entry,
+   row by row.  n and m fix the length, so the image is self-delimiting:
+   no key is a prefix of a key of another size. *)
+let binary_key ~types ~successor ~w ~f =
+  let n = Array.length types and m = Array.length w.(0) in
+  let nm = n * m in
+  let b = Bytes.create (8 * (2 + (2 * n) + (2 * nm))) in
+  let int k v = Bytes.set_int64_le b (8 * k) (Int64.of_int v) in
+  let bits k x = Bytes.set_int64_le b (8 * k) (Int64.bits_of_float x) in
+  int 0 n;
+  int 1 m;
+  for i = 0 to n - 1 do
+    int (2 + i) types.(i);
+    int (2 + n + i) (match successor.(i) with None -> -1 | Some j -> j);
+    let row = 2 + (2 * n) + (i * m) in
+    for u = 0 to m - 1 do
+      bits (row + u) w.(i).(u);
+      bits (row + nm + u) f.(i).(u)
+    done
+  done;
+  Bytes.unsafe_to_string b
+
 let canonicalize inst =
   let n = Instance.task_count inst in
   let m = Instance.machines inst in
@@ -66,10 +89,9 @@ let canonicalize inst =
   let f = Array.init n (fun i -> Array.init m (fun c -> Instance.f inst i of_canon.(c))) in
   let successor = Array.init n (Workflow.successor wf) in
   let workflow = Workflow.in_forest ~types ~successor in
-  let canonical = Instance.create ~workflow ~machines:m ~w ~f in
   {
-    instance = canonical;
-    key = Instance_io.to_string canonical;
+    instance = Instance.create ~workflow ~machines:m ~w ~f;
+    key = binary_key ~types ~successor ~w ~f;
     of_canon;
     to_canon;
     type_of_canon;

@@ -32,8 +32,12 @@
 type t = {
   instance : Instance.t;  (** the canonical form *)
   key : string;
-      (** full-precision serialization of the canonical form — equal iff
-          the canonical forms are identical *)
+      (** binary image of the canonical form: n, m, the types, the
+          successors (-1 for none) and the IEEE bits of every [w] and [f]
+          entry, one little-endian 64-bit word each.  Equal iff the
+          canonical forms are bit-identical; n and m come first, so no
+          key is a prefix of a key of another size.  A hash key, not a
+          file format ({!Instance_io} keeps the text one). *)
   of_canon : int array;
       (** [of_canon.(c)] is the original machine behind canonical column
           [c] (lowest original index among a run of identical columns) *)
@@ -42,7 +46,7 @@ type t = {
 }
 
 (** [canonicalize inst] computes the canonical form and the permutations
-    linking it to [inst].  Deterministic; O(n m log m + key size). *)
+    linking it to [inst].  Deterministic; O(n m log m). *)
 val canonicalize : Instance.t -> t
 
 (** [key inst] is [(canonicalize inst).key] — invariant under machine

@@ -37,11 +37,13 @@ let create ~workflow ~machines ~w ~f =
     else if w.(i) <> w.(rep.(ty)) then
       invalid_arg "Instance: tasks of the same type must share processing times"
   done;
+  (* -0.0 passes the range check but has other bits than 0.0: store
+     +0.0 so that equal instances are equal bit for bit (Canon's key). *)
   {
     workflow;
     machines;
     w = Array.map Array.copy w;
-    f = Array.map Array.copy f;
+    f = Array.map (Array.map (fun v -> if v = 0.0 then 0.0 else v)) f;
   }
 
 let workflow inst = inst.workflow

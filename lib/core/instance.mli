@@ -13,7 +13,9 @@
 type t
 
 (** [create ~workflow ~machines ~w ~f] builds and validates an instance.
-    [w] and [f] are [n x m] matrices indexed by task then machine.
+    [w] and [f] are [n x m] matrices indexed by task then machine.  A
+    zero failure probability is stored as [+0.0], also when given as
+    [-0.0], so equal instances are equal bit for bit.
     @raise Invalid_argument if dimensions disagree, some [w] is
     non-positive, some [f] is outside [0, 1), or [w] is not type-consistent. *)
 val create :

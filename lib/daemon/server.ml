@@ -107,6 +107,29 @@ let engine_label (o : Solver.outcome) =
     | e :: _ -> Solver.engine_name e
     | [] -> "none"
 
+(* Runs [solve] and writes the request's one response with its
+   telemetry.  [solve] returning [None] (a reader's cache probe that
+   missed) writes nothing and returns [false]. *)
+let answer t c ~id solve =
+  let t0 = Unix.gettimeofday () in
+  match solve () with
+  | None -> false
+  | Some outcome ->
+    let elapsed_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
+    Telemetry.record_ok t.telemetry ~engine:(engine_label outcome) ~elapsed_us;
+    respond c (Protocol.render_outcome ~id outcome);
+    true
+  | exception Pool.Cancelled ->
+    Telemetry.record_cancelled t.telemetry;
+    respond c (Protocol.render_cancelled ~id);
+    true
+  | exception exn ->
+    (* the daemon never crashes on a request: whatever escaped the
+       portfolio becomes a structured error on this one request *)
+    Telemetry.record_error t.telemetry;
+    respond c (Protocol.render_error ~id ~code:"internal" (Printexc.to_string exn));
+    true
+
 let run_job t j =
   let c = j.j_client in
   (if Pool.cancelled j.j_cancel then begin
@@ -114,20 +137,10 @@ let run_job t j =
      respond c (Protocol.render_cancelled ~id:j.j_id)
    end
    else
-     let t0 = Unix.gettimeofday () in
-     match Portfolio.solve ~cache:t.cache ?pool:t.pool ~cancel:j.j_cancel j.j_req with
-     | outcome ->
-       let elapsed_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-       Telemetry.record_ok t.telemetry ~engine:(engine_label outcome) ~elapsed_us;
-       respond c (Protocol.render_outcome ~id:j.j_id outcome)
-     | exception Pool.Cancelled ->
-       Telemetry.record_cancelled t.telemetry;
-       respond c (Protocol.render_cancelled ~id:j.j_id)
-     | exception exn ->
-       (* the daemon never crashes on a request: whatever escaped the
-          portfolio becomes a structured error on this one request *)
-       Telemetry.record_error t.telemetry;
-       respond c (Protocol.render_error ~id:j.j_id ~code:"internal" (Printexc.to_string exn)));
+     let solve () =
+       Some (Portfolio.solve ~cache:t.cache ?pool:t.pool ~cancel:j.j_cancel j.j_req)
+     in
+     ignore (answer t c ~id:j.j_id solve : bool));
   finish_job j
 
 let rec worker_loop t =
@@ -241,7 +254,11 @@ let handle_solve t client (h : Protocol.header) =
         respond client
           (Protocol.render_error ~id ~code:"duplicate-id" "request id is still active")
       end
-      else enqueue t client ~id req)
+      (* a hit is answered here, with no queue push or worker wake-up;
+         the worker's solve probes again, so a twin that lands while a
+         miss waits still hits *)
+      else if not (answer t client ~id (fun () -> Portfolio.cached ~cache:t.cache req)) then
+        enqueue t client ~id req)
 
 let handle_cancel t client id =
   let tok = Mutex.protect client.jlock (fun () -> Hashtbl.find_opt client.active id) in
@@ -253,9 +270,10 @@ let handle_cancel t client id =
     Telemetry.record_error t.telemetry;
     respond client (Protocol.render_error ~id ~code:"unknown-id" "no active request with this id")
 
-(* One reader per connection: parses verb lines, enqueues solves,
-   answers CANCEL/STATS inline.  Every non-empty line gets exactly one
-   response (a SOLVE's response arrives from the worker). *)
+(* One reader per connection: parses verb lines, answers cache hits,
+   CANCEL and STATS inline and enqueues the other solves.  Every
+   non-empty line gets exactly one response (a queued SOLVE's arrives
+   from the worker). *)
 let serve_client t ic oc =
   let client =
     {

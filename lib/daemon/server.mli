@@ -2,12 +2,14 @@
     one shared answer cache and (optionally) one shared
     {!Mf_parallel.Pool}.
 
-    {b Scheduling.}  One reader thread per connection parses verb lines
-    and enqueues solves; [workers] threads admit queued jobs
-    earliest-absolute-deadline-first, where the key is arrival time plus
-    the budget's effective duration ([Deadline_ms d] adds [d] ms,
-    [Nodes k] adds [k / nodes_per_ms] ms, [Unlimited] is infinity; ties
-    by arrival).  Because the key is arrival-adjusted, a bounded job
+    {b Scheduling.}  One reader thread per connection parses verb
+    lines, answers a [SOLVE] the shared cache already holds
+    ({!Mf_solve.Portfolio.cached}) and enqueues the others; [workers]
+    threads admit queued jobs earliest-absolute-deadline-first, where
+    the key is arrival time plus the budget's effective duration
+    ([Deadline_ms d] adds [d] ms, [Nodes k] adds [k / nodes_per_ms] ms,
+    [Unlimited] is infinity; ties by arrival).  EDF thus orders misses
+    only.  Because the key is arrival-adjusted, a bounded job
     that has waited eventually outranks any stream of fresh
     short-deadline arrivals.  After {!starvation_bound} consecutive
     bounded admissions, the oldest [Unlimited] job is admitted
@@ -21,8 +23,10 @@
 
     {b Cancellation.}  [CANCEL id] sets the job's {!Mf_parallel.Pool}
     token: a queued job is answered [CANCELLED] without solving, a
-    running one unwinds at the next branch-and-bound node poll.  Every
-    [SOLVE] still gets exactly one response ([OK] or [CANCELLED]). *)
+    running one unwinds at the next branch-and-bound node poll.  A
+    cache hit is never queued, so its id is already answered: a
+    [CANCEL] naming it gets [ERR <id> unknown-id].  Every [SOLVE] still
+    gets exactly one response ([OK] or [CANCELLED]). *)
 
 type t
 

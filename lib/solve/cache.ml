@@ -28,7 +28,9 @@ let locked c f = Mutex.protect c.lock (fun () -> f c.lru)
 
 let request_key (canon : Mf_core.Canon.t) (req : Solver.request) =
   (* %h renders floats exactly (hex), so setup never aliases under
-     formatting; the canonical key already pins the instance bits *)
+     formatting; the canonical key already pins the instance bits, and
+     its length follows from its first 16 bytes, so the suffix cannot
+     alias into it *)
   Printf.sprintf "%s|rule=%s|seed=%d|setup=%h|budget=%s|cert=%b" canon.Mf_core.Canon.key
     (Mf_core.Mapping.rule_name req.Solver.rule)
     req.Solver.seed req.Solver.setup
@@ -36,6 +38,7 @@ let request_key (canon : Mf_core.Canon.t) (req : Solver.request) =
     req.Solver.want_certificate
 
 let find c key = locked c (fun lru -> Lru.find lru key)
+let probe c key = locked c (fun lru -> Lru.probe lru key)
 let add c key e = locked c (fun lru -> Lru.add lru key e)
 let clear c = locked c Lru.clear
 

@@ -9,10 +9,11 @@
     cache hit is bit-for-bit the answer a fresh solve would produce;
     the only observable difference is the [cache_hit] stats flag.
 
-    The key is the canonical instance serialization joined with every
-    request parameter that can influence the outcome (rule, seed,
-    setup, budget, certificate flag) — see {!request_key}.  Eviction is
-    least-recently-used ({!Mf_structures.Lru}).
+    The key is the canonical key (the binary image of the canonical
+    form, {!Mf_core.Canon.t}) joined with every request parameter that
+    can influence the outcome (rule, seed, setup, budget, certificate
+    flag) — see {!request_key}.  Eviction is least-recently-used
+    ({!Mf_structures.Lru}).
 
     Every operation is internally mutex-protected: the daemon shares
     one cache across its request worker threads. *)
@@ -43,6 +44,11 @@ val default_capacity : int
 val request_key : Mf_core.Canon.t -> Solver.request -> string
 
 val find : t -> string -> entry option
+
+(** [probe c key] is [find c key] except that a miss is not counted in
+    {!stats}: the daemon's reader probes with it and leaves a miss to
+    the worker's [find], so each request counts once. *)
+val probe : t -> string -> entry option
 val add : t -> string -> entry -> unit
 val clear : t -> unit
 

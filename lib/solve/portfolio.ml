@@ -122,6 +122,20 @@ let outcome_of_entry (req : request) (canon : Canon.t) ~cache_hit (e : Cache.ent
     stats = { e.Cache.stats with cache_hit };
   }
 
+(* Canonicalize a feasible request, key it and look the key up with
+   [find]: the frame and key a miss stores under, and a hit's answer
+   mapped back. *)
+let lookup find (req : request) =
+  let canon = Canon.canonicalize req.instance in
+  let key = Cache.request_key canon req in
+  (canon, key, Option.map (outcome_of_entry req canon ~cache_hit:true) (find key))
+
+let cached ~cache (req : request) =
+  if not (feasible req.rule req.instance) then None
+  else
+    let _, _, hit = lookup (Cache.probe cache) req in
+    hit
+
 let solve ?cache ?pool ?cancel (req : request) =
   if not (feasible req.rule req.instance) then
     {
@@ -133,11 +147,10 @@ let solve ?cache ?pool ?cancel (req : request) =
       stats = zero_stats;
     }
   else
-    let canon = Canon.canonicalize req.instance in
-    let key = Cache.request_key canon req in
-    match Option.bind cache (fun c -> Cache.find c key) with
-    | Some e -> outcome_of_entry req canon ~cache_hit:true e
-    | None ->
+    let find key = Option.bind cache (fun c -> Cache.find c key) in
+    match lookup find req with
+    | _, _, Some hit -> hit
+    | canon, key, None ->
       let out = run_stages ?pool ?cancel { req with instance = canon.Canon.instance } in
       let e = entry_of_outcome out in
       (match cache with Some c -> Cache.add c key e | None -> ());

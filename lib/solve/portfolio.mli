@@ -20,12 +20,17 @@
     fixed request always produces the same outcome — see {!Solver}.
 
     {b Cache.}  With [?cache] the portfolio solves in canonical space
-    and keys the answer by {!Cache.request_key}; a hit returns the
-    stored answer mapped back through the inverse machine permutation,
-    bit-for-bit equal to a fresh solve except for the [cache_hit] flag.
-    Misses are stored after solving, so near-duplicate request storms
-    (machine permutations, type relabelings of the same instance) hit
-    after the first representative.
+    and keys the answer by {!Cache.request_key}, whose instance part is
+    the binary canonical key ({!Mf_core.Canon.t}): a few microseconds
+    to build, paid by every feasible solve, cache or not.  A hit returns
+    the stored answer mapped back through the inverse machine
+    permutation, bit-for-bit equal to a fresh solve except for the
+    [cache_hit] flag.  Misses are stored after solving, so
+    near-duplicate request storms (machine permutations, type
+    relabelings of the same instance) hit after the first
+    representative.  {!cached} is the same look-up without the solve:
+    the daemon answers hits with it on the connection's reader thread
+    and queues only misses.
 
     {b Deadline honesty.}  For [Deadline_ms] budgets the exact stage
     charges its per-node LP bound oracle's simplex pivots into the same
@@ -50,3 +55,11 @@ val solve :
   ?cancel:Mf_parallel.Pool.token ->
   Solver.request ->
   Solver.outcome
+
+(** [cached ~cache req] is [Some] of what [solve ~cache req] returns
+    when [req]'s answer is already in [cache] (the same canonical frame,
+    key and mapped-back outcome, [cache_hit] set), and [None] otherwise
+    — for an infeasible request too, which is never cached.  A hit
+    counts in {!Cache.stats}, a miss does not ({!Cache.probe}): a caller
+    that then calls [solve] on the miss counts it once. *)
+val cached : cache:Cache.t -> Solver.request -> Solver.outcome option

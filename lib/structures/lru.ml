@@ -55,15 +55,20 @@ module Make (K : Hashtbl.HashedType) = struct
       unlink t node;
       push_front t node
 
-  let find t k =
+  let probe t k =
     match H.find_opt t.table k with
-    | None ->
-      t.misses <- t.misses + 1;
-      None
+    | None -> None
     | Some node ->
       t.hits <- t.hits + 1;
       promote t node;
       Some node.value
+
+  let find t k =
+    match probe t k with
+    | None ->
+      t.misses <- t.misses + 1;
+      None
+    | hit -> hit
 
   let mem t k = H.mem t.table k
 

@@ -25,6 +25,11 @@ module Make (K : Hashtbl.HashedType) : sig
       Counts one hit or one miss. *)
   val find : 'a t -> K.t -> 'a option
 
+  (** [probe t k] is [find t k] except that a miss is not counted: a
+      hit-only look-ahead for a caller that will [find] the key again
+      on a miss. *)
+  val probe : 'a t -> K.t -> 'a option
+
   (** [mem t k] checks presence without promoting and without touching
       the hit/miss counters. *)
   val mem : 'a t -> K.t -> bool

@@ -4,6 +4,8 @@
 #   - run three concurrent clients: a normal solve, a mid-solve CANCEL,
 #     and a malformed line (which must get a structured error while the
 #     daemon stays up)
+#   - re-send the solved instance under a new id: a cache hit, whose line
+#     must equal the first answer's apart from the id and the cached flag
 #   - SIGTERM the daemon and require exit 0 with a telemetry dump.
 set -eu
 
@@ -50,6 +52,17 @@ grep -q "^OK ok " "$DIR/c1.out" || { echo "daemon-smoke: no OK response"; cat "$
 grep -q "^CANCELLED kill$" "$DIR/c2.out" || { echo "daemon-smoke: no CANCELLED response"; cat "$DIR/c2.out"; exit 1; }
 grep -q "^ERR - bad-verb" "$DIR/c3.out" || { echo "daemon-smoke: no structured error"; cat "$DIR/c3.out"; exit 1; }
 
+"$MFOPT" client --socket "$SOCK" "$DIR/small.txt" --id ok2 --node-budget 20000 > "$DIR/c4.out" \
+    || { echo "daemon-smoke: repeat client failed"; cat "$DIR/c4.out"; exit 1; }
+grep -q "^OK ok2 .* cached=1 " "$DIR/c4.out" \
+    || { echo "daemon-smoke: repeated solve was not a cache hit"; cat "$DIR/c4.out"; exit 1; }
+HIT=$(sed 's/^OK ok2 /OK ok /; s/ cached=1 / cached=0 /' "$DIR/c4.out")
+[ "$HIT" = "$(grep "^OK ok " "$DIR/c1.out")" ] || {
+    echo "daemon-smoke: cache hit differs from the first answer"
+    cat "$DIR/c1.out" "$DIR/c4.out"
+    exit 1
+}
+
 kill -TERM "$DPID"
 STATUS=0
 wait "$DPID" || STATUS=$?
@@ -57,4 +70,4 @@ DPID=""
 [ "$STATUS" -eq 0 ] || { echo "daemon-smoke: daemon exited $STATUS on SIGTERM"; cat "$DIR/daemon.log"; exit 1; }
 grep -q "mfoptd telemetry" "$DIR/daemon.log" || { echo "daemon-smoke: no telemetry dump"; cat "$DIR/daemon.log"; exit 1; }
 
-echo "daemon-smoke OK: solve, cancel and malformed clients served; clean SIGTERM exit with telemetry"
+echo "daemon-smoke OK: solve, cache hit, cancel and malformed clients served; clean SIGTERM exit with telemetry"

@@ -420,7 +420,18 @@ let test_canon_unit () =
   done;
   let alloc = [| 0; 1; 1 |] in
   Alcotest.(check (array int)) "map round-trip" alloc
-    (Canon.map_from_canon c (Canon.map_to_canon c alloc))
+    (Canon.map_from_canon c (Canon.map_to_canon c alloc));
+  (* f = -0.0 is in range and parses off the wire, but its bits are not
+     those of 0.0: the machine swap of a chain with f row (0, -0) must
+     still share the key *)
+  let chain2 f0 =
+    Instance_io.of_string
+      ("tasks 2 machines 2\ntypes 0 1\nsuccessors 1 -1\nw 0 1 1\nw 1 2 2\nf 0 " ^ f0
+     ^ "\nf 1 0 0\n")
+  in
+  Alcotest.(check bool)
+    "f = -0.0: machine swap keeps the key" true
+    (Canon.key (chain2 "0 -0") = Canon.key (chain2 "-0 0"))
 
 (* Property: the key is invariant under any machine permutation composed
    with any type relabeling, and a mapping pushed through to_canon
@@ -480,6 +491,124 @@ let test_canon_invariance_property () =
     Alcotest.fail
       (Printf.sprintf "canon invariance failed (seed %d): %s\n%s" f.P.Prop.case_seed
          f.P.Prop.message (P.Instances.print_instance inst))
+
+(* Property: the key is injective on the canonical form.  It opens
+   with n and m; it changes under a one-ulp step of any single w entry
+   (of a type's shared row) or f entry, a different successor, a
+   different type pattern, and one task or machine fewer; and no key of
+   one size is a prefix of a key of another size. *)
+let test_canon_key_injective () =
+  let module P = Mf_proptest in
+  let first_appearance types =
+    let label = Hashtbl.create 8 in
+    Array.map
+      (fun ty ->
+        match Hashtbl.find_opt label ty with
+        | Some l -> l
+        | None ->
+          let l = Hashtbl.length label in
+          Hashtbl.add label ty l;
+          l)
+      types
+  in
+  (* one ulp, kept inside f's range [0, 1) *)
+  let f_step v = if Float.succ v < 1.0 then Float.succ v else Float.pred v in
+  let set row u v = Array.mapi (fun u' x -> if u' = u then v else x) row in
+  let drop k a = Array.of_list (List.filteri (fun i _ -> i <> k) (Array.to_list a)) in
+  let report =
+    P.Prop.check ~count:150 ~name:"canon-injective" ~seed:1505
+      (P.Instances.instance ~max_tasks:8 ~max_machines:5 ~duplicate_machine:true ())
+      (fun inst ->
+        let n = Instance.task_count inst and m = Instance.machines inst in
+        let wf = Instance.workflow inst in
+        let types = Array.init n (Workflow.ttype wf) in
+        let successor = Array.init n (Workflow.successor wf) in
+        let w = Array.init n (fun i -> Array.init m (Instance.w inst i)) in
+        let f = Array.init n (fun i -> Array.init m (Instance.f inst i)) in
+        let make ?(types = types) ?(successor = successor) ?(w = w) ?(f = f) () =
+          match Workflow.in_forest ~types ~successor with
+          | workflow ->
+            Some (Instance.create ~workflow ~machines:(Array.length w.(0)) ~w ~f)
+          | exception Invalid_argument _ -> None
+        in
+        let variants = ref [] and smaller = ref [] in
+        let add into what v = Option.iter (fun v -> into := (what, v) :: !into) v in
+        for i = 0 to n - 1 do
+          for u = 0 to m - 1 do
+            (* tasks of one type share their w row: step it for all *)
+            let w' =
+              Array.mapi
+                (fun i' row ->
+                  if types.(i') = types.(i) then set row u (Float.succ row.(u)) else row)
+                w
+            in
+            add variants (Printf.sprintf "w(%d,%d) one ulp" i u) (make ~w:w' ());
+            let f' =
+              Array.mapi (fun i' row -> if i' = i then set row u (f_step row.(u)) else row) f
+            in
+            add variants (Printf.sprintf "f(%d,%d) one ulp" i u) (make ~f:f' ())
+          done;
+          List.iter
+            (fun s ->
+              if s <> successor.(i) then
+                add variants
+                  (Printf.sprintf "successor of %d" i)
+                  (make ~successor:(set successor i s) ()))
+            (None :: List.init n Option.some);
+          let same_type = Array.fold_left (fun c ty -> if ty = types.(i) then c + 1 else c) 0 in
+          if same_type types > 1 then
+            add variants
+              (Printf.sprintf "task %d split off its type" i)
+              (make ~types:(first_appearance (set types i n)) ())
+        done;
+        if n > 1 then
+          for k = 0 to n - 1 do
+            let successor =
+              Array.map
+                (function
+                  | Some j when j = k -> None | Some j when j > k -> Some (j - 1) | s -> s)
+                (drop k successor)
+            in
+            add smaller
+              (Printf.sprintf "task %d dropped" k)
+              (make ~types:(first_appearance (drop k types)) ~successor ~w:(drop k w)
+                 ~f:(drop k f) ())
+          done;
+        if m > 1 then
+          for u = 0 to m - 1 do
+            add smaller
+              (Printf.sprintf "machine %d dropped" u)
+              (make ~w:(Array.map (drop u) w) ~f:(Array.map (drop u) f) ())
+          done;
+        let key = Canon.key inst in
+        (* the size opens the key: what makes it self-delimiting *)
+        let opens_with_size =
+          String.get_int64_le key 0 = Int64.of_int n
+          && String.get_int64_le key 8 = Int64.of_int m
+        in
+        let clash =
+          List.find_opt (fun (_, v) -> Canon.key v = key) (!variants @ !smaller)
+        in
+        let prefix =
+          List.find_opt
+            (fun (_, v) ->
+              let k = Canon.key v in
+              String.starts_with ~prefix:k key || String.starts_with ~prefix:key k)
+            !smaller
+        in
+        match (clash, prefix) with
+        | _ when not opens_with_size -> Error "key does not open with n and m"
+        | Some (what, _), _ -> Error ("key unchanged: " ^ what)
+        | None, Some (what, _) -> Error ("key is a prefix across sizes: " ^ what)
+        | None, None -> Ok ())
+  in
+  match report.P.Prop.failure with
+  | None -> ()
+  | Some f ->
+    Alcotest.fail
+      (Printf.sprintf "canon injectivity failed (seed %d): %s\n%s" f.P.Prop.case_seed
+         f.P.Prop.message
+         (P.Instances.print_instance f.P.Prop.value))
 
 (* The canonical machine order groups symmetry classes contiguously:
    Symmetry.machine_classes on the canonical instance always points at a
@@ -654,6 +783,7 @@ let () =
         [
           Alcotest.test_case "unit round-trip" `Quick test_canon_unit;
           Alcotest.test_case "key invariance (300)" `Quick test_canon_invariance_property;
+          Alcotest.test_case "key injectivity (150)" `Quick test_canon_key_injective;
           Alcotest.test_case "classes contiguous (300)" `Quick test_canon_classes_contiguous;
         ] );
       ( "props",

@@ -240,6 +240,42 @@ let test_stats_cache () =
       Alcotest.(check bool) ("one miss: " ^ stats) true (contains stats " misses=1 ");
       close ())
 
+(* A cache hit is answered on the connection's reader thread: with the
+   only worker busy on a slow solve, a repeated request still comes back
+   at once, from the cache, before the slow answer. *)
+let test_hit_while_busy () =
+  with_server
+    { small_config with Server.workers = 1 }
+    (fun srv ->
+      let ic, oc, close = connect srv in
+      let q =
+        Solver.request_exn ~budget:(Solver.Nodes 5_000) (chain ~tasks:6 ~types:3 ~machines:3 9)
+      in
+      send oc (Protocol.render_solve ~id:"q1" q);
+      check_prefix "first solve" "OK q1 " (input_line ic);
+      send oc (Protocol.render_solve ~id:"slow" (slow_request ()));
+      Thread.delay 0.2 (* the only worker is now busy on [slow] *);
+      send oc (Protocol.render_solve ~id:"q2" q);
+      let answered =
+        match Unix.select [ Unix.descr_of_in_channel ic ] [] [] 1.0 with
+        | [], _, _ -> false
+        | _ -> true
+      in
+      (* without an answer, still tear [slow] down so the shutdown can
+         join the worker *)
+      if not answered then send oc "CANCEL slow\n";
+      Alcotest.(check bool) "an answer within 1 s" true answered;
+      let hit = input_line ic in
+      check_prefix "the hit comes first" "OK q2 " hit;
+      Alcotest.(check bool) ("answered from the cache: " ^ hit) true (contains hit " cached=1 ");
+      send oc "CANCEL slow\n";
+      let lines = List.init 2 (fun _ -> input_line ic) in
+      Alcotest.(check (list string))
+        "slow request torn down"
+        [ "CANCELLED slow"; "CANCELOK slow" ]
+        (List.sort compare lines);
+      close ())
+
 let test_stats_evictions () =
   with_server
     { small_config with Server.cache_capacity = 1 }
@@ -300,6 +336,7 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "cache hit/miss over the wire" `Quick test_stats_cache;
+          Alcotest.test_case "hit answered while the worker is busy" `Quick test_hit_while_busy;
           Alcotest.test_case "evictions reported" `Quick test_stats_evictions;
         ] );
     ]
