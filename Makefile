@@ -22,7 +22,8 @@ test:
 # a search or a simplex up fails fast instead of hanging the gate: the exact
 # branch-and-bound one (all pruning rules against brute force) and the LP one
 # (float simplex against the exact-rational solver on 208 in-forest
-# instances).
+# instances).  The LP-bounds example runs end to end and exits 1 when the
+# MIP (9) branch-and-bound and the exact search disagree on its optimum.
 verify:
 	dune build && dune runtest
 	dune exec bin/mfopt.exe -- experiment fig6 --replicates 2 --jobs 1 --csv > _build/verify_j1.csv
@@ -32,11 +33,12 @@ verify:
 	timeout 60 dune exec test/test_exact.exe -- test dfs-differential
 	timeout 60 dune exec test/test_lp.exe -- test lp-differential
 	timeout 60 dune exec test/test_solve.exe -- test portfolio-differential
+	timeout 60 dune exec examples/lp_bounds.exe
 	timeout 60 sh scripts/daemon_smoke.sh
 	$(MAKE) fuzz-quick
 	$(MAKE) bench-regress
 	timeout 120 sh scripts/regress_canary.sh
-	@echo "verify OK: tests green, --jobs 1/4 byte-identical, differential suites green, daemon smoke green, fuzz matrix green, bench-regress green and its canary caught"
+	@echo "verify OK: tests green, --jobs 1/4 byte-identical, differential suites green, MIP (9) = DFS, daemon smoke green, fuzz matrix green, bench-regress green and its canary caught"
 
 # Quick fuzz tier (deterministic, fixed seeds, <= 30 s): the full oracle
 # matrix (the twelve oracles of DESIGN.md §12) plus the two injected-bug

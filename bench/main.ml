@@ -1257,8 +1257,8 @@ let micro_benchmarks () =
           (Staged.stage (fun () -> ignore (Mf_exact.Dfs.specialized instance_small)));
         Test.make ~name:"mip/build+relaxation-n4"
           (Staged.stage (fun () ->
-               let model, _ = Mf_lp.Micro_mip.build instance_mip in
-               ignore (Mf_lp.Mip.solve_relaxation model)));
+               let { Mf_lp.Splitting.a; b; c } = Mf_lp.Micro_mip.build instance_mip in
+               ignore (Mf_lp.Simplex.Float_solver.solve_sparse_detailed ~a ~b ~c ())));
         Test.make ~name:"splitting/lp-n10-m5"
           (Staged.stage (fun () -> ignore (Mf_lp.Splitting.solve instance_small)));
         Test.make ~name:"core/period-eval-n100"

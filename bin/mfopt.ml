@@ -31,6 +31,30 @@ let seed_arg =
   let doc = "Random seed." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+let rule_arg =
+  let rule_conv =
+    Arg.enum
+      [
+        ("specialized", Mapping.Specialized);
+        ("general", Mapping.General);
+        ("oto", Mapping.One_to_one);
+      ]
+  in
+  Arg.(
+    value & opt rule_conv Mapping.Specialized
+    & info [ "rule" ] ~docv:"RULE" ~doc:"Mapping rule: specialized (default), general, or oto.")
+
+(* [--deadline] and [--node-budget] as one [Solver.budget]; both at once
+   is a usage error of sub-command [cmd] (exit 2). *)
+let budget_of ~cmd deadline node_budget =
+  match (deadline, node_budget) with
+  | Some _, Some _ ->
+    prerr_endline ("mfopt " ^ cmd ^ ": --deadline and --node-budget are exclusive");
+    exit 2
+  | Some d, _ -> Mf_solve.Solver.Deadline_ms d
+  | _, Some k -> Mf_solve.Solver.Nodes k
+  | None, None -> Mf_solve.Solver.Unlimited
+
 let heuristic_conv =
   let parse s =
     match Registry.of_name s with
@@ -128,20 +152,6 @@ let solve_cmd =
              then the certified LP bound, then exact search on the remaining budget), or a \
              single engine: $(b,heuristics), $(b,lp), $(b,exact), $(b,brute).")
   in
-  let rule =
-    let rule_conv =
-      Arg.enum
-        [
-          ("specialized", Mapping.Specialized);
-          ("general", Mapping.General);
-          ("oto", Mapping.One_to_one);
-        ]
-    in
-    Arg.(
-      value & opt rule_conv Mapping.Specialized
-      & info [ "rule" ] ~docv:"RULE"
-          ~doc:"Mapping rule: specialized (default), general, or oto.")
-  in
   let setup =
     Arg.(
       value & opt float 0.0
@@ -190,74 +200,64 @@ let solve_cmd =
     let inst = Instance_io.read_file file in
     Printf.printf "instance: n=%d p=%d m=%d\n" (Instance.task_count inst)
       (Instance.type_count inst) (Instance.machines inst);
-    match (deadline, node_budget) with
-    | Some _, Some _ ->
-      prerr_endline "mfopt solve: --deadline and --node-budget are exclusive";
+    let budget = budget_of ~cmd:"solve" deadline node_budget in
+    if jobs < 1 then begin
+      prerr_endline "mfopt solve: --jobs must be at least 1";
       exit 2
-    | _ ->
-      let budget =
-        match (deadline, node_budget) with
-        | Some d, _ -> Solver.Deadline_ms d
-        | _, Some k -> Solver.Nodes k
-        | None, None -> Solver.Unlimited
-      in
-      if jobs < 1 then begin
-        prerr_endline "mfopt solve: --jobs must be at least 1";
+    end;
+    let req =
+      match
+        Solver.make_request ~rule ~seed ~budget ~want_certificate:certificate ~setup inst
+      with
+      | Ok req -> req
+      | Error e ->
+        Printf.eprintf "mfopt solve: %s\n" (Solver.describe_request_error e);
         exit 2
-      end;
-      let req =
-        match
-          Solver.make_request ~rule ~seed ~budget ~want_certificate:certificate ~setup inst
-        with
-        | Ok req -> req
-        | Error e ->
-          Printf.eprintf "mfopt solve: %s\n" (Solver.describe_request_error e);
-          exit 2
-      in
-      let pool =
-        if jobs > 1 then Some (Mf_parallel.Pool.shared ~domains:jobs) else None
-      in
-      let out =
-        match engine with
-        | `Auto -> Mf_solve.Portfolio.solve ?pool req
-        | `Heuristics -> Mf_solve.Engine.heuristics req
-        | `Lp -> Mf_solve.Engine.lp req
-        | `Exact -> Mf_solve.Engine.exact ?pool req
-        | `Brute -> Mf_solve.Engine.brute req
-      in
-      (match out.Solver.mapping with
-      | Some mp -> print_solution inst "best" mp
-      | None -> ());
-      Printf.printf "status: %s (%s rule%s)\n"
-        (Solver.status_to_string out.Solver.status)
-        (Mapping.rule_name rule)
-        (if setup > 0.0 then Printf.sprintf ", %.0fms setup per type switch" setup else "");
-      (match out.Solver.lower_bound with
-      | Some lb -> Printf.printf "certified lower bound: %.2f ms\n" lb
-      | None -> ());
-      let s = out.Solver.stats in
-      Printf.printf "engines: %s   work: %d heuristic runs, %d LP pivots (%s path), %d nodes\n"
-        (match out.Solver.engines with
-        | [] -> "none"
-        | es -> String.concat " -> " (List.map Solver.engine_name es))
-        s.Solver.heuristic_runs s.Solver.lp_pivots
-        (Solver.lp_path_name s.Solver.lp_path)
-        s.Solver.exact_nodes;
-      if x_out > 0 then
-        match out.Solver.mapping with
-        | Some mp ->
-          List.iter
-            (fun (src, count) ->
-              Printf.printf "feed %d raw products at source task T%d to output %d products\n"
-                count src x_out)
-            (Products.inputs_needed inst mp ~x_out)
-        | None -> ()
+    in
+    let pool =
+      if jobs > 1 then Some (Mf_parallel.Pool.shared ~domains:jobs) else None
+    in
+    let out =
+      match engine with
+      | `Auto -> Mf_solve.Portfolio.solve ?pool req
+      | `Heuristics -> Mf_solve.Engine.heuristics req
+      | `Lp -> Mf_solve.Engine.lp req
+      | `Exact -> Mf_solve.Engine.exact ?pool req
+      | `Brute -> Mf_solve.Engine.brute req
+    in
+    (match out.Solver.mapping with
+    | Some mp -> print_solution inst "best" mp
+    | None -> ());
+    Printf.printf "status: %s (%s rule%s)\n"
+      (Solver.status_to_string out.Solver.status)
+      (Mapping.rule_name rule)
+      (if setup > 0.0 then Printf.sprintf ", %.0fms setup per type switch" setup else "");
+    (match out.Solver.lower_bound with
+    | Some lb -> Printf.printf "certified lower bound: %.2f ms\n" lb
+    | None -> ());
+    let s = out.Solver.stats in
+    Printf.printf "engines: %s   work: %d heuristic runs, %d LP pivots (%s path), %d nodes\n"
+      (match out.Solver.engines with
+      | [] -> "none"
+      | es -> String.concat " -> " (List.map Solver.engine_name es))
+      s.Solver.heuristic_runs s.Solver.lp_pivots
+      (Solver.lp_path_name s.Solver.lp_path)
+      s.Solver.exact_nodes;
+    if x_out > 0 then
+      match out.Solver.mapping with
+      | Some mp ->
+        List.iter
+          (fun (src, count) ->
+            Printf.printf "feed %d raw products at source task T%d to output %d products\n"
+              count src x_out)
+          (Products.inputs_needed inst mp ~x_out)
+      | None -> ()
   in
   let doc = "Solve an instance through the unified solver (portfolio or a single engine)." in
   Cmd.v
     (Cmd.info "solve" ~doc)
     Term.(
-      const run $ instance_arg $ engine $ rule $ setup $ deadline $ node_budget $ certificate
+      const run $ instance_arg $ engine $ rule_arg $ setup $ deadline $ node_budget $ certificate
       $ x_out $ jobs $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -265,20 +265,6 @@ let solve_cmd =
 (* ------------------------------------------------------------------ *)
 
 let exact_cmd =
-  let rule =
-    let rule_conv =
-      Arg.enum
-        [
-          ("specialized", Mapping.Specialized);
-          ("general", Mapping.General);
-          ("oto", Mapping.One_to_one);
-        ]
-    in
-    Arg.(
-      value & opt rule_conv Mapping.Specialized
-      & info [ "rule" ] ~docv:"RULE"
-          ~doc:"Mapping rule: specialized (default), general, or oto.")
-  in
   let setup =
     Arg.(
       value & opt float 0.0
@@ -387,7 +373,7 @@ let exact_cmd =
   Cmd.v
     (Cmd.info "exact" ~doc)
     Term.(
-      const run $ instance_arg $ rule $ setup $ jobs $ node_budget $ no_dominance
+      const run $ instance_arg $ rule_arg $ setup $ jobs $ node_budget $ no_dominance
       $ no_symmetry $ lp_bound $ no_node_lp)
 
 (* ------------------------------------------------------------------ *)
@@ -638,8 +624,8 @@ let lp_cmd =
         print_solution inst "MIP" mp;
         Printf.printf "       (%s, %d branch-and-bound nodes)\n"
           (match res.Mf_lp.Micro_mip.status with
-          | Mf_lp.Branch_bound.Optimal -> "proved optimal"
-          | Mf_lp.Branch_bound.Feasible -> "node budget exhausted, best incumbent"
+          | Mf_lp.Micro_mip.Optimal -> "proved optimal"
+          | Mf_lp.Micro_mip.Feasible -> "node budget exhausted, best incumbent"
           | _ -> "unexpected status")
           res.Mf_lp.Micro_mip.nodes
       | _ ->
@@ -670,19 +656,6 @@ let client_cmd =
   in
   let id =
     Arg.(value & opt string "r0" & info [ "id" ] ~docv:"ID" ~doc:"Request id for the wire.")
-  in
-  let rule =
-    let rule_conv =
-      Arg.enum
-        [
-          ("specialized", Mapping.Specialized);
-          ("general", Mapping.General);
-          ("oto", Mapping.One_to_one);
-        ]
-    in
-    Arg.(
-      value & opt rule_conv Mapping.Specialized
-      & info [ "rule" ] ~docv:"RULE" ~doc:"Mapping rule: specialized (default), general, oto.")
   in
   let setup = Arg.(value & opt float 0.0 & info [ "setup" ] ~docv:"MS" ~doc:"Setup time.") in
   let deadline =
@@ -756,15 +729,7 @@ let client_cmd =
           2
         | Some file -> (
           let inst = Instance_io.read_file file in
-          let budget =
-            match (deadline, node_budget) with
-            | Some _, Some _ ->
-              prerr_endline "mfopt client: --deadline and --node-budget are exclusive";
-              exit 2
-            | Some d, _ -> Solver.Deadline_ms d
-            | _, Some k -> Solver.Nodes k
-            | None, None -> Solver.Unlimited
-          in
+          let budget = budget_of ~cmd:"client" deadline node_budget in
           match
             Solver.make_request ~rule ~seed ~budget ~want_certificate:certificate ~setup inst
           with
@@ -787,7 +752,7 @@ let client_cmd =
   Cmd.v
     (Cmd.info "client" ~doc)
     Term.(
-      const run $ socket $ instance $ id $ rule $ setup $ deadline $ node_budget $ certificate
+      const run $ socket $ instance $ id $ rule_arg $ setup $ deadline $ node_budget $ certificate
       $ cancel_after $ raw $ seed_arg)
 
 let () =

@@ -1,6 +1,7 @@
 (* LP bounds: solve the paper's MIP (9) with the built-in branch-and-bound
-   on a small instance, then quantify the future-work idea (divisible task
-   workloads) with the splitting LP.
+   on a small instance, check it against the exact search, then quantify
+   the future-work idea (divisible task workloads) with the splitting LP.
+   Exits 1 when the MIP and the exact search disagree on the optimum.
 
    Run with: dune exec examples/lp_bounds.exe *)
 
@@ -28,6 +29,13 @@ let () =
   let dfs = Mf_exact.Dfs.specialized inst in
   Printf.printf "DFS:     optimal specialized period %.2f ms (%d nodes)\n" dfs.Mf_exact.Dfs.period
     dfs.Mf_exact.Dfs.nodes;
+  (match mip.Mf_lp.Micro_mip.period with
+  | Some period
+    when Float.abs (period -. dfs.Mf_exact.Dfs.period) <= 1e-9 *. dfs.Mf_exact.Dfs.period ->
+    ()
+  | _ ->
+    prerr_endline "lp_bounds: MIP (9) and DFS disagree on the optimal period";
+    exit 1);
 
   (* 3. Heuristic for scale. *)
   let h4w = Registry.solve Registry.H4w inst in

@@ -4,28 +4,27 @@ let to_string inst =
   let wf = Instance.workflow inst in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "# micro-factory instance (see Instance_io for the format)\n";
-  Buffer.add_string buf (Printf.sprintf "tasks %d machines %d\n" n m);
+  Printf.bprintf buf "tasks %d machines %d\n" n m;
   Buffer.add_string buf "types";
   for i = 0 to n - 1 do
-    Buffer.add_string buf (Printf.sprintf " %d" (Workflow.ttype wf i))
+    Printf.bprintf buf " %d" (Workflow.ttype wf i)
   done;
   Buffer.add_string buf "\nsuccessors";
   for i = 0 to n - 1 do
-    Buffer.add_string buf
-      (Printf.sprintf " %d" (match Workflow.successor wf i with None -> -1 | Some j -> j))
+    Printf.bprintf buf " %d" (match Workflow.successor wf i with None -> -1 | Some j -> j)
   done;
   Buffer.add_char buf '\n';
   for i = 0 to n - 1 do
-    Buffer.add_string buf (Printf.sprintf "w %d" i);
+    Printf.bprintf buf "w %d" i;
     for u = 0 to m - 1 do
-      Buffer.add_string buf (Printf.sprintf " %.17g" (Instance.w inst i u))
+      Printf.bprintf buf " %.17g" (Instance.w inst i u)
     done;
     Buffer.add_char buf '\n'
   done;
   for i = 0 to n - 1 do
-    Buffer.add_string buf (Printf.sprintf "f %d" i);
+    Printf.bprintf buf "f %d" i;
     for u = 0 to m - 1 do
-      Buffer.add_string buf (Printf.sprintf " %.17g" (Instance.f inst i u))
+      Printf.bprintf buf " %.17g" (Instance.f inst i u)
     done;
     Buffer.add_char buf '\n'
   done;

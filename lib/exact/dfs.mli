@@ -20,7 +20,7 @@
       vector is componentwise >= a fully-explored one cannot improve the
       incumbent;
     - {e machine symmetry breaking}: machines with bit-identical [(w, f)]
-      columns (see {!Reduction.machine_classes}) are interchangeable, so
+      columns (see {!Symmetry.machine_classes}) are interchangeable, so
       only the lowest-index unused member of each class is branched on.
 
     The root level is split into one subtree per (canonical) machine of

@@ -101,12 +101,3 @@ let brute_force_3partition p =
     end
   in
   fill k
-
-(* ------------------------------------------------------------------ *)
-(* Machine symmetry detection (instance reduction for the exact search;
-   implemented in Symmetry to break the Reduction -> Dfs -> Reduction
-   dependency cycle, re-exported here as part of the public surface). *)
-(* ------------------------------------------------------------------ *)
-
-let machine_classes = Symmetry.machine_classes
-let has_machine_symmetry = Symmetry.has_machine_symmetry

@@ -29,36 +29,3 @@ let certify ?basis ~a ~b ~c () =
   match basis with
   | Some basis -> RS.solve_sparse_from_basis ~a ~b ~c ~basis ()
   | None -> RS.solve_sparse_detailed ~a ~b ~c ()
-
-let solve_relaxation model =
-  let module FS = Simplex.Float_solver in
-  match Standardize.build model with
-  | None -> `Infeasible
-  | Some std -> (
-    match
-      (FS.solve_sparse_detailed ~a:std.Standardize.a ~b:std.Standardize.b
-         ~c:std.Standardize.c ())
-        .FS.outcome
-    with
-    | FS.Infeasible -> `Infeasible
-    | FS.Unbounded -> `Unbounded
-    | FS.Stalled -> `Stalled
-    | FS.Optimal (x, obj) ->
-      `Optimal (std.Standardize.recover x, Standardize.model_objective std obj))
-
-let solve_relaxation_exact model =
-  let module RS = Simplex.Rat_solver in
-  let module R = Mf_numeric.Rat in
-  match Standardize.build model with
-  | None -> `Infeasible
-  | Some std -> (
-    let d = certify ~a:std.Standardize.a ~b:std.Standardize.b ~c:std.Standardize.c () in
-    match d.RS.outcome with
-    | RS.Infeasible -> `Infeasible
-    | RS.Unbounded -> `Unbounded
-    | RS.Stalled ->
-      (* The exact instance runs with an unlimited pivot budget. *)
-      assert false
-    | RS.Optimal (x, obj) ->
-      let xf = Array.map R.to_float x in
-      `Optimal (std.Standardize.recover xf, Standardize.model_objective std (R.to_float obj)))

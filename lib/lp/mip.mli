@@ -1,10 +1,8 @@
-(** LP-relaxation entry points and exact-rational certification.
+(** Exact-rational certification of float LPs.
 
-    {!solve_relaxation} and {!solve_relaxation_exact} solve the
-    continuous relaxation of a {!Model}, the path of the paper's MIP (9)
-    ({!Micro_mip}, {!Branch_bound}).  {!certify} re-solves any float
-    standard-form LP in exact rationals; {!Splitting}, {!Branch_bound}
-    and the LP bench call it, each with its own rule for when. *)
+    {!certify} re-solves any float standard-form LP in exact rationals;
+    {!Splitting}, the MIP (9) node LPs of {!Micro_mip} and the LP bench
+    call it, each with its own rule for when. *)
 
 (** Which solver produced a certified answer: the float simplex alone,
     or the exact-rational fallback it warm-started. *)
@@ -45,16 +43,3 @@ val certify :
   c:float array ->
   unit ->
   Simplex.Rat_solver.detail
-
-(** [solve_relaxation model] solves the continuous relaxation with the
-    float simplex only.  Returns the model-space solution and objective.
-    [`Stalled] reports an exhausted pivot budget (see
-    {!Simplex.S.outcome}). *)
-val solve_relaxation :
-  Model.t -> [ `Optimal of float array * float | `Infeasible | `Unbounded | `Stalled ]
-
-(** [solve_relaxation_exact model] solves the relaxation with the
-    exact-rational simplex from scratch — slower, bit-exact; used to
-    validate the float path. *)
-val solve_relaxation_exact :
-  Model.t -> [ `Optimal of float array * float | `Infeasible | `Unbounded ]

@@ -39,8 +39,8 @@
 
     Problems must be given in standard form
     [min c'x  s.t.  Ax = b, x >= 0]: {!Splitting.build} writes the
-    throughput LP in it, and {!Standardize} converts the general models
-    of the MIP path. *)
+    throughput LP in it, and {!Micro_mip.build} the relaxation of the
+    paper's MIP (9). *)
 
 (** Raised when an input coefficient is NaN or infinite (inexact fields
     only): such values would corrupt the row equilibration silently.
@@ -135,7 +135,7 @@ module type S = sig
     detail
 end
 
-(** Float instance, used by {!Branch_bound}, {!Node_bound} and
+(** Float instance, used by {!Micro_mip}, {!Node_bound} and
     {!Splitting}. *)
 module Float_solver : S with type elt = float
 

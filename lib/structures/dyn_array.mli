@@ -1,7 +1,7 @@
 (** Growable arrays (a minimal vector type).
 
     OCaml 5.1 predates [Stdlib.Dynarray]; this fills the gap for the
-    simulator's trace buffers and the LP model builder. *)
+    simulator's trace buffers and the graph algorithms. *)
 
 type 'a t
 

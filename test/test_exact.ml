@@ -483,7 +483,7 @@ let test_symmetry_fires () =
       [| fa; fa; fb; fb |])
   in
   let inst = Instance.create ~workflow:wf ~machines:m ~w ~f in
-  Alcotest.(check bool) "classes detected" true (Mf_exact.Reduction.has_machine_symmetry inst);
+  Alcotest.(check bool) "classes detected" true (Mf_exact.Symmetry.has_machine_symmetry inst);
   let _, expected = Brute.specialized inst in
   let on = Dfs.solve ~symmetry:true ~rule:Mapping.Specialized inst in
   let off = Dfs.solve ~symmetry:false ~rule:Mapping.Specialized inst in

@@ -1,11 +1,11 @@
-(* Tests for mf_lp: Linexpr, Model, Simplex (float and exact), Branch_bound,
-   and the paper's Micro_mip validated against brute force. *)
+(* Tests for mf_lp: the float and exact-rational simplex on standard-form
+   LPs, the splitting LP, the LU and sparse kernels, and the paper's MIP
+   (9) (Micro_mip) validated against brute force and the exact search. *)
 
-module Linexpr = Mf_lp.Linexpr
-module Model = Mf_lp.Model
 module Mip = Mf_lp.Mip
-module Branch_bound = Mf_lp.Branch_bound
 module Micro_mip = Mf_lp.Micro_mip
+module Simplex = Mf_lp.Simplex
+module Sparse_f = Mf_lp.Sparse.Float_csc
 module Instance = Mf_core.Instance
 module Mapping = Mf_core.Mapping
 module Period = Mf_core.Period
@@ -13,227 +13,146 @@ module Gen = Mf_workload.Gen
 module Rng = Mf_prng.Rng
 
 (* ------------------------------------------------------------------ *)
-(* Linexpr                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_linexpr_basics () =
-  let e = Linexpr.of_terms [ (2.0, 0); (3.0, 1); (-2.0, 0) ] 5.0 in
-  Alcotest.(check (float 0.0)) "coeff cancelled" 0.0 (Linexpr.coeff e 0);
-  Alcotest.(check (float 0.0)) "coeff" 3.0 (Linexpr.coeff e 1);
-  Alcotest.(check (float 0.0)) "constant" 5.0 (Linexpr.constant e);
-  Alcotest.(check (list int)) "vars" [ 1 ] (Linexpr.vars e);
-  Alcotest.(check (float 0.0)) "eval" 11.0 (Linexpr.eval e (fun _ -> 2.0))
-
-let test_linexpr_algebra () =
-  let a = Linexpr.of_terms [ (1.0, 0); (2.0, 1) ] 1.0 in
-  let b = Linexpr.of_terms [ (3.0, 1); (4.0, 2) ] 2.0 in
-  let s = Linexpr.add a b in
-  Alcotest.(check (float 0.0)) "add coeff" 5.0 (Linexpr.coeff s 1);
-  Alcotest.(check (float 0.0)) "add const" 3.0 (Linexpr.constant s);
-  let d = Linexpr.sub a b in
-  Alcotest.(check (float 0.0)) "sub coeff" (-1.0) (Linexpr.coeff d 1);
-  let k = Linexpr.scale 2.0 a in
-  Alcotest.(check (float 0.0)) "scale" 4.0 (Linexpr.coeff k 1);
-  Alcotest.(check (float 0.0)) "scale by zero is zero" 0.0
-    (Linexpr.constant (Linexpr.scale 0.0 a))
-
-(* ------------------------------------------------------------------ *)
 (* LP relaxation on known problems                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* max 3x + 2y s.t. x + y <= 4, x + 3y <= 6 -> optimum (4,0), value 12. *)
+(* [solve_dense a b c] minimizes [c'v] subject to [a v = b], [v >= 0]
+   with the float simplex; each case writes its slack, surplus and bound
+   columns itself, and a maximization as the minimization of [-c'v]. *)
+let solve_dense a b c =
+  let module FS = Simplex.Float_solver in
+  (FS.solve_sparse_detailed ~a:(Sparse_f.of_dense a ~cols:(Array.length c)) ~b ~c ()).FS.outcome
+
+(* max 3x + 2y s.t. x + y <= 4, x + 3y <= 6 -> optimum (4,0), value 12.
+   Columns x, y and the two slacks. *)
 let test_lp_textbook_max () =
-  let m = Model.create () in
-  let x = Model.add_var m ~name:"x" Model.Continuous in
-  let y = Model.add_var m ~name:"y" Model.Continuous in
-  Model.add_constraint m (Linexpr.of_terms [ (1.0, x); (1.0, y) ] 0.0) Model.Le 4.0;
-  Model.add_constraint m (Linexpr.of_terms [ (1.0, x); (3.0, y) ] 0.0) Model.Le 6.0;
-  Model.set_objective m ~minimize:false (Linexpr.of_terms [ (3.0, x); (2.0, y) ] 0.0);
-  match Mip.solve_relaxation m with
-  | `Optimal (sol, obj) ->
-    Alcotest.(check (float 1e-7)) "objective" 12.0 obj;
-    Alcotest.(check (float 1e-7)) "x" 4.0 sol.(x);
-    Alcotest.(check (float 1e-7)) "y" 0.0 sol.(y)
+  match
+    solve_dense
+      [| [| 1.0; 1.0; 1.0; 0.0 |]; [| 1.0; 3.0; 0.0; 1.0 |] |]
+      [| 4.0; 6.0 |] [| -3.0; -2.0; 0.0; 0.0 |]
+  with
+  | Simplex.Float_solver.Optimal (v, obj) ->
+    Alcotest.(check (float 1e-7)) "objective" 12.0 (-.obj);
+    Alcotest.(check (float 1e-7)) "x" 4.0 v.(0);
+    Alcotest.(check (float 1e-7)) "y" 0.0 v.(1)
   | _ -> Alcotest.fail "expected optimal"
 
-(* min x + y s.t. x + 2y >= 3, 3x + y >= 4 -> intersection (1,1), value 2. *)
+(* min x + y s.t. x + 2y >= 3, 3x + y >= 4 -> intersection (1,1), value 2.
+   Columns x, y and the two surpluses. *)
 let test_lp_textbook_min () =
-  let m = Model.create () in
-  let x = Model.add_var m Model.Continuous in
-  let y = Model.add_var m Model.Continuous in
-  Model.add_constraint m (Linexpr.of_terms [ (1.0, x); (2.0, y) ] 0.0) Model.Ge 3.0;
-  Model.add_constraint m (Linexpr.of_terms [ (3.0, x); (1.0, y) ] 0.0) Model.Ge 4.0;
-  Model.set_objective m ~minimize:true (Linexpr.of_terms [ (1.0, x); (1.0, y) ] 0.0);
-  match Mip.solve_relaxation m with
-  | `Optimal (sol, obj) ->
+  match
+    solve_dense
+      [| [| 1.0; 2.0; -1.0; 0.0 |]; [| 3.0; 1.0; 0.0; -1.0 |] |]
+      [| 3.0; 4.0 |] [| 1.0; 1.0; 0.0; 0.0 |]
+  with
+  | Simplex.Float_solver.Optimal (v, obj) ->
     Alcotest.(check (float 1e-7)) "objective" 2.0 obj;
-    Alcotest.(check (float 1e-7)) "x" 1.0 sol.(x);
-    Alcotest.(check (float 1e-7)) "y" 1.0 sol.(y)
+    Alcotest.(check (float 1e-7)) "x" 1.0 v.(0);
+    Alcotest.(check (float 1e-7)) "y" 1.0 v.(1)
   | _ -> Alcotest.fail "expected optimal"
 
 let test_lp_equality_and_bounds () =
-  (* min -x with x + y = 2, x in [0, 1.5], y >= 0 -> x = 1.5. *)
-  let m = Model.create () in
-  let x = Model.add_var m ~hi:1.5 Model.Continuous in
-  let y = Model.add_var m Model.Continuous in
-  Model.add_constraint m (Linexpr.of_terms [ (1.0, x); (1.0, y) ] 0.0) Model.Eq 2.0;
-  Model.set_objective m ~minimize:true (Linexpr.var ~coeff:(-1.0) x);
-  match Mip.solve_relaxation m with
-  | `Optimal (sol, obj) ->
-    Alcotest.(check (float 1e-7)) "x at bound" 1.5 sol.(x);
+  (* min -x with x + y = 2, x in [0, 1.5], y >= 0 -> x = 1.5.  Columns x,
+     y and the slack of the bound row x + s = 1.5. *)
+  match
+    solve_dense [| [| 1.0; 1.0; 0.0 |]; [| 1.0; 0.0; 1.0 |] |] [| 2.0; 1.5 |] [| -1.0; 0.0; 0.0 |]
+  with
+  | Simplex.Float_solver.Optimal (v, obj) ->
+    Alcotest.(check (float 1e-7)) "x at bound" 1.5 v.(0);
     Alcotest.(check (float 1e-7)) "obj" (-1.5) obj
   | _ -> Alcotest.fail "expected optimal"
 
 let test_lp_free_variable () =
-  (* min x with x free, x >= -7 via constraint -> -7. *)
-  let m = Model.create () in
-  let x = Model.add_var m ~lo:neg_infinity Model.Continuous in
-  Model.add_constraint m (Linexpr.var x) Model.Ge (-7.0);
-  Model.set_objective m ~minimize:true (Linexpr.var x);
-  match Mip.solve_relaxation m with
-  | `Optimal (sol, obj) ->
-    Alcotest.(check (float 1e-7)) "x" (-7.0) sol.(x);
+  (* min x with x free, x >= -7 via constraint -> -7.  The free x is split
+     into x+ - x-; the third column is the surplus. *)
+  match solve_dense [| [| 1.0; -1.0; -1.0 |] |] [| -7.0 |] [| 1.0; -1.0; 0.0 |] with
+  | Simplex.Float_solver.Optimal (v, obj) ->
+    Alcotest.(check (float 1e-7)) "x" (-7.0) (v.(0) -. v.(1));
     Alcotest.(check (float 1e-7)) "obj" (-7.0) obj
   | _ -> Alcotest.fail "expected optimal"
 
 let test_lp_infeasible () =
-  let m = Model.create () in
-  let x = Model.add_var m Model.Continuous in
-  Model.add_constraint m (Linexpr.var x) Model.Le 1.0;
-  Model.add_constraint m (Linexpr.var x) Model.Ge 2.0;
-  Model.set_objective m ~minimize:true (Linexpr.var x);
-  (match Mip.solve_relaxation m with
-  | `Infeasible -> ()
-  | _ -> Alcotest.fail "expected infeasible")
+  (* x <= 1 and x >= 2: columns x, the slack, the surplus. *)
+  match
+    solve_dense [| [| 1.0; 1.0; 0.0 |]; [| 1.0; 0.0; -1.0 |] |] [| 1.0; 2.0 |] [| 1.0; 0.0; 0.0 |]
+  with
+  | Simplex.Float_solver.Infeasible -> ()
+  | _ -> Alcotest.fail "expected infeasible"
 
 let test_lp_unbounded () =
-  let m = Model.create () in
-  let x = Model.add_var m Model.Continuous in
-  Model.set_objective m ~minimize:false (Linexpr.var x);
-  (match Mip.solve_relaxation m with
-  | `Unbounded -> ()
-  | _ -> Alcotest.fail "expected unbounded")
+  (* max x over x >= 0 alone: no rows at all. *)
+  match solve_dense [||] [||] [| -1.0 |] with
+  | Simplex.Float_solver.Unbounded -> ()
+  | _ -> Alcotest.fail "expected unbounded"
 
 let test_lp_degenerate () =
   (* Degenerate vertex: three constraints meet at (0,0); Bland's rule must
-     still terminate. *)
-  let m = Model.create () in
-  let x = Model.add_var m Model.Continuous in
-  let y = Model.add_var m Model.Continuous in
-  Model.add_constraint m (Linexpr.of_terms [ (1.0, x); (1.0, y) ] 0.0) Model.Ge 0.0;
-  Model.add_constraint m (Linexpr.of_terms [ (1.0, x); (-1.0, y) ] 0.0) Model.Ge 0.0;
-  Model.add_constraint m (Linexpr.of_terms [ (1.0, x); (2.0, y) ] 0.0) Model.Le 4.0;
-  Model.set_objective m ~minimize:false (Linexpr.of_terms [ (1.0, x); (1.0, y) ] 0.0);
-  match Mip.solve_relaxation m with
-  | `Optimal (_, obj) -> Alcotest.(check (float 1e-7)) "objective" 4.0 obj
+     still terminate.  max x + y s.t. x + y >= 0, x - y >= 0, x + 2y <= 4;
+     columns x, y, two surpluses and a slack. *)
+  match
+    solve_dense
+      [|
+        [| 1.0; 1.0; -1.0; 0.0; 0.0 |];
+        [| 1.0; -1.0; 0.0; -1.0; 0.0 |];
+        [| 1.0; 2.0; 0.0; 0.0; 1.0 |];
+      |]
+      [| 0.0; 0.0; 4.0 |] [| -1.0; -1.0; 0.0; 0.0; 0.0 |]
+  with
+  | Simplex.Float_solver.Optimal (_, obj) -> Alcotest.(check (float 1e-7)) "objective" 4.0 (-.obj)
   | _ -> Alcotest.fail "expected optimal"
 
 (* ------------------------------------------------------------------ *)
 (* Exact rational simplex agreement                                    *)
 (* ------------------------------------------------------------------ *)
 
-let random_model rng ~nvars ~ncons =
-  let m = Model.create () in
-  let vars =
-    Array.init nvars (fun _ -> Model.add_var m ~hi:(Rng.uniform rng ~lo:1.0 ~hi:10.0) Model.Continuous)
+(* A random LP over [nvars] variables with upper bounds in [1, 10] and
+   [ncons] rows, each <= or >= at random, to minimize or maximize at
+   random, in standard form: the variables, a slack per bound row (the
+   first [nvars] rows), then a slack or surplus per constraint row. *)
+let random_lp rng ~nvars ~ncons =
+  let cols = (2 * nvars) + ncons in
+  let hi = Array.init nvars (fun _ -> Rng.uniform rng ~lo:1.0 ~hi:10.0) in
+  let bound_rows =
+    Array.init nvars (fun v ->
+        Array.init cols (fun j -> if j = v || j = nvars + v then 1.0 else 0.0))
   in
-  for _ = 1 to ncons do
-    let terms =
-      Array.to_list
-        (Array.map (fun v -> (Rng.uniform rng ~lo:(-3.0) ~hi:3.0, v)) vars)
-    in
-    let rel = if Rng.bool rng then Model.Le else Model.Ge in
-    let rhs = Rng.uniform rng ~lo:(-5.0) ~hi:10.0 in
-    Model.add_constraint m (Linexpr.of_terms terms 0.0) rel rhs
-  done;
-  let obj =
-    Array.to_list (Array.map (fun v -> (Rng.uniform rng ~lo:(-2.0) ~hi:2.0, v)) vars)
+  let rows =
+    Array.init ncons (fun r ->
+        let row = Array.make cols 0.0 in
+        for v = 0 to nvars - 1 do
+          row.(v) <- Rng.uniform rng ~lo:(-3.0) ~hi:3.0
+        done;
+        row.((2 * nvars) + r) <- (if Rng.bool rng then 1.0 else -1.0);
+        (row, Rng.uniform rng ~lo:(-5.0) ~hi:10.0))
   in
-  Model.set_objective m ~minimize:(Rng.bool rng) (Linexpr.of_terms obj 0.0);
-  m
+  let obj = Array.init nvars (fun _ -> Rng.uniform rng ~lo:(-2.0) ~hi:2.0) in
+  let sign = if Rng.bool rng then 1.0 else -1.0 in
+  let c = Array.init cols (fun j -> if j < nvars then sign *. obj.(j) else 0.0) in
+  ( Sparse_f.of_dense (Array.append bound_rows (Array.map fst rows)) ~cols,
+    Array.append hi (Array.map snd rows),
+    c )
 
 let test_float_vs_exact_simplex () =
+  let module FS = Simplex.Float_solver in
+  let module RS = Simplex.Rat_solver in
   let rng = Rng.create 77 in
   let agree = ref 0 in
   for _ = 1 to 25 do
-    let m = random_model rng ~nvars:4 ~ncons:4 in
-    match (Mip.solve_relaxation m, Mip.solve_relaxation_exact m) with
-    | `Optimal (_, f), `Optimal (_, e) ->
+    let a, b, c = random_lp rng ~nvars:4 ~ncons:4 in
+    match
+      ((FS.solve_sparse_detailed ~a ~b ~c ()).FS.outcome, (Mip.certify ~a ~b ~c ()).RS.outcome)
+    with
+    | FS.Optimal (_, f), RS.Optimal (_, e) ->
+      let e = Mf_numeric.Rat.to_float e in
       Alcotest.(check bool)
         (Printf.sprintf "objectives agree (%g vs %g)" f e)
         true
         (Float.abs (f -. e) <= 1e-6 *. Float.max 1.0 (Float.abs e));
       incr agree
-    | `Infeasible, `Infeasible | `Unbounded, `Unbounded -> incr agree
+    | FS.Infeasible, RS.Infeasible | FS.Unbounded, RS.Unbounded -> incr agree
     | _ -> Alcotest.fail "float and exact simplex disagree on status"
   done;
   Alcotest.(check int) "all cases checked" 25 !agree
-
-(* ------------------------------------------------------------------ *)
-(* Branch and bound                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_mip_knapsack () =
-  (* max 5a + 4b + 3c s.t. 2a + 3b + c <= 5, binaries -> a=b=1, value 9. *)
-  let m = Model.create () in
-  let a = Model.add_var m Model.Binary in
-  let b = Model.add_var m Model.Binary in
-  let c = Model.add_var m Model.Binary in
-  Model.add_constraint m (Linexpr.of_terms [ (2.0, a); (3.0, b); (1.0, c) ] 0.0) Model.Le 5.0;
-  Model.set_objective m ~minimize:false
-    (Linexpr.of_terms [ (5.0, a); (4.0, b); (3.0, c) ] 0.0);
-  let r = Branch_bound.solve m in
-  Alcotest.(check bool) "optimal" true (r.Branch_bound.status = Branch_bound.Optimal);
-  (match r.Branch_bound.objective with
-  | Some obj -> Alcotest.(check (float 1e-6)) "value" 9.0 obj
-  | None -> Alcotest.fail "no objective");
-  match r.Branch_bound.solution with
-  | Some sol ->
-    Alcotest.(check (float 1e-9)) "a" 1.0 sol.(a);
-    Alcotest.(check (float 1e-9)) "b" 1.0 sol.(b);
-    Alcotest.(check (float 1e-9)) "c" 0.0 sol.(c)
-  | None -> Alcotest.fail "no solution"
-
-let test_mip_integer_rounding_matters () =
-  (* max x + y s.t. 2x + 2y <= 5, integers -> LP gives 2.5, MIP gives 2. *)
-  let m = Model.create () in
-  let x = Model.add_var m Model.Integer in
-  let y = Model.add_var m Model.Integer in
-  Model.add_constraint m (Linexpr.of_terms [ (2.0, x); (2.0, y) ] 0.0) Model.Le 5.0;
-  Model.set_objective m ~minimize:false (Linexpr.of_terms [ (1.0, x); (1.0, y) ] 0.0);
-  let r = Branch_bound.solve m in
-  (match r.Branch_bound.objective with
-  | Some obj -> Alcotest.(check (float 1e-6)) "value" 2.0 obj
-  | None -> Alcotest.fail "no objective");
-  match Mip.solve_relaxation m with
-  | `Optimal (_, lp) -> Alcotest.(check (float 1e-6)) "relaxation" 2.5 lp
-  | _ -> Alcotest.fail "expected optimal relaxation"
-
-let test_mip_infeasible () =
-  let m = Model.create () in
-  let x = Model.add_var m Model.Binary in
-  Model.add_constraint m (Linexpr.var x) Model.Ge 0.4;
-  Model.add_constraint m (Linexpr.var x) Model.Le 0.6;
-  Model.set_objective m ~minimize:true (Linexpr.var x);
-  let r = Branch_bound.solve m in
-  Alcotest.(check bool) "infeasible" true (r.Branch_bound.status = Branch_bound.Infeasible)
-
-let test_mip_solution_feasible () =
-  (* Whatever the MIP returns must pass the model's own feasibility check. *)
-  let m = Model.create () in
-  let xs = Array.init 5 (fun _ -> Model.add_var m Model.Binary) in
-  Model.add_constraint m
-    (Linexpr.of_terms (Array.to_list (Array.map (fun v -> (1.0, v)) xs)) 0.0)
-    Model.Ge 2.0;
-  Model.add_constraint m
-    (Linexpr.of_terms [ (1.0, xs.(0)); (1.0, xs.(1)) ] 0.0)
-    Model.Le 1.0;
-  Model.set_objective m ~minimize:true
-    (Linexpr.of_terms (Array.to_list (Array.mapi (fun i v -> (float_of_int (i + 1), v)) xs)) 0.0);
-  let r = Branch_bound.solve m in
-  match r.Branch_bound.solution with
-  | Some sol -> Alcotest.(check (option string)) "feasible" None (Model.check_feasible m sol ~tol:1e-6)
-  | None -> Alcotest.fail "expected a solution"
 
 (* ------------------------------------------------------------------ *)
 (* Micro MIP vs brute force - the validation that matters              *)
@@ -247,7 +166,7 @@ let test_micro_mip_matches_brute () =
     Alcotest.(check bool)
       (Printf.sprintf "solved (seed %d)" seed)
       true
-      (r.Micro_mip.status = Branch_bound.Optimal);
+      (r.Micro_mip.status = Micro_mip.Optimal);
     (match (r.Micro_mip.mapping, r.Micro_mip.period) with
     | Some mp, Some period ->
       Alcotest.(check bool) "specialized" true (Mapping.satisfies inst mp Mapping.Specialized);
@@ -281,19 +200,78 @@ let test_micro_mip_on_tree () =
       (Float.abs (period -. expected) <= 1e-4 *. expected)
   | None -> Alcotest.fail "expected a solution"
 
-let test_micro_mip_build_shape () =
-  let inst = Gen.chain (Rng.create 1) (Gen.default ~tasks:3 ~types:2 ~machines:2) in
-  let model, (a, t, x, y, _) = Micro_mip.build inst in
-  (* n*m a-vars + m*p t-vars + n x-vars + n*m y-vars + K. *)
-  Alcotest.(check int) "var count" ((3 * 2) + (2 * 2) + 3 + (3 * 2) + 1) (Model.var_count model);
-  Alcotest.(check int) "a dims" 3 (Array.length a);
-  Alcotest.(check int) "t dims" 2 (Array.length t);
-  Alcotest.(check int) "x dims" 3 (Array.length x);
-  Alcotest.(check int) "y dims" 3 (Array.length y);
-  (* (3): n rows; (4): m rows; (5): n*m; (6): n*m; (7): m; (8): 3*n*m. *)
-  Alcotest.(check int) "constraint count"
-    (3 + 2 + (3 * 2) + (3 * 2) + 2 + (3 * 3 * 2))
-    (Model.constraint_count model)
+(* Chains and in-trees, n in {4, 5, 6}: the MIP's optimum is the period
+   both exact solvers prove, and its K is that period up to the LP's
+   tolerances. *)
+let test_micro_mip_agrees_with_dfs_and_brute () =
+  List.iter
+    (fun (family, draw) ->
+      List.iter
+        (fun (n, seeds) ->
+          for seed = 1 to seeds do
+            let inst = draw (Rng.create seed) (Gen.default ~tasks:n ~types:2 ~machines:3) in
+            let case = Printf.sprintf "%s n=%d seed %d" family n seed in
+            let _, brute = Mf_exact.Brute.specialized inst in
+            let dfs = (Mf_exact.Dfs.specialized inst).Mf_exact.Dfs.period in
+            let r = Micro_mip.solve inst in
+            Alcotest.(check bool) (case ^ ": optimal") true (r.Micro_mip.status = Micro_mip.Optimal);
+            match (r.Micro_mip.mapping, r.Micro_mip.period, r.Micro_mip.k) with
+            | Some mp, Some period, Some k ->
+              Alcotest.(check bool)
+                (case ^ ": specialized")
+                true
+                (Mapping.satisfies inst mp Mapping.Specialized);
+              List.iter
+                (fun (name, want) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: period %.17g = %s %.17g" case period name want)
+                    true
+                    (Float.abs (period -. want) <= 1e-9 *. want))
+                [ ("Brute", brute); ("Dfs", dfs) ];
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: K %.6f within 1e-4 of the period" case k)
+                true
+                (Float.abs (k -. period) <= 1e-4 *. period)
+            | _ -> Alcotest.failf "%s: no mapping decoded" case
+          done)
+        [ (4, 8); (5, 8); (6, 8) ])
+    [ ("chain", Gen.chain); ("in-tree", Gen.in_tree) ]
+
+let test_micro_mip_node_budget () =
+  let inst = Gen.chain (Rng.create 1) (Gen.default ~tasks:6 ~types:2 ~machines:3) in
+  let r = Micro_mip.solve ~node_budget:3 inst in
+  Alcotest.(check bool) "at most 3 node LPs" true (r.Micro_mip.nodes <= 3);
+  match (r.Micro_mip.status, r.Micro_mip.mapping) with
+  | Micro_mip.Feasible, Some mp ->
+    Alcotest.(check bool) "specialized" true (Mapping.satisfies inst mp Mapping.Specialized)
+  | Micro_mip.Unknown, None -> ()
+  | _ -> Alcotest.fail "expected Feasible with a mapping, or Unknown"
+
+let test_micro_mip_fewer_machines_than_types () =
+  let inst = Gen.chain (Rng.create 2) (Gen.default ~tasks:4 ~types:3 ~machines:2) in
+  let r = Micro_mip.solve inst in
+  Alcotest.(check bool) "infeasible" true (r.Micro_mip.status = Micro_mip.Infeasible);
+  Alcotest.(check bool) "no mapping" true (r.Micro_mip.mapping = None)
+
+(* The counts micro_mip.mli states: n + 2m + 5 na rows, and 2 na + m p +
+   n + 1 structural columns plus a slack per row past the first n. *)
+let test_micro_mip_layout () =
+  let n = 3 and m = 2 and p = 2 in
+  let inst = Gen.chain (Rng.create 1) (Gen.default ~tasks:n ~types:p ~machines:m) in
+  let check name forbidden na =
+    let lp = Micro_mip.build ?forbidden inst in
+    let rows = n + (2 * m) + (5 * na) in
+    Alcotest.(check int) (name ^ ": rows") rows lp.Mf_lp.Splitting.a.Mf_lp.Sparse.rows;
+    Alcotest.(check int)
+      (name ^ ": columns")
+      ((2 * na) + (m * p) + n + 1 + (rows - n))
+      lp.Mf_lp.Splitting.a.Mf_lp.Sparse.cols;
+    Alcotest.(check int) (name ^ ": b") rows (Array.length lp.Mf_lp.Splitting.b);
+    Alcotest.(check (float 0.0)) (name ^ ": c on K") 1.0 lp.Mf_lp.Splitting.c.((2 * na) + (m * p) + n)
+  in
+  check "all pairs" None (n * m);
+  (* task 1 kept on machine 0 only: its pair on machine 1 leaves *)
+  check "one pair forbidden" (Some (Array.init (n * m) (fun q -> q = (1 * m) + 1))) ((n * m) - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Splitting extension (future work)                                   *)
@@ -361,7 +339,6 @@ let test_splitting_round_feasible () =
 (* Simplex unit tests: non-finite rejection, stall budget, warm start  *)
 (* ------------------------------------------------------------------ *)
 
-module Simplex = Mf_lp.Simplex
 module Rat = Mf_numeric.Rat
 
 (* Every case through both entry points, cold and warm: the one finite
@@ -738,7 +715,6 @@ let test_splitting_round_tie_breaks_low () =
 (* LU factorisation: round trips against dense Gaussian elimination    *)
 (* ------------------------------------------------------------------ *)
 
-module Sparse_f = Mf_lp.Sparse.Float_csc
 module Lu_f = Mf_lp.Lu.Float_lu
 
 (* Dense Gaussian elimination with partial pivoting: the reference
@@ -1156,11 +1132,6 @@ let test_lp_differential () =
 let () =
   Alcotest.run "mf_lp"
     [
-      ( "linexpr",
-        [
-          Alcotest.test_case "basics" `Quick test_linexpr_basics;
-          Alcotest.test_case "algebra" `Quick test_linexpr_algebra;
-        ] );
       ( "simplex",
         [
           Alcotest.test_case "textbook max" `Quick test_lp_textbook_max;
@@ -1179,13 +1150,6 @@ let () =
           Alcotest.test_case "warm start verdicts" `Quick test_simplex_warm_start_verdicts;
           Alcotest.test_case "bit-identity pin" `Quick test_simplex_bit_identity_pin;
           Alcotest.test_case "allocation guard" `Quick test_simplex_allocation_guard;
-        ] );
-      ( "branch-bound",
-        [
-          Alcotest.test_case "knapsack" `Quick test_mip_knapsack;
-          Alcotest.test_case "integer rounding" `Quick test_mip_integer_rounding_matters;
-          Alcotest.test_case "infeasible" `Quick test_mip_infeasible;
-          Alcotest.test_case "solution feasible" `Quick test_mip_solution_feasible;
         ] );
       ( "splitting",
         [
@@ -1222,6 +1186,11 @@ let () =
           Alcotest.test_case "matches brute force" `Slow test_micro_mip_matches_brute;
           Alcotest.test_case "K equals period" `Slow test_micro_mip_k_close_to_period;
           Alcotest.test_case "works on trees" `Slow test_micro_mip_on_tree;
-          Alcotest.test_case "model shape" `Quick test_micro_mip_build_shape;
+          Alcotest.test_case "agrees with Dfs and Brute" `Slow
+            test_micro_mip_agrees_with_dfs_and_brute;
+          Alcotest.test_case "node budget" `Quick test_micro_mip_node_budget;
+          Alcotest.test_case "fewer machines than types" `Quick
+            test_micro_mip_fewer_machines_than_types;
+          Alcotest.test_case "layout" `Quick test_micro_mip_layout;
         ] );
     ]
