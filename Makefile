@@ -14,8 +14,11 @@ build:
 test:
 	dune runtest
 
-# Gate: build + tests, then the parallel-determinism check — the same
-# experiment grid at --jobs 1 and --jobs 4 must produce byte-identical CSV —
+# Gate: build + tests, then the parallel-determinism checks — the same
+# experiment grid at --jobs 1 and --jobs 4 must produce byte-identical CSV,
+# and so must the dynamic experiment at --jobs 1 and --jobs 2 (each
+# simulation's online re-mapper keeps its own evaluation state, which no
+# two domains may share) —
 # the pool stress suite (shutdown-while-busy, concurrent/nested map_array,
 # exception-index determinism across chunk sizes) and the differential
 # suites under timeouts so a regression that blows
@@ -29,6 +32,9 @@ verify:
 	dune exec bin/mfopt.exe -- experiment fig6 --replicates 2 --jobs 1 --csv > _build/verify_j1.csv
 	dune exec bin/mfopt.exe -- experiment fig6 --replicates 2 --jobs 4 --csv > _build/verify_j4.csv
 	cmp _build/verify_j1.csv _build/verify_j4.csv
+	dune exec bin/mfopt.exe -- experiment dynamic --replicates 4 --jobs 1 --csv > _build/verify_dyn_j1.csv
+	dune exec bin/mfopt.exe -- experiment dynamic --replicates 4 --jobs 2 --csv > _build/verify_dyn_j2.csv
+	cmp _build/verify_dyn_j1.csv _build/verify_dyn_j2.csv
 	timeout 60 dune exec test/test_parallel.exe -- test pool-stress
 	timeout 60 dune exec test/test_exact.exe -- test dfs-differential
 	timeout 60 dune exec test/test_lp.exe -- test lp-differential
@@ -38,7 +44,7 @@ verify:
 	$(MAKE) fuzz-quick
 	$(MAKE) bench-regress
 	timeout 120 sh scripts/regress_canary.sh
-	@echo "verify OK: tests green, --jobs 1/4 byte-identical, differential suites green, MIP (9) = DFS, daemon smoke green, fuzz matrix green, bench-regress green and its canary caught"
+	@echo "verify OK: tests green, fig6 --jobs 1/4 and dynamic --jobs 1/2 byte-identical, differential suites green, MIP (9) = DFS, daemon smoke green, fuzz matrix green, bench-regress green and its canary caught"
 
 # Quick fuzz tier (deterministic, fixed seeds, <= 30 s): the full oracle
 # matrix (the twelve oracles of DESIGN.md §12) plus the two injected-bug

@@ -1,7 +1,6 @@
 module Instance = Mf_core.Instance
 module Workflow = Mf_core.Workflow
 module Mapping = Mf_core.Mapping
-module Products = Mf_core.Products
 module Kahan = Mf_numeric.Kahan
 
 (* Undo journal.  Backward-order assignments — the branch-and-bound hot
@@ -216,23 +215,35 @@ let reset t =
   t.ja_len <- 0;
   t.depth <- 0
 
-let of_mapping inst mp =
-  let t = create inst in
-  let xs = Products.x inst mp in
+let load_mapping t mp =
+  reset t;
+  (* Product counts in backward order, with [Products.x]'s float
+     operations, so they equal its values bit for bit. *)
+  for k = 0 to t.n - 1 do
+    let i = t.order.(k) in
+    let u = Mapping.machine mp i in
+    check_machine t u;
+    let s = t.succ.(i) in
+    let downstream = if s < 0 then 1.0 else t.x.(s) in
+    t.assign.(i) <- u;
+    t.x.(i) <- 1.0 /. (1.0 -. t.frow.(i).(u)) *. downstream
+  done;
   (* Loads accumulate in increasing task order, exactly like
      [Period.machine_periods], so the initial period is bit-identical. *)
   for i = 0 to t.n - 1 do
-    let u = Mapping.machine mp i in
-    t.assign.(i) <- u;
-    t.x.(i) <- xs.(i);
-    add_load t u (xs.(i) *. t.wrow.(i).(u));
-    add_load t t.m (xs.(i) *. t.wrow.(i).(u));
+    let u = t.assign.(i) in
+    add_load t u (t.x.(i) *. t.wrow.(i).(u));
+    add_load t t.m (t.x.(i) *. t.wrow.(i).(u));
     let ti = (u * t.p) + t.ttype.(i) in
     t.tcount.(ti) <- t.tcount.(ti) + 1;
     t.ntasks.(u) <- t.ntasks.(u) + 1
   done;
   t.period_valid <- false;
-  refresh_period t;
+  refresh_period t
+
+let of_mapping inst mp =
+  let t = create inst in
+  load_mapping t mp;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -362,7 +373,13 @@ let tentative_period t =
    ratio [r].  Unassigned tasks (partial states) are skipped: by the
    downstream-closure invariant their whole upstream cone is unassigned.
    The walk pushes predecessors in [Workflow.predecessors] order, which
-   fixes the order the per-machine deltas accumulate in. *)
+   fixes the order the per-machine deltas accumulate in.
+
+   When [r] is exactly 1.0 (f(task, ·) equal on both machines, e.g.
+   machine-independent failures) the walk is skipped: it would set every
+   x' = x *. 1.0 = x and add a +0.0 delta to each upstream machine, and
+   neither the tentative period nor a commit can tell those apart from
+   untouched entries (DESIGN.md §8). *)
 let eval_move t ~task ~machine =
   check_task t task;
   check_machine t machine;
@@ -380,8 +397,8 @@ let eval_move t ~task ~machine =
   touch t machine;
   t.mdelta.(machine) <- t.mdelta.(machine) +. (xi' *. t.wrow.(task).(machine));
   let ps = t.preds.(task) in
-  Array.blit ps 0 t.stack 0 (Array.length ps);
-  let sp = ref (Array.length ps) in
+  let sp = ref (if r = 1.0 then 0 else Array.length ps) in
+  Array.blit ps 0 t.stack 0 !sp;
   while !sp > 0 do
     decr sp;
     let j = t.stack.(!sp) in

@@ -11,7 +11,8 @@
     - a {b task move} [i -> u] rescales the product counts of [i]'s
       {e upstream subtree} (the tasks whose products flow through [i]) by
       the ratio [(1 - f(i, old)) / (1 - f(i, u))] and shifts [i]'s own
-      contribution between two machines — O(|subtree| + touched machines);
+      contribution between two machines — O(|subtree| + touched machines),
+      and O(1) when the ratio is exactly 1 (nothing upstream changes);
     - a {b machine group swap} [u <-> v] re-derives the x of every task
       sitting on [u] or [v] and of their upstream subtrees — O(affected);
     - a {b backward-order assignment} (heuristics engine, branch-and-bound)
@@ -39,8 +40,16 @@ type t
 val create : Mf_core.Instance.t -> t
 
 (** [of_mapping inst mp] is the fully-assigned state evaluating [mp]; its
-    {!period} equals [Period.period inst mp] bit-for-bit. *)
+    {!period} equals [Period.period inst mp] bit-for-bit.  It is
+    [create inst] followed by [load_mapping]. *)
 val of_mapping : Mf_core.Instance.t -> Mf_core.Mapping.t -> t
+
+(** [load_mapping st mp] overwrites [st] with the fully-assigned state
+    evaluating [mp], a mapping of [st]'s instance: {!reset}, then the
+    loads accumulated in [of_mapping]'s order, so the result equals
+    [of_mapping (instance st) mp] bit for bit whatever [st] held before.
+    It allocates nothing, which lets one state serve many evaluations. *)
+val load_mapping : t -> Mf_core.Mapping.t -> unit
 
 (** [reset st] clears every assignment, load and the undo journal. *)
 val reset : t -> unit

@@ -5,8 +5,9 @@ let copy = Xoshiro256.copy
 let split = Xoshiro256.split
 let int64 = Xoshiro256.next
 
-(* 53 random mantissa bits, uniform in [0,1). *)
-let unit_float t =
+(* 53 random mantissa bits, uniform in [0,1).  Inlined, so the draws
+   built on it do not box the float. *)
+let[@inline] unit_float t =
   let bits = Int64.shift_right_logical (Xoshiro256.next t) 11 in
   Int64.to_float bits *. 0x1.0p-53
 

@@ -560,8 +560,9 @@ let remap_gen =
   return (inst, mp, script, budget)
 
 (* Interprets the availability script the way the simulator would drive
-   the re-mapper — one {!Plan.repair} per change, committed moves folded
-   into the live mapping — and checks, at every step:
+   the re-mapper — one {!Plan.repair} per change, all in one reused
+   {!Mf_eval.State} as {!Mf_remap.Online.remapper} runs them, committed
+   moves folded into the live mapping — and checks, at every step:
 
    - every committed assignment targets a surviving machine and the
      resulting live mapping is feasible over the survivors {e and} still
@@ -583,13 +584,14 @@ let remap_prop (inst, mp, script, budget) =
   let down = Array.make m false in
   let live = ref (Mapping.to_array mp) in
   let committed = ref [] in
+  let plan_st = State.create inst in
   Array.iter
     (fun op ->
       (match op with
       | Instances.Down u -> down.(u) <- true
       | Instances.Up u -> down.(u) <- false);
       let stranded = Array.exists (fun u -> down.(u)) !live in
-      match Plan.repair ~budget inst ~mapping:!live ~down with
+      match Plan.repair ~budget plan_st ~mapping:!live ~down with
       | None ->
         check stranded "planner declared infeasibility with nothing stranded";
         (* a machine whose surviving residents are all of one type keeps
@@ -1273,7 +1275,7 @@ let canary_check ~seed =
    remap-safety discipline (never assign to a down machine) must catch
    it and shrink the repro.  Never called by production code. *)
 let buggy_remap inst ~mapping ~down =
-  match Plan.repair inst ~mapping ~down with
+  match Plan.repair (State.create inst) ~mapping ~down with
   | None -> None
   | Some plan ->
     let next = Array.copy mapping in

@@ -2,6 +2,7 @@ module Instance = Mf_core.Instance
 module Mapping = Mf_core.Mapping
 module Period = Mf_core.Period
 module Desim = Mf_sim.Desim
+module State = Mf_eval.State
 
 let any_stranded ~down mapping =
   Array.exists (fun u -> down.(u)) mapping
@@ -17,11 +18,22 @@ let diff_moves ~from target =
   Array.of_list !moves
 
 let remapper ?budget ?original inst : Desim.remapper =
-  let original = Option.map Mapping.to_array original in
+  (* The designed mapping's period depends on nothing a decision changes:
+     computed once, where the restore test first needs it. *)
+  let original =
+    Option.map
+      (fun mp ->
+        let orig = Mapping.to_array mp in
+        (orig, lazy (Period.period inst (Mapping.of_array inst orig))))
+      original
+  in
+  (* One evaluation state for every decision of this re-mapper: each
+     [Plan.repair] reloads it from the live mapping. *)
+  let st = State.create inst in
   let strict_better p q = p < q *. (1.0 -. 1e-12) in
   fun ~time:_ ~down ~mapping change ->
     let repair () =
-      match Plan.repair ?budget inst ~mapping ~down with
+      match Plan.repair ?budget st ~mapping ~down with
       | None -> None (* no feasible host: stranded tasks wait for the crew *)
       | Some p when Array.length p.Plan.moves = 0 -> None
       | Some p -> Some { Desim.moves = p.Plan.moves; evals = p.Plan.evals }
@@ -35,31 +47,34 @@ let remapper ?budget ?original inst : Desim.remapper =
         repair ()
       else begin
         (* nothing stranded: weigh doing nothing, restoring the designed
-           mapping, and a budget-bounded improvement of the live one *)
-        let live_p = Period.period inst (Mapping.of_array inst mapping) in
-        let plan = Plan.repair ?budget inst ~mapping ~down in
-        let plan_p =
-          match plan with Some p -> p.Plan.period | None -> infinity
-        in
-        let restore =
-          match original with
-          | Some orig when feasible_over ~down orig && orig <> mapping ->
-            let orig_p = Period.period inst (Mapping.of_array inst orig) in
-            (* prefer the designed mapping whenever it is at least as good
-               as the improved live one — and actually better than live *)
-            if strict_better orig_p live_p && orig_p <= plan_p *. (1.0 +. 1e-12)
-            then Some orig
-            else None
-          | _ -> None
-        in
-        match (restore, plan) with
-        | Some orig, _ ->
-          let evals = (match plan with Some p -> p.Plan.evals | None -> 0) + 1 in
-          Some { Desim.moves = diff_moves ~from:mapping orig; evals }
-        | None, Some p
-          when strict_better p.Plan.period live_p && Array.length p.Plan.moves > 0 ->
-          Some { Desim.moves = p.Plan.moves; evals = p.Plan.evals }
-        | _ -> None
+           mapping, and a budget-bounded improvement of the live one.
+           With nothing to migrate the plan exists and its greedy period
+           is the live mapping's own. *)
+        match Plan.repair ?budget st ~mapping ~down with
+        | None -> None
+        | Some plan ->
+          let live_p = plan.Plan.greedy_period in
+          let restore =
+            match original with
+            | Some (orig, orig_p) when feasible_over ~down orig && orig <> mapping ->
+              let orig_p = Lazy.force orig_p in
+              (* prefer the designed mapping whenever it is at least as
+                 good as the improved live one — and actually better than
+                 live *)
+              if strict_better orig_p live_p
+                 && orig_p <= plan.Plan.period *. (1.0 +. 1e-12)
+              then Some orig
+              else None
+            | _ -> None
+          in
+          match restore with
+          | Some orig ->
+            let moves = diff_moves ~from:mapping orig in
+            Some { Desim.moves; evals = plan.Plan.evals + 1 }
+          | None
+            when strict_better plan.Plan.period live_p && Array.length plan.Plan.moves > 0 ->
+            Some { Desim.moves = plan.Plan.moves; evals = plan.Plan.evals }
+          | None -> None
       end
 
 let simulate ?warmup ?buffer_capacity ?budget ~breakdowns ~horizon ~seed ?on_event inst mp =

@@ -22,7 +22,12 @@
 (** [remapper ?budget ?original inst] builds the decision procedure.
     [budget] bounds the local-search evaluations per decision
     ({!Plan.default_budget} by default); [original] is the designed
-    mapping restored after repairs when that wins. *)
+    mapping restored after repairs when that wins.
+
+    The procedure owns one {!Mf_eval.State} that every decision reloads
+    and plans in, so it serves one simulation at a time: give each
+    concurrent simulation (thread or domain) its own remapper, as
+    {!simulate} does. *)
 val remapper :
   ?budget:int ->
   ?original:Mf_core.Mapping.t ->

@@ -15,13 +15,14 @@ let default_budget = 400
    relative margin, or churn at ulp scale would re-map forever. *)
 let improves p current = p < current *. (1.0 -. 1e-12)
 
-let repair ?(budget = default_budget) inst ~mapping ~down =
+let repair ?(budget = default_budget) st ~mapping ~down =
+  let inst = State.instance st in
   let n = Instance.task_count inst and m = Instance.machines inst in
   if Array.length mapping <> n then
     invalid_arg "Plan.repair: mapping length differs from task count";
   if Array.length down <> m then
     invalid_arg "Plan.repair: down length differs from machine count";
-  let st = State.of_mapping inst (Mapping.of_array inst mapping) in
+  State.load_mapping st (Mapping.of_array inst mapping);
   let evals = ref 0 in
   (* Greedy repair: every task stranded on a down machine migrates to the
      up machine minimising the resulting period (ties toward the lowest

@@ -29,15 +29,21 @@ type t = {
 
 val default_budget : int
 
-(** [repair ?budget inst ~mapping ~down] plans the migration.  [None]
-    when some stranded task has no feasible surviving host under the
-    specialized rule (the caller leaves the mapping alone; stranded
-    tasks simply wait for the repair).  With no stranded task this is a
-    pure budget-bounded improvement pass over the surviving machines.
+(** [repair ?budget st ~mapping ~down] plans the migration for [st]'s
+    instance, working in [st]: it loads [mapping] into it
+    ({!Mf_eval.State.load_mapping}) and leaves the planned mapping there.
+    The caller owns [st] and may reuse it for the next decision, since
+    nothing of what it held before is read; one state must not serve two
+    plans at once.  [None] when some stranded task has no feasible
+    surviving host under the specialized rule (the caller leaves the
+    mapping alone; stranded tasks simply wait for the repair).  With no
+    stranded task this is a pure budget-bounded improvement pass over the
+    surviving machines, and [greedy_period] is the period of [mapping]
+    itself, bit for bit [Period.period].
     @raise Invalid_argument on mismatched array lengths. *)
 val repair :
   ?budget:int ->
-  Mf_core.Instance.t ->
+  Mf_eval.State.t ->
   mapping:int array ->
   down:bool array ->
   t option

@@ -48,6 +48,67 @@ let test_of_mapping_bit_identical () =
         (State.period st = Period.period inst mp))
     [ (1, 5, 2, 3); (2, 12, 3, 5); (3, 30, 5, 12); (4, 60, 5, 20) ]
 
+(* [load_mapping] into a state with a history must give exactly the
+   state [of_mapping] builds fresh.  Half the instances have
+   machine-independent failures, where every move has ratio 1 and skips
+   its upstream walk; the history mixes moves, swaps and undos. *)
+let test_load_mapping_after_history () =
+  let bits = Int64.bits_of_float and hex = Printf.sprintf "%h" in
+  for case = 0 to 47 do
+    let rng = Rng.create (100 + case) in
+    let n = 2 + Rng.int rng 20 in
+    let p = 1 + Rng.int rng (min 3 n) in
+    let m = max p 2 + Rng.int rng 5 in
+    let params =
+      { (Gen.default ~tasks:n ~types:p ~machines:m) with
+        Gen.task_attached_failures = case mod 2 = 0 }
+    in
+    let inst =
+      if case mod 4 < 2 then Gen.in_tree (Rng.create case) params
+      else Gen.chain (Rng.create case) params
+    in
+    let st = State.of_mapping inst (Mapping.of_array inst (random_start rng inst)) in
+    for _ = 1 to 30 do
+      match Rng.int rng 3 with
+      | 0 ->
+        let i = Rng.int rng n and u = Rng.int rng m in
+        if u <> State.machine_of st i then State.apply_move st ~task:i ~machine:u
+      | 1 ->
+        let u = Rng.int rng m and v = Rng.int rng m in
+        if u <> v then State.apply_swap st ~u ~v
+      | _ -> if State.undo_depth st > 0 then State.undo st
+    done;
+    let mp = Mapping.of_array inst (random_start rng inst) in
+    State.load_mapping st mp;
+    let fresh = State.of_mapping inst mp in
+    let what s = Printf.sprintf "case %d (n=%d m=%d): %s" case n m s in
+    Alcotest.(check int) (what "journal empty") 0 (State.undo_depth st);
+    Alcotest.(check (array int)) (what "allocation") (State.to_array fresh) (State.to_array st);
+    for i = 0 to n - 1 do
+      let got = State.x st i and expect = State.x fresh i in
+      if bits got <> bits expect then
+        Alcotest.failf "%s" (what (Printf.sprintf "x(%d) %h vs fresh %h" i got expect))
+    done;
+    for u = 0 to m - 1 do
+      Alcotest.(check string) (what (Printf.sprintf "load(%d)" u))
+        (hex (State.machine_load fresh u)) (hex (State.machine_load st u));
+      Alcotest.(check int) (what "tasks_on") (State.tasks_on fresh u) (State.tasks_on st u)
+    done;
+    Alcotest.(check string) (what "total load") (hex (State.total_load fresh))
+      (hex (State.total_load st));
+    Alcotest.(check string) (what "period") (hex (State.period fresh)) (hex (State.period st));
+    for i = 0 to n - 1 do
+      for u = 0 to m - 1 do
+        let got = State.try_move st ~task:i ~machine:u in
+        let expect = State.try_move fresh ~task:i ~machine:u in
+        if bits got <> bits expect then
+          Alcotest.failf "%s"
+            (what (Printf.sprintf "try_move(%d,%d) %h vs fresh %h" i u got expect))
+      done
+    done;
+    State.check st
+  done
+
 let test_read_access () =
   let inst = chain_instance ~n:8 ~p:3 ~m:4 () in
   let a = typed_start inst in
@@ -424,6 +485,7 @@ let () =
           Alcotest.test_case "read access" `Quick test_read_access;
           Alcotest.test_case "move_allowed" `Quick test_move_allowed_matches_scan;
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "load_mapping after history" `Quick test_load_mapping_after_history;
         ] );
       ( "moves",
         [

@@ -50,6 +50,63 @@ let test_xoshiro_jump_disjoint () =
   done;
   Alcotest.(check int) "no collisions" 0 !collisions
 
+(* The first 64 outputs of four seeds, as an MD5 digest of their
+   little-endian bytes: straight from [create], from a [copy] taken after
+   those 64 (the original must continue identically), after a [jump], and
+   for both sides of a [split] (child, then the advanced parent).
+   Recorded from the record-of-int64 implementation, so a change of the
+   state's representation must keep every stream bit for bit. *)
+let test_xoshiro_stream_pin () =
+  let digest g =
+    let b = Buffer.create 512 in
+    for _ = 1 to 64 do
+      Buffer.add_int64_le b (Xoshiro256.next g)
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  List.iter
+    (fun (seed, created, copied, jumped, child, parent) ->
+      let what s = Printf.sprintf "seed %d: %s" seed s in
+      let seed = Int64.of_int seed in
+      let g = Xoshiro256.create seed in
+      Alcotest.(check string) (what "create") created (digest g);
+      let c = Xoshiro256.copy g in
+      Alcotest.(check string) (what "copy") copied (digest c);
+      Alcotest.(check string) (what "original after copy") copied (digest g);
+      let j = Xoshiro256.create seed in
+      Xoshiro256.jump j;
+      Alcotest.(check string) (what "jump") jumped (digest j);
+      let p = Xoshiro256.create seed in
+      let ch = Xoshiro256.split p in
+      Alcotest.(check string) (what "split child") child (digest ch);
+      Alcotest.(check string) (what "split parent") parent (digest p))
+    [
+      ( 0,
+        "20f68e14f3ff55a37d6919ea77691ea4",
+        "57850a106d3b4d55ca4f38062a7ce093",
+        "0177b88ed1918eeabb15c09d7eb3a87a",
+        "0177b88ed1918eeabb15c09d7eb3a87a",
+        "e085a76b8b2aa04d38295a98bdca7a22" );
+      ( 1,
+        "d1316f253bb901074d90091432859fda",
+        "15e52ed98376c2b7d468962688991c24",
+        "1a817e408024101c5a4db396a02531b9",
+        "1a817e408024101c5a4db396a02531b9",
+        "6c1c762e0841d8d8e4931a2aa5d5ed7a" );
+      ( 42,
+        "b116b7826bdb34e788594f1e901f0128",
+        "eb885e047209cb9ef7d4fdaf0a97a737",
+        "b81f5bb2a72352bec2d3a3ee53fa28e6",
+        "b81f5bb2a72352bec2d3a3ee53fa28e6",
+        "fc47e7889d1e176d5ba846efccc5f7d9" );
+      ( max_int,
+        "b22ace5ffd309e4acabcecde91751885",
+        "7c453d9a3b3f8bf4f969488cb8faa94e",
+        "aed4f20322b65d5e9675eb62cc5965e5",
+        "aed4f20322b65d5e9675eb62cc5965e5",
+        "917a9f0fa074c63bede01e670136aab6" );
+    ]
+
 let test_rng_float_range () =
   let rng = Rng.create 3 in
   for _ = 1 to 1000 do
@@ -137,6 +194,25 @@ let test_rng_mean_of_uniform () =
   let mean = !acc /. float_of_int n in
   Alcotest.(check bool) "mean near 0.5" true (Float.abs (mean -. 0.5) < 0.01)
 
+(* A Bernoulli draw allocates at most the box of one int64 (3 words):
+   generator state that boxes on every step shows up as 20 or more.
+   Native code only: bytecode boxes every float. *)
+let test_rng_bernoulli_allocation () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> Alcotest.skip ()
+  | Sys.Native ->
+    let rng = Rng.create 3 in
+    let draws = 100_000 and hits = ref 0 in
+    let before = Gc.minor_words () in
+    for _ = 1 to draws do
+      if Rng.bernoulli rng 0.3 then incr hits
+    done;
+    let per_draw = (Gc.minor_words () -. before) /. float_of_int draws in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.1f minor words per draw <= 6" per_draw)
+      true (per_draw <= 6.0);
+    Alcotest.(check bool) "draws hit about 30%" true (!hits > 29_000 && !hits < 31_000)
+
 let prop_choose_member =
   QCheck.Test.make ~name:"rng: choose returns a member" ~count:200
     QCheck.(pair small_int (array_of_size Gen.(int_range 1 20) int))
@@ -162,6 +238,7 @@ let () =
           Alcotest.test_case "xoshiro determinism" `Quick test_xoshiro_deterministic;
           Alcotest.test_case "xoshiro copy" `Quick test_xoshiro_copy_independent;
           Alcotest.test_case "xoshiro jump" `Quick test_xoshiro_jump_disjoint;
+          Alcotest.test_case "xoshiro stream pin" `Quick test_xoshiro_stream_pin;
         ] );
       ( "rng",
         [
@@ -173,6 +250,7 @@ let () =
           Alcotest.test_case "shuffle" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "split" `Quick test_rng_split_independent;
           Alcotest.test_case "uniform mean" `Quick test_rng_mean_of_uniform;
+          Alcotest.test_case "bernoulli allocation" `Quick test_rng_bernoulli_allocation;
         ] );
       ( "rng-props",
         List.map QCheck_alcotest.to_alcotest [ prop_choose_member; prop_int_in_bounds ] );

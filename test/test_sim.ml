@@ -813,6 +813,103 @@ let test_dyn_allocation_guard () =
       (Printf.sprintf "%.1f minor words per event (%d events) <= 8" per_event !events)
       true (per_event <= 8.0)
 
+(* [Plan.repair] reloads the state it is given, so planning a sequence of
+   (mapping, down) snapshots in one reused state must give exactly the
+   plans of a fresh state per call.  The snapshots follow remap-safety's
+   discipline: toggle one machine, plan, fold the plan into the live
+   mapping.  Half the instances have machine-independent failures, where
+   every move skips its upstream walk. *)
+let test_dyn_plan_reused_state () =
+  let module Plan = Mf_remap.Plan in
+  let module State = Mf_eval.State in
+  for case = 0 to 23 do
+    let rng = Rng.create (500 + case) in
+    let n = 4 + Rng.int rng 12 and m = 3 + Rng.int rng 4 in
+    let p = 1 + Rng.int rng 3 in
+    let params =
+      { (Gen.default ~tasks:n ~types:p ~machines:m) with
+        Gen.task_attached_failures = case mod 2 = 0 }
+    in
+    let inst =
+      if case mod 4 < 2 then Gen.in_tree (Rng.create case) params
+      else Gen.chain (Rng.create case) params
+    in
+    let live =
+      Mapping.to_array (Mf_heuristics.Registry.solve Mf_heuristics.Registry.H4w inst)
+    in
+    let down = Array.make m false in
+    let st = State.create inst in
+    for step = 1 to 12 do
+      let u = Rng.int rng m in
+      down.(u) <- not down.(u);
+      if Array.for_all Fun.id down then down.(u) <- false;
+      let budget = [| 0; 60; Plan.default_budget |].(step mod 3) in
+      let reused = Plan.repair ~budget st ~mapping:live ~down in
+      let fresh = Plan.repair ~budget (State.create inst) ~mapping:live ~down in
+      if compare reused fresh <> 0 then
+        Alcotest.failf "case %d step %d: the reused state planned differently" case step;
+      match reused with
+      | Some plan -> Array.iter (fun (i, v) -> live.(i) <- v) plan.Plan.moves
+      | None -> ()
+    done
+  done
+
+(* A re-mapper owns its evaluation state, so simulations run on two
+   domains at once must reproduce the serial runs exactly: a state shared
+   between re-mappers (a module-level one, say) would mix their plans. *)
+let test_dyn_remappers_two_domains () =
+  let module Pool = Mf_parallel.Pool in
+  let chain, chain_mp, chain_p, chain_bd = bench_dynamic_chain () in
+  let tree, tree_mp, tree_p = bench_in_tree () in
+  let tree_bd =
+    Breakdown.uniform ~machines:12 ~mtbf:(50.0 *. tree_p) ~mttr:(5.0 *. tree_p) ~crews:2 ()
+  in
+  let jobs =
+    Array.init 8 (fun k ->
+        if k mod 2 = 0 then (chain, chain_mp, chain_bd, 128.0 *. chain_p, k)
+        else (tree, tree_mp, tree_bd, 32.0 *. tree_p, k))
+  in
+  let run (inst, mp, bd, horizon, seed) =
+    Online.simulate ~breakdowns:bd ~horizon ~seed inst mp
+  in
+  let serial = Array.map run jobs in
+  let parallel =
+    Pool.with_pool ~domains:2 (fun pool -> Pool.map_array ~chunk:1 pool ~f:run jobs)
+  in
+  Array.iteri
+    (fun k (a : Desim.result) ->
+      let b = parallel.(k) in
+      let what = Printf.sprintf "job %d" k in
+      check_behaviour_equal what a b;
+      Alcotest.(check bool) (what ^ ": re-mapped") true (a.Desim.remaps > 0);
+      Alcotest.(check bool) (what ^ ": whole result equal") true (compare a b = 0))
+    serial
+
+(* A re-map decision reuses its re-mapper's evaluation state: what it
+   allocates is its plan, its journal and its result, not a rebuilt state
+   (about 7,600 words per decision on this chain) or a from-scratch
+   period.  Native code only: bytecode boxes every float. *)
+let test_dyn_remap_allocation_guard () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> Alcotest.skip ()
+  | Sys.Native ->
+    let inst, mp, p, model = bench_dynamic_chain () in
+    let rm = Online.remapper ~original:mp inst in
+    let words = ref 0.0 and calls = ref 0 in
+    let remapper ~time ~down ~mapping change =
+      let before = Gc.minor_words () in
+      let d = rm ~time ~down ~mapping change in
+      words := !words +. (Gc.minor_words () -. before);
+      incr calls;
+      d
+    in
+    let r = Desim.run ~breakdowns:model ~remapper ~horizon:(256.0 *. p) ~seed:1 inst mp in
+    Alcotest.(check bool) "re-mapped" true (r.Desim.remaps > 0);
+    let per_call = !words /. float_of_int !calls in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f minor words per decision (%d decisions) <= 2500" per_call !calls)
+      true (per_call <= 2500.0)
+
 let () =
   Alcotest.run "mf_sim"
     [
@@ -877,6 +974,9 @@ let () =
           Alcotest.test_case "validation" `Quick test_dyn_validation;
           Alcotest.test_case "bit-identity pin" `Quick test_dyn_bit_identity_pin;
           Alcotest.test_case "allocation guard" `Quick test_dyn_allocation_guard;
+          Alcotest.test_case "plan in a reused state" `Quick test_dyn_plan_reused_state;
+          Alcotest.test_case "remappers on two domains" `Quick test_dyn_remappers_two_domains;
+          Alcotest.test_case "remap allocation guard" `Quick test_dyn_remap_allocation_guard;
         ] );
       ("props", List.map QCheck_alcotest.to_alcotest [ prop_sim_close_to_analytic ]);
     ]
