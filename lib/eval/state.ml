@@ -3,30 +3,17 @@ module Workflow = Mf_core.Workflow
 module Mapping = Mf_core.Mapping
 module Kahan = Mf_numeric.Kahan
 
-(* Undo journal.  Backward-order assignments — the branch-and-bound hot
-   path, executed millions of times per search — are journalled in flat
+(* Undo journal of backward-order assignments — the branch-and-bound
+   hot path, executed millions of times per search.  Entries live in flat
    parallel arrays so that assign/undo allocate nothing (boxed journal
-   records were the dominant allocation of the exact search, and in
-   OCaml 5 every minor collection synchronises all domains, so hot-path
-   allocation destroys parallel scaling).  [Bulk] covers moves and swaps,
-   whose footprint is exactly the set of x entries and load slots (the
-   touched machines and the total) the operation touched.  The
-   assign/tcount/ntasks lists are head-most-recent, so restoring them
-   front to back rewinds duplicated indices correctly. *)
-type op =
-  | Bulk of {
-      xs : (int * float) array; (* task, previous x *)
-      loads : (int * float * float) array; (* load slot, previous (sum, comp) *)
-      assigns : (int * int) list; (* task, previous machine *)
-      tcounts : (int * int) list; (* flat (machine, type) index, previous count *)
-      ntasks : (int * int) list; (* machine, previous task count *)
-      prev_period : float;
-      prev_valid : bool;
-    }
+   records were the dominant allocation of the exact search, and in OCaml
+   5 every minor collection synchronises all domains, so hot-path
+   allocation destroys parallel scaling).  Moves and swaps commit in place
+   and are never journalled.
 
-(* Floats per flat journal entry: the assigned machine's previous load
-   sum, load compensation and extra, the previous period, and the
-   previous total-load sum and compensation. *)
+   Floats per journal entry: the assigned machine's previous load sum,
+   load compensation and extra, the previous period, and the previous
+   total-load sum and compensation. *)
 let ja_floats = 6
 
 type t = {
@@ -45,21 +32,17 @@ type t = {
      compensations (see [add_load]). *)
   lsum : float array;
   lcomp : float array;
-  extra : float array; (* flat costs injected via assign_task ?extra *)
+  extra : float array; (* flat costs injected via assign_task_with *)
   tcount : int array; (* (u * p + ty) -> tasks of type ty on u *)
   ntasks : int array; (* tasks per machine *)
   mutable period : float; (* cached max load; meaningful when valid *)
   mutable period_valid : bool;
-  mutable journal : op list; (* Bulk ops only *)
-  (* Flat journal of backward-order assignments.  At most [n] tasks are
-     assigned at once, so capacity [n] suffices; [jtag.(d)] records
-     whether depth [d] was a flat assignment or a Bulk op. *)
-  mutable jtag : Bytes.t; (* depth -> '\000' flat, '\001' Bulk; grows *)
-  ja_task : int array; (* flat entries: assigned task *)
-  ja_machine : int array; (* flat entries: its machine *)
-  ja_f : float array; (* ja_floats floats per flat entry *)
-  mutable ja_len : int; (* live flat entries *)
-  mutable depth : int;
+  (* The assignment journal.  At most [n] tasks are assigned at once, so
+     capacity [n] suffices. *)
+  ja_task : int array; (* entry -> assigned task *)
+  ja_machine : int array; (* entry -> its machine *)
+  ja_f : float array; (* ja_floats floats per entry *)
+  mutable ja_len : int; (* live entries *)
   (* Evaluation scratch, reused across calls so try_* allocates nothing.
      Stamps compare against a generation counter instead of being cleared. *)
   mutable mgen : int;
@@ -106,13 +89,10 @@ let create inst =
     ntasks = Array.make m 0;
     period = 0.0;
     period_valid = true;
-    journal = [];
-    jtag = Bytes.make (max 16 (2 * n)) '\000';
     ja_task = Array.make (max 1 n) 0;
     ja_machine = Array.make (max 1 n) 0;
     ja_f = Array.make (max 1 (ja_floats * n)) 0.0;
     ja_len = 0;
-    depth = 0;
     mgen = 0;
     mstamp = Array.make m 0;
     mold = Array.make m 0.0;
@@ -199,7 +179,7 @@ let mapping t =
   if not (is_complete t) then invalid_arg "State.mapping: incomplete assignment";
   Mapping.of_array t.inst t.assign
 
-let undo_depth t = t.depth
+let undo_depth t = t.ja_len
 
 let reset t =
   Array.fill t.assign 0 t.n (-1);
@@ -211,9 +191,7 @@ let reset t =
   Array.fill t.ntasks 0 t.m 0;
   t.period <- 0.0;
   t.period_valid <- true;
-  t.journal <- [];
-  t.ja_len <- 0;
-  t.depth <- 0
+  t.ja_len <- 0
 
 let load_mapping t mp =
   reset t;
@@ -261,33 +239,20 @@ let[@inline] x_candidate t ~task ~machine =
   check_machine t machine;
   x_succ t task /. (1.0 -. t.frow.(task).(machine))
 
-(* Non-optional variant for the branch-and-bound inner loop: an optional
-   float argument wraps in [Some] (an allocation) at every call site. *)
+(* [extra] is a required argument: an optional float argument wraps in
+   [Some] (an allocation) at every call site, and the branch-and-bound
+   inner loop calls these once per candidate. *)
 let[@inline] try_assign_with t ~extra ~task ~machine =
   let xc = x_candidate t ~task ~machine in
   machine_load t machine +. (xc *. t.wrow.(task).(machine)) +. extra
 
-let try_assign ?(extra = 0.0) t ~task ~machine = try_assign_with t ~extra ~task ~machine
-
-(* The [jtag] byte per depth is the only journal structure whose size is
-   not bounded by [n] (Bulk ops from long local searches accumulate); grow
-   it by doubling. *)
-let ensure_tag_capacity t =
-  if t.depth >= Bytes.length t.jtag then begin
-    let nb = Bytes.make (2 * Bytes.length t.jtag) '\000' in
-    Bytes.blit t.jtag 0 nb 0 (Bytes.length t.jtag);
-    t.jtag <- nb
-  end
-
 let assign_task_with t ~extra ~task ~machine =
   check_task t task;
   check_machine t machine;
-  if t.assign.(task) >= 0 then invalid_arg "State.assign_task: task already assigned";
+  if t.assign.(task) >= 0 then invalid_arg "State.assign_task_with: task already assigned";
   let xi = x_succ t task /. (1.0 -. t.frow.(task).(machine)) in
   refresh_period t;
-  ensure_tag_capacity t;
   (* Journal into the flat arrays: no allocation on this path. *)
-  Bytes.unsafe_set t.jtag t.depth '\000';
   let e = t.ja_len in
   t.ja_task.(e) <- task;
   t.ja_machine.(e) <- machine;
@@ -309,10 +274,26 @@ let assign_task_with t ~extra ~task ~machine =
   t.ntasks.(machine) <- t.ntasks.(machine) + 1;
   (* Loads only grow under assignment, so the cached max updates in O(1). *)
   let lu = load t machine in
-  if lu > t.period then t.period <- lu;
-  t.depth <- t.depth + 1
+  if lu > t.period then t.period <- lu
 
-let assign_task ?(extra = 0.0) t ~task ~machine = assign_task_with t ~extra ~task ~machine
+let undo t =
+  if t.ja_len = 0 then invalid_arg "State.undo: empty journal";
+  let e = t.ja_len - 1 in
+  t.ja_len <- e;
+  let task = t.ja_task.(e) and machine = t.ja_machine.(e) in
+  let base = ja_floats * e in
+  t.assign.(task) <- -1;
+  t.x.(task) <- nan;
+  t.lsum.(machine) <- t.ja_f.(base);
+  t.lcomp.(machine) <- t.ja_f.(base + 1);
+  t.extra.(machine) <- t.ja_f.(base + 2);
+  t.period <- t.ja_f.(base + 3);
+  t.lsum.(t.m) <- t.ja_f.(base + 4);
+  t.lcomp.(t.m) <- t.ja_f.(base + 5);
+  let ti = (machine * t.p) + t.ttype.(task) in
+  t.tcount.(ti) <- t.tcount.(ti) - 1;
+  t.ntasks.(machine) <- t.ntasks.(machine) - 1;
+  t.period_valid <- true
 
 (* ------------------------------------------------------------------ *)
 (* Tentative evaluation machinery                                      *)
@@ -451,40 +432,21 @@ let try_swap t ~u ~v =
   eval_swap t ~u ~v;
   tentative_period t
 
-(* Commit the scratch evaluation: journal the touched footprint, write the
-   new x values, fold each machine's aggregated delta into its compensated
-   load, and apply the assignment changes ([changes] lists task ->
-   new machine; entries whose machine is unchanged are ignored). *)
-let commit t changes =
-  let xs =
-    Array.init t.n_aff (fun k ->
-        let j = t.aff.(k) in
-        (j, t.x.(j)))
-  in
-  let loads =
-    Array.init (t.n_touched + 1) (fun k ->
-        let v = if k < t.n_touched then t.touched.(k) else t.m in
-        (v, t.lsum.(v), t.lcomp.(v)))
-  in
-  let assigns = ref [] and tcounts = ref [] and ntasks = ref [] in
-  List.iter
-    (fun (i, nu) ->
-      let ou = t.assign.(i) in
-      if nu <> ou then begin
-        let ty = t.ttype.(i) in
-        assigns := (i, ou) :: !assigns;
-        t.assign.(i) <- nu;
-        let oi = (ou * t.p) + ty and ni = (nu * t.p) + ty in
-        tcounts := (oi, t.tcount.(oi)) :: !tcounts;
-        t.tcount.(oi) <- t.tcount.(oi) - 1;
-        tcounts := (ni, t.tcount.(ni)) :: !tcounts;
-        t.tcount.(ni) <- t.tcount.(ni) + 1;
-        ntasks := (ou, t.ntasks.(ou)) :: !ntasks;
-        t.ntasks.(ou) <- t.ntasks.(ou) - 1;
-        ntasks := (nu, t.ntasks.(nu)) :: !ntasks;
-        t.ntasks.(nu) <- t.ntasks.(nu) + 1
-      end)
-    changes;
+(* [task] changes machine: the allocation and the type and task counts.
+   Its x and the loads come from the scratch evaluation ([commit]). *)
+let reassign t task machine =
+  let ou = t.assign.(task) and ty = t.ttype.(task) in
+  t.assign.(task) <- machine;
+  let oi = (ou * t.p) + ty and ni = (machine * t.p) + ty in
+  t.tcount.(oi) <- t.tcount.(oi) - 1;
+  t.tcount.(ni) <- t.tcount.(ni) + 1;
+  t.ntasks.(ou) <- t.ntasks.(ou) - 1;
+  t.ntasks.(machine) <- t.ntasks.(machine) + 1
+
+(* Commit the scratch evaluation in place: write the new x values and
+   fold each touched machine's aggregated delta into its compensated
+   load and into the total. *)
+let commit t =
   for k = 0 to t.n_aff - 1 do
     let j = t.aff.(k) in
     t.x.(j) <- t.xnew.(j)
@@ -494,75 +456,25 @@ let commit t changes =
     add_load t v t.mdelta.(v);
     add_load t t.m t.mdelta.(v)
   done;
-  ensure_tag_capacity t;
-  Bytes.unsafe_set t.jtag t.depth '\001';
-  t.journal <-
-    Bulk
-      {
-        xs;
-        loads;
-        assigns = !assigns;
-        tcounts = !tcounts;
-        ntasks = !ntasks;
-        prev_period = t.period;
-        prev_valid = t.period_valid;
-      }
-    :: t.journal;
-  t.depth <- t.depth + 1;
   t.period_valid <- false
 
+(* A commit would leave the assignment journal's load snapshots stale,
+   so moves and swaps are refused while assignments can still be undone. *)
 let apply_move t ~task ~machine =
+  if t.ja_len > 0 then invalid_arg "State.apply_move: assignments are journalled";
   eval_move t ~task ~machine;
-  commit t [ (task, machine) ]
+  reassign t task machine;
+  commit t
 
 let apply_swap t ~u ~v =
+  if t.ja_len > 0 then invalid_arg "State.apply_swap: assignments are journalled";
   eval_swap t ~u ~v;
-  let changes = ref [] in
   for k = 0 to t.n_aff - 1 do
     let j = t.aff.(k) in
-    if t.assign.(j) = u then changes := (j, v) :: !changes
-    else if t.assign.(j) = v then changes := (j, u) :: !changes
+    let uj = t.assign.(j) in
+    if uj = u then reassign t j v else if uj = v then reassign t j u
   done;
-  commit t !changes
-
-let undo t =
-  if t.depth = 0 then invalid_arg "State.undo: empty journal";
-  t.depth <- t.depth - 1;
-  if Bytes.unsafe_get t.jtag t.depth = '\000' then begin
-    (* Flat assignment entry: restore from the parallel arrays. *)
-    let e = t.ja_len - 1 in
-    t.ja_len <- e;
-    let task = t.ja_task.(e) and machine = t.ja_machine.(e) in
-    let base = ja_floats * e in
-    t.assign.(task) <- -1;
-    t.x.(task) <- nan;
-    t.lsum.(machine) <- t.ja_f.(base);
-    t.lcomp.(machine) <- t.ja_f.(base + 1);
-    t.extra.(machine) <- t.ja_f.(base + 2);
-    t.period <- t.ja_f.(base + 3);
-    t.lsum.(t.m) <- t.ja_f.(base + 4);
-    t.lcomp.(t.m) <- t.ja_f.(base + 5);
-    let ti = (machine * t.p) + t.ttype.(task) in
-    t.tcount.(ti) <- t.tcount.(ti) - 1;
-    t.ntasks.(machine) <- t.ntasks.(machine) - 1;
-    t.period_valid <- true
-  end
-  else
-    match t.journal with
-    | [] -> assert false
-    | Bulk b :: rest ->
-      t.journal <- rest;
-      Array.iter (fun (j, xv) -> t.x.(j) <- xv) b.xs;
-      Array.iter
-        (fun (v, s, c) ->
-          t.lsum.(v) <- s;
-          t.lcomp.(v) <- c)
-        b.loads;
-      List.iter (fun (i, ou) -> t.assign.(i) <- ou) b.assigns;
-      List.iter (fun (idx, c) -> t.tcount.(idx) <- c) b.tcounts;
-      List.iter (fun (u, c) -> t.ntasks.(u) <- c) b.ntasks;
-      t.period <- b.prev_period;
-      t.period_valid <- b.prev_valid
+  commit t
 
 (* ------------------------------------------------------------------ *)
 (* Consistency check (debug/test)                                      *)

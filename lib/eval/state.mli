@@ -18,10 +18,12 @@
     - a {b backward-order assignment} (heuristics engine, branch-and-bound)
       extends a partial state by one task in O(1).
 
-    [try_*] functions evaluate without committing; [apply_*] and
-    {!assign_task} commit and push an entry onto an undo journal, so search
-    procedures (annealing, depth-first branch-and-bound) backtrack with
-    {!undo} in time proportional to what the change touched.
+    [try_*] functions evaluate without committing.  [apply_*] commit a
+    move or swap in place; nothing records it, and a caller that wants an
+    earlier mapping back reloads it with {!load_mapping}.
+    {!assign_task_with} commits an assignment and pushes an entry onto an
+    undo journal, so the depth-first branch-and-bound backtracks with
+    {!undo} in O(1).
 
     Loads are held in compensated (Kahan–Babuska) accumulators and the
     journal stores exact accumulator snapshots, so undo restores state
@@ -51,7 +53,7 @@ val of_mapping : Mf_core.Instance.t -> Mf_core.Mapping.t -> t
     It allocates nothing, which lets one state serve many evaluations. *)
 val load_mapping : t -> Mf_core.Mapping.t -> unit
 
-(** [reset st] clears every assignment, load and the undo journal. *)
+(** [reset st] clears every assignment, load and the assignment journal. *)
 val reset : t -> unit
 
 (** {1 Read access} *)
@@ -66,7 +68,7 @@ val machine_of : t -> int -> int
 val x : t -> int -> float
 
 (** [machine_load st u] is machine [u]'s current period contribution
-    (including any {e extra} costs injected via {!assign_task}). *)
+    (including any {e extra} costs injected via {!assign_task_with}). *)
 val machine_load : t -> int -> float
 
 (** [tasks_on st u] is the number of tasks currently assigned to [u]. *)
@@ -102,6 +104,8 @@ val to_array : t -> int array
     @raise Invalid_argument if some task is unassigned. *)
 val mapping : t -> Mf_core.Mapping.t
 
+(** [undo_depth st] is the number of journalled assignments {!undo} can
+    still revert. *)
 val undo_depth : t -> int
 
 (** {1 Backward-order assignment (partial states)} *)
@@ -111,25 +115,24 @@ val undo_depth : t -> int
     @raise Invalid_argument if [task]'s successor is unassigned. *)
 val x_candidate : t -> task:int -> machine:int -> float
 
-(** [try_assign ?extra st ~task ~machine] is the load [machine] would
+(** [try_assign_with st ~extra ~task ~machine] is the load [machine] would
     carry after receiving the unassigned [task] (plus [extra] flat cost,
     e.g. a reconfiguration penalty) — the [exec_u] of the paper's
-    Algorithms 2–6. *)
-val try_assign : ?extra:float -> t -> task:int -> machine:int -> float
-
-(** [try_assign_with] / [assign_task_with] are the same operations with a
-    required [~extra] argument: the optional argument forces a [Some]
-    allocation at every call, which matters in the branch-and-bound inner
-    loop. *)
+    Algorithms 2–6.  [extra] is required rather than optional because an
+    optional float argument allocates a [Some] at every call, which
+    matters in the branch-and-bound inner loop. *)
 val try_assign_with : t -> extra:float -> task:int -> machine:int -> float
 
-val assign_task_with : t -> extra:float -> task:int -> machine:int -> unit
-
-(** [assign_task ?extra st ~task ~machine] commits the assignment of a
-    currently-unassigned task, journalling it for {!undo}.  O(1).
+(** [assign_task_with st ~extra ~task ~machine] commits the assignment of
+    a currently-unassigned task, journalling it for {!undo}.  O(1).
     @raise Invalid_argument if [task] is already assigned or its successor
     is not. *)
-val assign_task : ?extra:float -> t -> task:int -> machine:int -> unit
+val assign_task_with : t -> extra:float -> task:int -> machine:int -> unit
+
+(** [undo st] reverts the most recent {!assign_task_with}, restoring
+    loads, the total and the period bit-for-bit.
+    @raise Invalid_argument if the journal is empty. *)
+val undo : t -> unit
 
 (** {1 Move evaluation (complete or partial states)} *)
 
@@ -139,7 +142,9 @@ val assign_task : ?extra:float -> t -> task:int -> machine:int -> unit
     the current critical machine. *)
 val try_move : t -> task:int -> machine:int -> float
 
-(** [apply_move st ~task ~machine] commits the move and journals it. *)
+(** [apply_move st ~task ~machine] commits the move in place.
+    @raise Invalid_argument while {!undo_depth} is positive: a commit
+    would make the journalled assignments' load snapshots stale. *)
 val apply_move : t -> task:int -> machine:int -> unit
 
 (** [try_swap st ~u ~v] is the system period if machines [u] and [v]
@@ -147,13 +152,9 @@ val apply_move : t -> task:int -> machine:int -> unit
     mappings), leaving the state untouched. *)
 val try_swap : t -> u:int -> v:int -> float
 
-(** [apply_swap st ~u ~v] commits the group swap and journals it. *)
+(** [apply_swap st ~u ~v] commits the group swap in place.
+    @raise Invalid_argument while {!undo_depth} is positive. *)
 val apply_swap : t -> u:int -> v:int -> unit
-
-(** [undo st] reverts the most recent committed operation ({!assign_task},
-    {!apply_move} or {!apply_swap}), restoring loads bit-for-bit.
-    @raise Invalid_argument if the journal is empty. *)
-val undo : t -> unit
 
 (** {1 Debugging} *)
 

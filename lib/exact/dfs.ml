@@ -238,7 +238,7 @@ let solve_static ?(node_budget = 20_000_000) ?(setup = 0.0) ~rule inst =
           (* The reconfiguration penalty is folded into the load via
              [~extra], so deeper levels and the leaf period see it. *)
           let extra = setup_cost u ty in
-          let exec = State.try_assign st ~extra ~task ~machine:u in
+          let exec = State.try_assign_with st ~extra ~task ~machine:u in
           if exec < !best_p then candidates := (exec, u, extra) :: !candidates
         end
       done;
@@ -256,7 +256,7 @@ let solve_static ?(node_budget = 20_000_000) ?(setup = 0.0) ~rule inst =
             | Mapping.General ->
               if not (List.mem ty hosted_types.(u)) then
                 hosted_types.(u) <- ty :: hosted_types.(u));
-            State.assign_task st ~extra ~task ~machine:u;
+            State.assign_task_with st ~extra ~task ~machine:u;
             go (k + 1) (Float.max current_max exec);
             State.undo st;
             dedicated.(u) <- saved_ded;
@@ -402,14 +402,13 @@ type search = {
   mutable nogood_records : int;
   sigbuf : Buffer.t;
   (* Per-depth scratch, preallocated so expand/child allocate nothing:
-     candidate buffers (row k of an n x m matrix), the saved predecessor
-     bounds journal, and a 2-float out-param slot for the refine loop.
+     candidate buffers (row k of an n x m matrix, filled by [collect]),
+     the saved predecessor bounds journal, and a 2-float out-param slot
+     for the refine loop.
      Hot-path allocation is poison under OCaml 5 parallelism — every
      minor collection synchronises all domains. *)
   cand_exec : float array;
   cand_u : int array;
-  cand_extra : float array;
-  cand_n : int array;  (* candidates collected at depth k *)
   saved_lb : float array array;  (* depth k -> one slot per pred of order.(k) *)
   fscratch : float array;  (* [| rmax'; rem' |] *)
   (* The recursion's (cmax, rmax, rem) triple per depth.  Kept in flat
@@ -457,8 +456,6 @@ let make_search ?(with_lp = true) ctx ~budget ~seed_p ~pins =
     sigbuf = Buffer.create 256;
     cand_exec = Array.make (ctx.n * ctx.m) 0.0;
     cand_u = Array.make (ctx.n * ctx.m) 0;
-    cand_extra = Array.make (ctx.n * ctx.m) 0.0;
-    cand_n = Array.make ctx.n 0;
     saved_lb =
       Array.init ctx.n (fun k -> Array.make (Array.length ctx.preds.(ctx.order.(k))) 0.0);
     fscratch = Array.make 2 0.0;
@@ -495,6 +492,80 @@ let[@inline] setup_cost s u ty =
     | tys when List.mem ty tys -> 0.0
     | [ _ ] -> 2.0 *. c.setup
     | _ -> c.setup
+
+(* Fill row [k] of the candidate buffers with the machines [task] (of
+   type [ty], at depth [k]) branches on and return their count: the
+   pinned machine while [k] is within the pins, else every rule-allowed
+   one, except unused machines other than their symmetry class's lowest,
+   and only loads [exec] the incumbent admits.  The row is sorted by
+   (exec, machine) in place: every exec is positive so plain comparison
+   agrees with Float.compare, and the machine tiebreak makes the order
+   total, hence schedule-independent. *)
+let collect s k task ty =
+  let c = s.ctx in
+  if c.symmetry then begin
+    Array.fill s.class_rep 0 c.m (-1);
+    for u = 0 to c.m - 1 do
+      if State.tasks_on s.st u = 0 then begin
+        let cl = c.classes.(u) in
+        if s.class_rep.(cl) < 0 then s.class_rep.(cl) <- u
+      end
+    done
+  end;
+  let cands = c.cands.(ty) in
+  let base = k * c.m in
+  let cnt = ref 0 in
+  for idx = 0 to Array.length cands - 1 do
+    let u = cands.(idx) in
+    let picked = k >= Array.length s.pins || u = s.pins.(k) in
+    if picked && rule_allows s u ty then begin
+      (* Unused machines of one symmetry class are interchangeable:
+         branch only on the lowest-index one. *)
+      if c.symmetry && State.tasks_on s.st u = 0 && s.class_rep.(c.classes.(u)) <> u then
+        s.sym_skips <- s.sym_skips + 1
+      else begin
+        let exec =
+          State.try_assign_with s.st ~extra:(setup_cost s u ty) ~task ~machine:u
+        in
+        if admits s exec then begin
+          let j = base + !cnt in
+          s.cand_exec.(j) <- exec;
+          s.cand_u.(j) <- u;
+          incr cnt
+        end
+        else s.bound_prunes <- s.bound_prunes + 1
+      end
+    end
+  done;
+  let cnt = !cnt in
+  for i = 1 to cnt - 1 do
+    let e = s.cand_exec.(base + i) and u = s.cand_u.(base + i) in
+    let j = ref (i - 1) in
+    while
+      !j >= 0
+      &&
+      let ej = s.cand_exec.(base + !j) in
+      ej > e || (ej = e && s.cand_u.(base + !j) > u)
+    do
+      s.cand_exec.(base + !j + 1) <- s.cand_exec.(base + !j);
+      s.cand_u.(base + !j + 1) <- s.cand_u.(base + !j);
+      decr j
+    done;
+    s.cand_exec.(base + !j + 1) <- e;
+    s.cand_u.(base + !j + 1) <- u
+  done;
+  cnt
+
+(* Put [task] (of type [ty]) on machine [u]: its setup cost, read before
+   the rule bookkeeping records the type on [u], then the journalled
+   assignment. *)
+let occupy s task ty u =
+  let extra = setup_cost s u ty in
+  (match s.ctx.rule with
+  | Mapping.Specialized | Mapping.One_to_one -> s.dedicated.(u) <- ty
+  | Mapping.General ->
+    if not (List.mem ty s.hosted.(u)) then s.hosted.(u) <- ty :: s.hosted.(u));
+  State.assign_task_with s.st ~extra ~task ~machine:u
 
 let record_leaf s =
   let cmax = s.path_cmax.(s.ctx.n) in
@@ -649,77 +720,17 @@ and lp_check s k =
      false)
 
 and expand s k =
-  let c = s.ctx in
-  let task = c.order.(k) in
-  let ty = Workflow.ttype c.wf task in
-  if c.symmetry then begin
-    Array.fill s.class_rep 0 c.m (-1);
-    for u = 0 to c.m - 1 do
-      if State.tasks_on s.st u = 0 then begin
-        let cl = c.classes.(u) in
-        if s.class_rep.(cl) < 0 then s.class_rep.(cl) <- u
-      end
-    done
-  end;
-  let cands = c.cands.(ty) in
-  let base = k * c.m in
-  let cnt = ref 0 in
-  for idx = 0 to Array.length cands - 1 do
-    let u = cands.(idx) in
-    let picked = k >= Array.length s.pins || u = s.pins.(k) in
-    if picked && rule_allows s u ty then begin
-      (* Unused machines of one symmetry class are interchangeable:
-         branch only on the lowest-index one. *)
-      if c.symmetry && State.tasks_on s.st u = 0 && s.class_rep.(c.classes.(u)) <> u then
-        s.sym_skips <- s.sym_skips + 1
-      else begin
-        let extra = setup_cost s u ty in
-        let exec = State.try_assign_with s.st ~extra ~task ~machine:u in
-        if admits s exec then begin
-          let j = base + !cnt in
-          s.cand_exec.(j) <- exec;
-          s.cand_u.(j) <- u;
-          s.cand_extra.(j) <- extra;
-          incr cnt
-        end
-        else s.bound_prunes <- s.bound_prunes + 1
-      end
-    end
-  done;
-  let cnt = !cnt in
-  s.cand_n.(k) <- cnt;
-  (* In-place insertion sort by (exec, machine): every exec is positive so
-     plain comparison agrees with Float.compare, and the machine tiebreak
-     makes the order total, hence schedule-independent. *)
-  for i = 1 to cnt - 1 do
-    let e = s.cand_exec.(base + i)
-    and u = s.cand_u.(base + i)
-    and x = s.cand_extra.(base + i) in
-    let j = ref (i - 1) in
-    while
-      !j >= 0
-      &&
-      let ej = s.cand_exec.(base + !j) in
-      ej > e || (ej = e && s.cand_u.(base + !j) > u)
-    do
-      s.cand_exec.(base + !j + 1) <- s.cand_exec.(base + !j);
-      s.cand_u.(base + !j + 1) <- s.cand_u.(base + !j);
-      s.cand_extra.(base + !j + 1) <- s.cand_extra.(base + !j);
-      decr j
-    done;
-    s.cand_exec.(base + !j + 1) <- e;
-    s.cand_u.(base + !j + 1) <- u;
-    s.cand_extra.(base + !j + 1) <- x
-  done;
+  let task = s.ctx.order.(k) in
+  let ty = Workflow.ttype s.ctx.wf task in
+  let cnt = collect s k task ty in
   for i = 0 to cnt - 1 do
-    child s k task ty (base + i)
+    child s k task ty ((k * s.ctx.m) + i)
   done
 
 and child s k task ty slot =
   if not (s.exhausted || s.stop) then begin
     let exec = s.cand_exec.(slot) in
     let u = s.cand_u.(slot) in
-    let extra = s.cand_extra.(slot) in
     if not (admits s exec) then s.bound_prunes <- s.bound_prunes + 1
     else begin
       let c = s.ctx in
@@ -752,11 +763,7 @@ and child s k task ty slot =
       let cmax' = Float.max s.path_cmax.(k) exec in
       let saved_ded = s.dedicated.(u) in
       let saved_host = s.hosted.(u) in
-      (match c.rule with
-      | Mapping.Specialized | Mapping.One_to_one -> s.dedicated.(u) <- ty
-      | Mapping.General ->
-        if not (List.mem ty s.hosted.(u)) then s.hosted.(u) <- ty :: s.hosted.(u));
-      State.assign_task_with s.st ~extra ~task ~machine:u;
+      occupy s task ty u;
       let bound =
         Float.max (Float.max cmax' rmax') ((State.total_load s.st +. rem') /. c.fm)
       in
@@ -816,14 +823,15 @@ let has_repeated_task_profiles inst =
   !found
 
 (* Children of a prefix: extend the pinned machine sequence by one level.
-   The candidates for the task at depth [length prefix] are the
-   rule-allowed, symmetry-canonical machine choices, sorted by
-   (load, machine) — the same canonical order [expand] branches in.
-   Incumbent pruning is deliberately not applied, so the child list is a
-   pure function of (instance, prefix) — identical for every --jobs
-   value; a prunable child just dies at its first node.  [child_prefixes]
-   with the empty prefix yields the initial root split; re-splitting
-   exhausted subtrees drives the dynamic redistribution in [solve].
+   The candidates for the task at depth [length prefix] are [collect]'s
+   row there — the rule-allowed, symmetry-canonical machine choices in
+   the (exec, machine) order [expand] branches in.  With incumbent
+   [infinity] and no pins, [collect] admits every candidate, so the child
+   list is a pure function of (instance, prefix) — identical for every
+   --jobs value; a prunable child just dies at its first node.
+   [child_prefixes] with the empty prefix yields the initial root split;
+   re-splitting exhausted subtrees drives the dynamic redistribution in
+   [solve].
 
    Never empty when [length prefix < n]: General always admits every
    machine; Specialized locks at most [type_count - 1 < m] machines to
@@ -834,54 +842,13 @@ let child_prefixes ctx prefix =
   (* Candidate enumeration never evaluates bounds: skip the LP oracle. *)
   let s = make_search ~with_lp:false ctx ~budget:max_int ~seed_p:infinity ~pins:[||] in
   let len = Array.length prefix in
-  (* Replay the pinned assignments with the same rule/setup bookkeeping
-     as [child], so candidate enumeration below sees the exact search
-     state this subtree starts from. *)
-  for k = 0 to len - 1 do
-    let task = ctx.order.(k) in
-    let ty = Workflow.ttype ctx.wf task in
-    let u = prefix.(k) in
-    let extra = setup_cost s u ty in
-    (match ctx.rule with
-    | Mapping.Specialized | Mapping.One_to_one -> s.dedicated.(u) <- ty
-    | Mapping.General ->
-      if not (List.mem ty s.hosted.(u)) then s.hosted.(u) <- ty :: s.hosted.(u));
-    State.assign_task_with s.st ~extra ~task ~machine:u
-  done;
-  let task = ctx.order.(len) in
-  let ty = Workflow.ttype ctx.wf task in
-  if ctx.symmetry then begin
-    (* Lowest unused machine of each symmetry class, as [expand] sees it
-       at this depth. *)
-    Array.fill s.class_rep 0 ctx.m (-1);
-    for u = 0 to ctx.m - 1 do
-      if State.tasks_on s.st u = 0 then begin
-        let cl = ctx.classes.(u) in
-        if s.class_rep.(cl) < 0 then s.class_rep.(cl) <- u
-      end
-    done
-  end;
-  let skips = ref 0 in
-  let cands = ref [] in
-  for u = ctx.m - 1 downto 0 do
-    if rule_allows s u ty then begin
-      if ctx.symmetry && State.tasks_on s.st u = 0 && s.class_rep.(ctx.classes.(u)) <> u then
-        incr skips
-      else begin
-        let extra = setup_cost s u ty in
-        let exec = State.try_assign_with s.st ~extra ~task ~machine:u in
-        cands := (exec, u) :: !cands
-      end
-    end
-  done;
-  let sorted =
-    List.sort
-      (fun (e1, u1) (e2, u2) ->
-        let d = Float.compare e1 e2 in
-        if d <> 0 then d else compare u1 u2)
-      !cands
-  in
-  (Array.of_list (List.map (fun (_, u) -> Array.append prefix [| u |]) sorted), !skips)
+  let ty_at k = Workflow.ttype ctx.wf ctx.order.(k) in
+  (* Replay the pinned assignments as [child] makes them, so [collect]
+     sees the exact search state this subtree starts from. *)
+  Array.iteri (fun k u -> occupy s ctx.order.(k) (ty_at k) u) prefix;
+  let cnt = collect s len ctx.order.(len) (ty_at len) in
+  let base = len * ctx.m in
+  (Array.init cnt (fun i -> Array.append prefix [| s.cand_u.(base + i) |]), s.sym_skips)
 
 type sub_result = {
   r_best_p : float;

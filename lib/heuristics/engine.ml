@@ -88,7 +88,7 @@ let assign eng ~task ~machine =
       eng.n_types_to_go <- eng.n_types_to_go - 1
     end
   end;
-  State.assign_task eng.st ~task ~machine
+  State.assign_task_with eng.st ~extra:0.0 ~task ~machine
 
 let reset eng =
   State.reset eng.st;

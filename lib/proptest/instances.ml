@@ -9,12 +9,10 @@ open Gen
 type op =
   | Move of { task : int; machine : int }
   | Swap of { u : int; v : int }
-  | Undo
 
 let op_to_string = function
   | Move { task; machine } -> Printf.sprintf "move T%d -> M%d" task machine
   | Swap { u; v } -> Printf.sprintf "swap M%d <-> M%d" u v
-  | Undo -> "undo"
 
 type avail_op = Down of int | Up of int
 
@@ -191,7 +189,6 @@ let ops inst ~max_ops =
         map2 (fun task machine -> Move { task; machine }) (int_range 0 (n - 1))
           (int_range 0 (m - 1));
         map2 (fun u v -> Swap { u; v }) (int_range 0 (m - 1)) (int_range 0 (m - 1));
-        return Undo;
       |]
   in
   array_sized ~min:0 ~max:max_ops one

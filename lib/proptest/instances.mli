@@ -1,5 +1,5 @@
 (** Domain generators: in-forest workflows, heterogeneous instances,
-    rule-respecting mappings, journaled move sequences — all with
+    rule-respecting mappings, move/swap sequences — all with
     integrated shrinking, all valid by construction at every shrink step.
 
     Instances are {e dyadic}: processing times are small integers scaled
@@ -16,12 +16,10 @@
     [dfs-differential] and [lp-differential] suites enumerate, so the
     fuzzer and those suites draw from one shared pool. *)
 
-(** One step of a journaled evaluation sequence.  Interpreters skip an
-    [Undo] issued against an empty journal. *)
+(** One committed step of an evaluation sequence. *)
 type op =
   | Move of { task : int; machine : int }
   | Swap of { u : int; v : int }
-  | Undo
 
 val op_to_string : op -> string
 
@@ -65,7 +63,7 @@ val allocation : Mf_core.Instance.t -> Mf_core.Mapping.t Gen.t
     @raise Invalid_argument when [m < p]. *)
 val specialized_allocation : Mf_core.Instance.t -> Mf_core.Mapping.t Gen.t
 
-(** [ops inst ~max_ops] draws a journaled move/swap/undo sequence; the
+(** [ops inst ~max_ops] draws a move/swap sequence; the
     length shrinks first (shorter sequences are prefixes), then the
     individual steps. *)
 val ops : Mf_core.Instance.t -> max_ops:int -> op array Gen.t

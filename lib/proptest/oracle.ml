@@ -55,7 +55,7 @@ let rel_close ?(tol = 1e-9) a b =
 let exact_period inst mp = Rat.to_float (Period.period_exact inst mp)
 
 (* ------------------------------------------------------------------ *)
-(* eval: State vs Period under journaled move/swap/undo sequences       *)
+(* eval: State vs Period under committed move/swap sequences           *)
 (* ------------------------------------------------------------------ *)
 
 let eval_gen =
@@ -72,63 +72,49 @@ let eval_prop (inst, mp, steps) =
   check
     (rel_close p0 (exact_period inst mp))
     "float period %.17g vs exact %.17g" p0 (exact_period inst mp);
-  let alloc = ref (Mapping.to_array mp) in
-  let saved = ref [] in
+  let alloc = Mapping.to_array mp in
   Array.iteri
     (fun k op ->
-      match op with
-      | Instances.Undo ->
-        if State.undo_depth st > 0 then begin
-          State.undo st;
-          match !saved with
-          | prev :: rest ->
-            alloc := prev;
-            saved := rest
-          | [] -> assert false
-        end
-      | Instances.Move { task; machine } ->
-        let predicted = State.try_move st ~task ~machine in
-        saved := !alloc :: !saved;
-        let next = Array.copy !alloc in
-        next.(task) <- machine;
-        alloc := next;
-        State.apply_move st ~task ~machine;
-        let got = State.period st in
-        let reference = Period.period inst (Mapping.of_array inst !alloc) in
-        check (rel_close predicted got) "step %d (%s): try_move %.17g vs applied %.17g" k
-          (Instances.op_to_string op) predicted got;
-        check (rel_close got reference) "step %d (%s): state %.17g vs reference %.17g" k
-          (Instances.op_to_string op) got reference
-      | Instances.Swap { u; v } ->
-        let predicted = State.try_swap st ~u ~v in
-        saved := !alloc :: !saved;
-        alloc :=
-          Array.map (fun m -> if m = u then v else if m = v then u else m) !alloc;
-        State.apply_swap st ~u ~v;
-        let got = State.period st in
-        let reference = Period.period inst (Mapping.of_array inst !alloc) in
-        check (rel_close predicted got) "step %d (%s): try_swap %.17g vs applied %.17g" k
-          (Instances.op_to_string op) predicted got;
-        check (rel_close got reference) "step %d (%s): state %.17g vs reference %.17g" k
-          (Instances.op_to_string op) got reference)
+      let tried, predicted =
+        match op with
+        | Instances.Move { task; machine } ->
+          let p = State.try_move st ~task ~machine in
+          State.apply_move st ~task ~machine;
+          alloc.(task) <- machine;
+          ("try_move", p)
+        | Instances.Swap { u; v } ->
+          let p = State.try_swap st ~u ~v in
+          State.apply_swap st ~u ~v;
+          Array.iteri
+            (fun i w -> if w = u then alloc.(i) <- v else if w = v then alloc.(i) <- u)
+            alloc;
+          ("try_swap", p)
+      in
+      let got = State.period st in
+      let reference = Period.period inst (Mapping.of_array inst alloc) in
+      check (rel_close predicted got) "step %d (%s): %s %.17g vs applied %.17g" k
+        (Instances.op_to_string op) tried predicted got;
+      check (rel_close got reference) "step %d (%s): state %.17g vs reference %.17g" k
+        (Instances.op_to_string op) got reference)
     steps;
   State.check ~tol:1e-9 st;
   check
-    (rel_close (State.period st) (exact_period inst (Mapping.of_array inst !alloc)))
+    (rel_close (State.period st) (exact_period inst (Mapping.of_array inst alloc)))
     "final float period %.17g vs exact %.17g" (State.period st)
-    (exact_period inst (Mapping.of_array inst !alloc));
-  (* The journal stores exact accumulator snapshots: rewinding everything
-     must restore the initial period bit-for-bit, not just approximately. *)
-  while State.undo_depth st > 0 do
-    State.undo st
-  done;
-  check (State.period st = p0) "full undo: %h <> initial %h" (State.period st) p0
+    (exact_period inst (Mapping.of_array inst alloc));
+  (* Whatever the committed history left in the compensated accumulators,
+     reloading the start mapping rebuilds its period bit-for-bit. *)
+  State.load_mapping st mp;
+  check
+    (Int64.bits_of_float (State.period st) = Int64.bits_of_float p0)
+    "reload: %h <> initial %h" (State.period st) p0
 
 let eval_oracle =
   Oracle
     {
       name = "eval";
-      description = "State move/swap/undo journal vs Period.period / period_exact";
+      description =
+        "State move/swap commits vs Period.period / period_exact, reload bit-exact";
       quick_cases = 300;
       gen = eval_gen;
       prop = prop_of eval_prop;
@@ -574,9 +560,10 @@ let remap_gen =
      and not every stranded task still had a dedicated same-type
      surviving host (such a host stays movable throughout the greedy
      phase, so its existence for all stranded tasks guarantees a plan);
-   - finally, replaying {e every} committed move on one journaled
-     {!Mf_eval.State} and undoing them all restores the original
-     allocation and its period bit-for-bit. *)
+   - finally, replaying {e every} committed move on one
+     {!Mf_eval.State} with [apply_move] reaches the live mapping and its
+     period, and reloading the original mapping restores its period
+     bit-for-bit. *)
 let remap_prop (inst, mp, script, budget) =
   let n = Instance.task_count inst and m = Instance.machines inst in
   let wf = Instance.workflow inst in
@@ -656,19 +643,21 @@ let remap_prop (inst, mp, script, budget) =
     ops;
   let st = State.of_mapping inst mp in
   let p0 = State.period st in
-  let d0 = State.undo_depth st in
   List.iter
     (Array.iter (fun (i, v) -> State.apply_move st ~task:i ~machine:v))
     (List.rev !committed);
-  while State.undo_depth st > d0 do
-    State.undo st
-  done;
+  check (State.to_array st = !live) "replaying the committed moves missed the live mapping";
+  let live_p = Period.period inst (Mapping.of_array inst !live) in
+  check
+    (rel_close (State.period st) live_p)
+    "replayed period %.17g vs the live mapping's %.17g" (State.period st) live_p;
+  State.load_mapping st mp;
   check
     (State.to_array st = Mapping.to_array mp)
-    "journal undo did not restore the original allocation";
+    "reload did not restore the original allocation";
   check
     (Int64.bits_of_float (State.period st) = Int64.bits_of_float p0)
-    "journal undo period %h is not bit-identical to the fresh build %h"
+    "reload period %h is not bit-identical to the fresh build %h"
     (State.period st) p0;
   State.check st
 
@@ -678,7 +667,8 @@ let remap_oracle =
       name = "remap-safety";
       description =
         "online re-mapper under breakdown/repair scripts: survivor-feasible, \
-         rule-preserving, never worse than do-nothing, journal fully undoes";
+         rule-preserving, never worse than do-nothing, replay reaches the live \
+         mapping";
       quick_cases = 120;
       gen = remap_gen;
       prop = prop_of remap_prop;

@@ -7,9 +7,10 @@
 
     The matrix (see DESIGN.md section 12):
 
-    - [eval] — {!Mf_eval.State} under random journaled move/swap/undo
+    - [eval] — {!Mf_eval.State} under random committed move/swap
       sequences against from-scratch {!Mf_core.Period.period} and the
-      exact-rational {!Mf_core.Period.period_exact};
+      exact-rational {!Mf_core.Period.period_exact}, and a reload of the
+      start mapping restoring its period bit-for-bit;
     - [heuristics] — every {!Mf_heuristics.Registry} algorithm returns a
       rule-feasible mapping whose period matches reference evaluation;
     - [exact-vs-brute] — {!Mf_exact.Dfs.solve} equals {!Mf_exact.Brute}
@@ -35,9 +36,10 @@
       breakdown/repair scripts: committed mappings stay feasible over
       the surviving machines and specialized, claimed periods match
       from-scratch evaluation and never worsen the do-nothing
-      incumbent, infeasibility verdicts are honest, and replay-then-undo
-      of every committed move on one journaled {!Mf_eval.State} restores
-      the original allocation bit-for-bit;
+      incumbent, infeasibility verdicts are honest, replaying every
+      committed move on one {!Mf_eval.State} reaches the live mapping and
+      its period, and reloading the original mapping restores its period
+      bit-for-bit;
     - [metamorphic] — machine-permutation invariance (bit-exact, plus
       {!Mf_exact.Symmetry.machine_classes} consistency), power-of-two
       workload scaling (bit-exact), and failure-rate monotonicity;

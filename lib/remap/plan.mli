@@ -1,7 +1,7 @@
 (** Re-mapping plans: migrate the tasks of dead machines and refine.
 
     A plan is computed against a snapshot [(mapping, down)] of the live
-    simulation state, on {!Mf_eval.State}'s O(subtree) journaled
+    simulation state, on {!Mf_eval.State}'s O(subtree) incremental
     move/swap evaluation — the same machinery the offline local search
     uses, so a decision costs a counted number of incremental
     evaluations rather than full O(n + m) re-scores.  Two phases:

@@ -1,6 +1,7 @@
 (* Tests for mf_eval: the incremental evaluation state shared by the
    heuristics, the exact search and the bench.  The core contract - try_*
-   equals a from-scratch Period.period, apply/undo restores bit-for-bit -
+   equals a from-scratch Period.period, apply_* commits what try_*
+   predicted, undo of an assignment and load_mapping restore bit-for-bit -
    is exercised over random in-forests and long random move sequences. *)
 
 module Instance = Mf_core.Instance
@@ -51,7 +52,8 @@ let test_of_mapping_bit_identical () =
 (* [load_mapping] into a state with a history must give exactly the
    state [of_mapping] builds fresh.  Half the instances have
    machine-independent failures, where every move has ratio 1 and skips
-   its upstream walk; the history mixes moves, swaps and undos. *)
+   its upstream walk; the history mixes moves, swaps and reloads, and
+   ends on journalled assignments with extra costs. *)
 let test_load_mapping_after_history () =
   let bits = Int64.bits_of_float and hex = Printf.sprintf "%h" in
   for case = 0 to 47 do
@@ -76,7 +78,13 @@ let test_load_mapping_after_history () =
       | 1 ->
         let u = Rng.int rng m and v = Rng.int rng m in
         if u <> v then State.apply_swap st ~u ~v
-      | _ -> if State.undo_depth st > 0 then State.undo st
+      | _ -> State.load_mapping st (Mapping.of_array inst (random_start rng inst))
+    done;
+    State.reset st;
+    let order = Workflow.backward_order (Instance.workflow inst) in
+    for k = 0 to Rng.int rng n - 1 do
+      let extra = float_of_int (Rng.int rng 3) in
+      State.assign_task_with st ~extra ~task:order.(k) ~machine:(Rng.int rng m)
     done;
     let mp = Mapping.of_array inst (random_start rng inst) in
     State.load_mapping st mp;
@@ -204,9 +212,10 @@ let test_try_swap_matches_full () =
   State.check st
 
 (* try_move and try_swap write only preallocated scratch: each call
-   allocates at most the box of its float result.  A compensated add or
-   an upstream walk that boxes again shows up as tens of words per call.
-   Native code only: bytecode boxes every float. *)
+   allocates at most the box of its float result; apply_move and
+   apply_swap commit that scratch in place.  A compensated add, an
+   upstream walk or a commit record that boxes again shows up as tens of
+   words per call.  Native code only: bytecode boxes every float. *)
 let test_moves_allocation_guard () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ -> Alcotest.skip ()
@@ -240,15 +249,38 @@ let test_moves_allocation_guard () =
             done
           done)
     in
-    Alcotest.(check bool)
-      (Printf.sprintf "try_move: %.1f minor words per call <= 4" moves)
-      true (moves <= 4.0);
-    Alcotest.(check bool)
-      (Printf.sprintf "try_swap: %.1f minor words per call <= 4" swaps)
-      true (swaps <= 4.0)
+    (* Swaps first: they keep the balanced mapping balanced, which the
+       moves below pile onto the last machine. *)
+    let applied_swaps =
+      per_call (m * (m - 1) / 2) (fun () ->
+          for u = 0 to m - 1 do
+            for v = u + 1 to m - 1 do
+              State.apply_swap st ~u ~v
+            done
+          done)
+    in
+    let applied_moves =
+      per_call (n * m) (fun () ->
+          for i = 0 to n - 1 do
+            for u = 0 to m - 1 do
+              State.apply_move st ~task:i ~machine:u
+            done
+          done)
+    in
+    List.iter
+      (fun (what, words) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %.1f minor words per call <= 4" what words)
+          true (words <= 4.0))
+      [
+        ("try_move", moves);
+        ("try_swap", swaps);
+        ("apply_move", applied_moves);
+        ("apply_swap", applied_swaps);
+      ]
 
 (* ------------------------------------------------------------------ *)
-(* apply / undo                                                        *)
+(* apply / reload                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let snapshot st m n =
@@ -258,49 +290,43 @@ let snapshot st m n =
     State.period st )
 
 let check_restored st (a, xs, loads, p) =
+  let bits = Int64.bits_of_float in
   Alcotest.(check (array int)) "allocation restored" a (State.to_array st);
   Array.iteri
     (fun i xi ->
       let got = State.x st i in
-      if not (got = xi || (Float.is_nan got && Float.is_nan xi)) then
-        Alcotest.failf "x(%d) not restored: %.17g vs %.17g" i got xi)
+      if bits got <> bits xi then Alcotest.failf "x(%d) not restored: %h vs %h" i got xi)
     xs;
   Array.iteri
     (fun u lu ->
-      if State.machine_load st u <> lu then
-        Alcotest.failf "load(%d) not restored: %.17g vs %.17g" u
-          (State.machine_load st u) lu)
+      let got = State.machine_load st u in
+      if bits got <> bits lu then Alcotest.failf "load(%d) not restored: %h vs %h" u got lu)
     loads;
-  Alcotest.(check bool) "period restored" true (State.period st = p)
+  Alcotest.(check bool) "period restored" true (bits (State.period st) = bits p)
 
+(* Moves and swaps commit in place: nothing is journalled, so undo has
+   nothing to revert, and the start comes back by reloading it. *)
 let test_apply_undo_roundtrip () =
   let inst = tree_instance ~seed:11 ~n:20 ~p:4 ~m:7 () in
   let rng = Rng.create 5 in
-  let st = State.of_mapping inst (Mapping.of_array inst (typed_start inst)) in
+  let start = Mapping.of_array inst (typed_start inst) in
+  let st = State.of_mapping inst start in
   let before = snapshot st 7 20 in
-  let ops = ref 0 in
   for _ = 1 to 50 do
     if Rng.bool rng then begin
       let i = Rng.int rng 20 and u = Rng.int rng 7 in
-      if u <> State.machine_of st i then begin
-        State.apply_move st ~task:i ~machine:u;
-        incr ops
-      end
+      if u <> State.machine_of st i then State.apply_move st ~task:i ~machine:u
     end
     else begin
       let u = Rng.int rng 7 and v = Rng.int rng 7 in
-      if u <> v then begin
-        State.apply_swap st ~u ~v;
-        incr ops
-      end
+      if u <> v then State.apply_swap st ~u ~v
     end
   done;
-  Alcotest.(check int) "journal depth" !ops (State.undo_depth st);
   State.check st;
-  for _ = 1 to !ops do
-    State.undo st
-  done;
   Alcotest.(check int) "journal empty" 0 (State.undo_depth st);
+  Alcotest.check_raises "undo after moves" (Invalid_argument "State.undo: empty journal")
+    (fun () -> State.undo st);
+  State.load_mapping st start;
   check_restored st before;
   State.check st
 
@@ -317,10 +343,10 @@ let test_assign_backward_build () =
   Array.iter
     (fun task ->
       let u = Rng.int rng 5 in
-      let predicted = State.try_assign st ~task ~machine:u in
-      State.assign_task st ~task ~machine:u;
+      let predicted = State.try_assign_with st ~extra:0.0 ~task ~machine:u in
+      State.assign_task_with st ~extra:0.0 ~task ~machine:u;
       Alcotest.(check bool)
-        (Printf.sprintf "try_assign predicts load (task %d)" task)
+        (Printf.sprintf "try_assign_with predicts load (task %d)" task)
         true
         (close (State.machine_load st u) predicted);
       State.check st)
@@ -342,10 +368,10 @@ let test_assign_extra_cost () =
   let inst = chain_instance ~n:4 ~p:2 ~m:3 () in
   let st = State.create inst in
   let order = Workflow.backward_order (Instance.workflow inst) in
-  let base = State.try_assign st ~task:order.(0) ~machine:1 in
-  let with_extra = State.try_assign st ~extra:25.0 ~task:order.(0) ~machine:1 in
-  Alcotest.(check (float 1e-9)) "try_assign extra" (base +. 25.0) with_extra;
-  State.assign_task st ~extra:25.0 ~task:order.(0) ~machine:1;
+  let base = State.try_assign_with st ~extra:0.0 ~task:order.(0) ~machine:1 in
+  let with_extra = State.try_assign_with st ~extra:25.0 ~task:order.(0) ~machine:1 in
+  Alcotest.(check (float 1e-9)) "try_assign_with extra" (base +. 25.0) with_extra;
+  State.assign_task_with st ~extra:25.0 ~task:order.(0) ~machine:1;
   Alcotest.(check bool) "load includes extra" true
     (close (State.machine_load st 1) with_extra);
   State.check st;
@@ -371,10 +397,20 @@ let test_errors () =
     (Invalid_argument "State.mapping: incomplete assignment") (fun () ->
       ignore (State.mapping st));
   let order = Workflow.backward_order (Instance.workflow inst) in
-  State.assign_task st ~task:order.(0) ~machine:0;
+  State.assign_task_with st ~extra:0.0 ~task:order.(0) ~machine:0;
   Alcotest.check_raises "double assign"
-    (Invalid_argument "State.assign_task: task already assigned") (fun () ->
-      State.assign_task st ~task:order.(0) ~machine:1)
+    (Invalid_argument "State.assign_task_with: task already assigned") (fun () ->
+      State.assign_task_with st ~extra:0.0 ~task:order.(0) ~machine:1);
+  (* A commit would leave the journalled load snapshots stale. *)
+  State.assign_task_with st ~extra:0.0 ~task:order.(1) ~machine:1;
+  Alcotest.check_raises "move while journalled"
+    (Invalid_argument "State.apply_move: assignments are journalled") (fun () ->
+      State.apply_move st ~task:order.(0) ~machine:2);
+  Alcotest.check_raises "swap while journalled"
+    (Invalid_argument "State.apply_swap: assignments are journalled") (fun () ->
+      State.apply_swap st ~u:0 ~v:1);
+  Alcotest.(check int) "refused commits leave the journal" 2 (State.undo_depth st);
+  State.check st
 
 (* ------------------------------------------------------------------ *)
 (* Properties: random move sequences on random in-forests              *)
@@ -447,34 +483,40 @@ let prop_sequence_matches_full =
       end;
       !ok)
 
-(* Undoing a whole random sequence restores the state bit-for-bit - the
-   journal snapshots exact Kahan accumulators, not recomputed values. *)
+(* Undoing assignments back to a recorded depth restores the state
+   bit-for-bit - the journal snapshots exact Kahan accumulators, extra
+   costs included, not recomputed values. *)
 let prop_undo_bit_exact =
   QCheck.Test.make ~name:"eval: undo restores loads and period bit-for-bit" ~count:300
     arb_setup (fun ((seed, _, n, _, m) as setup) ->
       let inst = make setup in
       let rng = Rng.create (seed + 2) in
-      let a = random_start rng inst in
-      let st = State.of_mapping inst (Mapping.of_array inst a) in
-      let loads0 = Array.init m (fun u -> State.machine_load st u) in
-      let p0 = State.period st in
-      for _ = 1 to 15 do
-        if Rng.bool rng then begin
-          let i = Rng.int rng n and u = Rng.int rng m in
-          if u <> State.machine_of st i then State.apply_move st ~task:i ~machine:u
-        end
-        else begin
-          let u = Rng.int rng m and v = Rng.int rng m in
-          if u <> v then State.apply_swap st ~u ~v
-        end
+      let order = Workflow.backward_order (Instance.workflow inst) in
+      let st = State.create inst in
+      let assign k =
+        let extra = if Rng.bool rng then 0.0 else Rng.float rng 50.0 in
+        State.assign_task_with st ~extra ~task:order.(k) ~machine:(Rng.int rng m)
+      in
+      let d0 = Rng.int rng n in
+      for k = 0 to d0 - 1 do
+        assign k
       done;
-      while State.undo_depth st > 0 do
+      let bits = Int64.bits_of_float in
+      let snap () =
+        ( State.to_array st,
+          Array.init m (fun u -> bits (State.machine_load st u)),
+          bits (State.total_load st),
+          bits (State.period st) )
+      in
+      let before = snap () in
+      for k = d0 to d0 + Rng.int rng (n - d0) do
+        assign k
+      done;
+      while State.undo_depth st > d0 do
         State.undo st
       done;
-      State.to_array st = a
-      && Array.for_all Fun.id
-           (Array.init m (fun u -> State.machine_load st u = loads0.(u)))
-      && State.period st = p0)
+      State.check st;
+      snap () = before)
 
 let () =
   Alcotest.run "mf_eval"
