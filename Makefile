@@ -18,7 +18,9 @@ test:
 # experiment grid at --jobs 1 and --jobs 4 must produce byte-identical CSV,
 # and so must the dynamic experiment at --jobs 1 and --jobs 2 (each
 # simulation's online re-mapper keeps its own evaluation state, which no
-# two domains may share) —
+# two domains may share), and `mfopt exact` on a generated n=16 chain at
+# --jobs 1 and --jobs 2 apart from its timing line (the CLI's path to
+# parallel root subtrees; both runs must prove optimality) —
 # the pool stress suite (shutdown-while-busy, concurrent/nested map_array,
 # exception-index determinism across chunk sizes) and the differential
 # suites under timeouts so a regression that blows
@@ -35,6 +37,13 @@ verify:
 	dune exec bin/mfopt.exe -- experiment dynamic --replicates 4 --jobs 1 --csv > _build/verify_dyn_j1.csv
 	dune exec bin/mfopt.exe -- experiment dynamic --replicates 4 --jobs 2 --csv > _build/verify_dyn_j2.csv
 	cmp _build/verify_dyn_j1.csv _build/verify_dyn_j2.csv
+	dune exec bin/mfopt.exe -- generate --tasks 16 --types 3 --machines 5 --seed 2 > _build/verify_exact.txt
+	for j in 1 2; do \
+	  dune exec bin/mfopt.exe -- exact --jobs $$j _build/verify_exact.txt > _build/verify_exact_j$$j.raw && \
+	  grep -q 'proved optimal in' _build/verify_exact_j$$j.raw && \
+	  grep -v 'proved optimal in' _build/verify_exact_j$$j.raw > _build/verify_exact_j$$j.txt || exit 1; \
+	done
+	cmp _build/verify_exact_j1.txt _build/verify_exact_j2.txt
 	timeout 60 dune exec test/test_parallel.exe -- test pool-stress
 	timeout 60 dune exec test/test_exact.exe -- test dfs-differential
 	timeout 60 dune exec test/test_lp.exe -- test lp-differential
@@ -44,7 +53,7 @@ verify:
 	$(MAKE) fuzz-quick
 	$(MAKE) bench-regress
 	timeout 120 sh scripts/regress_canary.sh
-	@echo "verify OK: tests green, fig6 --jobs 1/4 and dynamic --jobs 1/2 byte-identical, differential suites green, MIP (9) = DFS, daemon smoke green, fuzz matrix green, bench-regress green and its canary caught"
+	@echo "verify OK: tests green, fig6 --jobs 1/4, dynamic --jobs 1/2 and exact --jobs 1/2 byte-identical, differential suites green, MIP (9) = DFS, daemon smoke green, fuzz matrix green, bench-regress green and its canary caught"
 
 # Quick fuzz tier (deterministic, fixed seeds, <= 30 s): the full oracle
 # matrix (the twelve oracles of DESIGN.md §12) plus the two injected-bug

@@ -413,12 +413,12 @@ let exact_scan_instance n =
 (* LP-bound exact search on the scan instance of size [n]: the search
    result, its wall time and the summed node-LP oracle counters (one
    rule-aware oracle per subtree search, the Dfs factory contract). *)
-let exact_lp_run ?jobs ~budget n =
+let exact_lp_run ?pool ~budget n =
   let inst = exact_scan_instance n in
   let node_bound, nb_stats = Mf_solve.Engine.node_bound_factory ~rule:exact_scan_rule inst in
   let t0 = Unix.gettimeofday () in
   let r =
-    Mf_exact.Dfs.solve ~node_budget:budget ?jobs ~node_bound ~rule:exact_scan_rule inst
+    Mf_exact.Dfs.solve ~node_budget:budget ?pool ~node_bound ~rule:exact_scan_rule inst
   in
   (r, Unix.gettimeofday () -. t0, nb_stats ())
 
@@ -743,7 +743,7 @@ let bench_exact () =
   (* -- deterministic parallel root splitting, LP-bound arm ----------- *)
   let cores = Mf_parallel.Pool.default_jobs () in
   let jn = if !quick then 18 else 22 in
-  let serial, serial_s, _ = exact_lp_run ~jobs:1 ~budget:scan_budget jn in
+  let serial, serial_s, _ = exact_lp_run ~budget:scan_budget jn in
   let jmode = if cores = 1 then "overhead" else "speedup" in
   Printf.printf
     "  --jobs determinism of the LP-bound search on the closed n=%d instance\n\
@@ -763,7 +763,8 @@ let bench_exact () =
   let jrows =
     List.map
       (fun jobs ->
-        let r, secs, _ = exact_lp_run ~jobs ~budget:scan_budget jn in
+        let pool = Mf_parallel.Pool.shared ~domains:jobs in
+        let r, secs, _ = exact_lp_run ~pool ~budget:scan_budget jn in
         let identical =
           r.Dfs.period = serial.Dfs.period
           && Mf_core.Mapping.to_array r.Dfs.mapping

@@ -312,6 +312,10 @@ let exact_cmd =
              tasks — the measured crossover).")
   in
   let run file rule setup jobs node_budget no_dominance no_symmetry lp_bound no_node_lp =
+    if jobs < 1 then begin
+      prerr_endline "mfopt exact: --jobs must be at least 1";
+      exit 2
+    end;
     let inst = Instance_io.read_file file in
     Printf.printf "instance: n=%d p=%d m=%d, rule %s%s\n" (Instance.task_count inst)
       (Instance.type_count inst) (Instance.machines inst) (Mapping.rule_name rule)
@@ -338,9 +342,10 @@ let exact_cmd =
         let factory, stats = Mf_solve.Engine.node_bound_factory ~rule inst in
         (Some factory, stats)
     in
+    let pool = if jobs > 1 then Some (Mf_parallel.Pool.shared ~domains:jobs) else None in
     let t0 = Unix.gettimeofday () in
     match
-      Mf_exact.Dfs.solve ~node_budget ~setup ~jobs ?dominance ~symmetry:(not no_symmetry)
+      Mf_exact.Dfs.solve ~node_budget ~setup ?pool ?dominance ~symmetry:(not no_symmetry)
         ?lower_bound ?node_bound ~rule inst
     with
     | r ->

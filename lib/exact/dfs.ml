@@ -38,8 +38,9 @@ let zero_stats =
    [nb_push] calls mirroring the search's assignment prefix, [nb_bound]
    returns a sound lower bound on the period of every completion of that
    prefix (0.0 when it has nothing to say), and [nb_pop] undoes the most
-   recent push.  The bound must be a pure function of the pushed prefix:
-   determinism across [--jobs] values relies on it. *)
+   recent push.  The bound must be a deterministic function of the
+   oracle's own push/pop/bound calls: each subtree search gets a fresh
+   oracle, so determinism across [--jobs] values relies on it. *)
 type node_bound = {
   nb_push : task:int -> machine:int -> unit;
   nb_pop : unit -> unit;
@@ -890,11 +891,10 @@ let run_subtree ctx ~budget ~seed_p prefix =
    subtrees re-run undivided (the pre-split behaviour). *)
 let pending_cap = 4096
 
-let solve ?(node_budget = 20_000_000) ?(setup = 0.0) ?(jobs = 1) ?pool ?dominance
+let solve ?(node_budget = 20_000_000) ?(setup = 0.0) ?pool ?dominance
     ?(symmetry = true) ?lower_bound ?incumbent ?node_bound ?(pivot_charge = 0) ?cancel
     ~rule inst =
   if setup < 0.0 then invalid_arg "Dfs.solve: negative setup time";
-  if jobs < 1 then invalid_arg "Dfs.solve: jobs must be >= 1";
   if pivot_charge < 0 then invalid_arg "Dfs.solve: negative pivot charge";
   check_rule_feasible rule inst;
   (* A caller-supplied certified lower bound (e.g. the divisible-workload
@@ -974,13 +974,10 @@ let solve ?(node_budget = 20_000_000) ?(setup = 0.0) ?(jobs = 1) ?pool ?dominanc
      re-run (see the retry rule below). *)
   let pending = ref (List.map (fun p -> (p, false)) (Array.to_list roots)) in
   let last_per = ref 0 in
-  let run_round =
-    let on_pool pool prefixes ~f = Pool.map_array ~chunk:1 ?cancel pool ~f prefixes in
+  let run_round prefixes ~f =
     match pool with
-    | Some pool -> on_pool pool
-    | None ->
-      if jobs = 1 then fun prefixes ~f -> Array.map f prefixes
-      else on_pool (Pool.shared ~domains:jobs)
+    | Some pool -> Pool.map_array ~chunk:1 ?cancel pool ~f prefixes
+    | None -> Array.map f prefixes
   in
   let continue_rounds = ref (!pending <> []) in
   while !continue_rounds do
@@ -1117,11 +1114,9 @@ let solve ?(node_budget = 20_000_000) ?(setup = 0.0) ?(jobs = 1) ?pool ?dominanc
   }
   end
 
-let specialized ?node_budget ?jobs ?pool inst =
-  solve ?node_budget ?jobs ?pool ~rule:Mapping.Specialized inst
+let specialized ?node_budget inst = solve ?node_budget ~rule:Mapping.Specialized inst
 
-let general ?node_budget ?setup ?jobs ?pool inst =
-  solve ?node_budget ?setup ?jobs ?pool ~rule:Mapping.General inst
+let general ?node_budget ?setup inst =
+  solve ?node_budget ?setup ~rule:Mapping.General inst
 
-let one_to_one ?node_budget ?jobs ?pool inst =
-  solve ?node_budget ?jobs ?pool ~rule:Mapping.One_to_one inst
+let one_to_one ?node_budget inst = solve ?node_budget ~rule:Mapping.One_to_one inst

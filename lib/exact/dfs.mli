@@ -24,10 +24,10 @@
       only the lowest-index unused member of each class is branched on.
 
     The root level is split into one subtree per (canonical) machine of
-    the first task, each with a jobs-independent node budget; with
-    [jobs > 1] (or an external [pool]) the subtrees run on a
-    {!Mf_parallel.Pool}.  Subtrees that exhaust their slice are {e split
-    into their children} and re-run with the redistributed budget —
+    the first task, each with a jobs-independent node budget; given a
+    [pool], the subtrees run on that {!Mf_parallel.Pool}.  Subtrees that
+    exhaust their slice are {e split into their children} and re-run
+    with the redistributed budget —
     dynamic redistribution, so an unbalanced tree sheds its heavy subtree
     into finer pieces that spread across domains.  One exception: an
     exhausted subtree whose projected next-round slice is at least twice
@@ -82,8 +82,12 @@ type stats = {
     [nb_push]ing the search's assignment prefix (task, machine) pair by
     pair, [nb_bound] returns a sound lower bound on the period of every
     completion of that prefix — [0.0] when it has nothing to say — and
-    [nb_pop] undoes the latest push.  The bound must be a pure function
-    of the pushed prefix; [--jobs] determinism relies on it. *)
+    [nb_pop] undoes the latest push.  The bound must be a deterministic
+    function of the oracle's own [nb_push]/[nb_pop]/[nb_bound] calls
+    (warm starts and reused parent bounds may make it depend on earlier
+    nodes, not on the prefix alone); every subtree search gets a fresh
+    oracle and makes the same calls for any [--jobs], so [--jobs]
+    determinism holds. *)
 type node_bound = {
   nb_push : task:int -> machine:int -> unit;
   nb_pop : unit -> unit;
@@ -102,16 +106,15 @@ type result = {
   stats : stats;
 }
 
-(** [solve ?node_budget ?setup ?jobs ?pool ?dominance ?symmetry ~rule inst]
+(** [solve ?node_budget ?setup ?pool ?dominance ?symmetry ~rule inst]
     solves the mapping problem exactly under any of the paper's three
     rules (default budget: 20 million nodes, split evenly over the root
-    subtrees).  [jobs] (default 1) runs the root subtrees on the
-    process-wide {!Mf_parallel.Pool.shared} pool of that many domains —
-    amortized across solves, no domain spawn/join per call; [pool] runs
-    them on that external pool instead (the portfolio and the bench
-    thread one through), ignoring [jobs].  [symmetry] (default true) and
-    [dominance] toggle the
-    corresponding pruning rules, for ablation.  [dominance] defaults to
+    subtrees).  [pool] runs the root subtrees on that pool (the
+    portfolio, [mfopt exact --jobs] and the bench pass
+    {!Mf_parallel.Pool.shared}, amortized across solves); without one
+    they run in the calling domain, in canonical order.  [symmetry]
+    (default true) and [dominance] toggle the corresponding pruning
+    rules, for ablation.  [dominance] defaults to
     {e auto}: on exactly when two same-type tasks share a bit-identical
     failure row — the necessary condition for frontier signatures to
     repeat across prefixes and the table to hit (on fully heterogeneous
@@ -164,13 +167,12 @@ type result = {
     {!Mf_parallel.Pool.Cancelled} (never a partial result).  Unset or
     absent tokens change nothing.
     @raise Invalid_argument when no mapping satisfying [rule] exists
-    ([m < p] for specialized, [m < n] for one-to-one), or [jobs < 1], or
-    [setup < 0], or [pivot_charge < 0], or [incumbent] violates [rule].
+    ([m < p] for specialized, [m < n] for one-to-one), or [setup < 0],
+    or [pivot_charge < 0], or [incumbent] violates [rule].
     @raise Mf_parallel.Pool.Cancelled when [cancel]'s token is set. *)
 val solve :
   ?node_budget:int ->
   ?setup:float ->
-  ?jobs:int ->
   ?pool:Mf_parallel.Pool.t ->
   ?dominance:bool ->
   ?symmetry:bool ->
@@ -210,11 +212,10 @@ val greedy_one_to_one : Mf_core.Instance.t -> Mf_core.Mapping.t
     @raise Invalid_argument if [setup < 0]. *)
 val best_single_machine : setup:float -> Mf_core.Instance.t -> Mf_core.Mapping.t * float
 
-(** [specialized ?node_budget ?jobs ?pool inst] is [solve ~rule:Specialized]. *)
-val specialized :
-  ?node_budget:int -> ?jobs:int -> ?pool:Mf_parallel.Pool.t -> Mf_core.Instance.t -> result
+(** [specialized ?node_budget inst] is [solve ~rule:Specialized]. *)
+val specialized : ?node_budget:int -> Mf_core.Instance.t -> result
 
-(** [general ?node_budget ?setup ?jobs inst] is [solve ~rule:General].
+(** [general ?node_budget ?setup inst] is [solve ~rule:General].
     With [setup > 0], a machine hosting [k >= 2] distinct task {e types}
     pays [k * setup] time units per period — the cyclic steady-state
     convention of {!Mf_core.Period.with_setup}, with which the reported
@@ -223,14 +224,7 @@ val specialized :
     general mappings.  Unlike the other rules, [m >= p] is {e not}
     required: when the specialized heuristics cannot seed the incumbent,
     the best single-machine mapping does. *)
-val general :
-  ?node_budget:int ->
-  ?setup:float ->
-  ?jobs:int ->
-  ?pool:Mf_parallel.Pool.t ->
-  Mf_core.Instance.t ->
-  result
+val general : ?node_budget:int -> ?setup:float -> Mf_core.Instance.t -> result
 
-(** [one_to_one ?node_budget ?jobs ?pool inst] is [solve ~rule:One_to_one]. *)
-val one_to_one :
-  ?node_budget:int -> ?jobs:int -> ?pool:Mf_parallel.Pool.t -> Mf_core.Instance.t -> result
+(** [one_to_one ?node_budget inst] is [solve ~rule:One_to_one]. *)
+val one_to_one : ?node_budget:int -> Mf_core.Instance.t -> result

@@ -4,73 +4,80 @@ module Mapping = Mf_core.Mapping
 module Period = Mf_core.Period
 module State = Mf_eval.State
 
-(* Candidate moves are evaluated incrementally through Mf_eval.State: a
-   task move rescales the x of its upstream subtree and shifts load
-   between two machines, so each candidate costs O(subtree + touched
-   machines) instead of the O(n + m) full period recomputation of the
-   reference implementation below.  Enumeration order and tie-breaking
-   match the reference exactly. *)
+(* A round keeps its first candidate only when it beats the round's
+   starting period by this relative margin, or churn at ulp scale could
+   descend forever; later ones need only beat the kept candidate. *)
+let improves p current = p < current *. (1.0 -. 1e-12)
 
-let best_task_move st current =
+(* Candidates are evaluated incrementally through Mf_eval.State: a task
+   move rescales the x of its upstream subtree and shifts load between
+   two machines, so each candidate costs O(subtree + touched machines)
+   instead of the O(n + m) full period recomputation of the reference
+   implementation below.  Enumeration order and tie-breaking match the
+   reference exactly: one best candidate over the move scan and then the
+   swap scan, replaced only by a strictly lower period, is the
+   reference's best move unless its best swap is strictly lower.  The
+   kept candidate lives in int and float refs, so keeping one allocates
+   nothing. *)
+let descend ~budget ~down st =
   let inst = State.instance st in
   let n = Instance.task_count inst and m = Instance.machines inst in
-  let best = ref None in
-  for i = 0 to n - 1 do
-    let original = State.machine_of st i in
+  if Array.length down <> m then
+    invalid_arg "Local_search.descend: down length differs from machine count";
+  let evals = ref 0 and exhausted = ref false and improved = ref true in
+  let current = ref (State.period st) in
+  while !improved && not !exhausted do
+    (* the round's best: task [a] to machine [b], or machines [a] and [b]
+       swapped when [swap]; [a] is -1 while nothing is kept *)
+    let a = ref (-1) and b = ref 0 and swap = ref false and best = ref 0.0 in
+    for i = 0 to n - 1 do
+      let original = State.machine_of st i in
+      for u = 0 to m - 1 do
+        if (not !exhausted) && (not down.(u)) && u <> original
+           && State.move_allowed st ~task:i ~machine:u
+        then begin
+          if !evals >= budget then exhausted := true
+          else begin
+            let p = State.try_move st ~task:i ~machine:u in
+            incr evals;
+            if (!a < 0 && improves p !current) || (!a >= 0 && p < !best) then begin
+              a := i;
+              b := u;
+              best := p
+            end
+          end
+        end
+      done
+    done;
     for u = 0 to m - 1 do
-      if u <> original && State.move_allowed st ~task:i ~machine:u then begin
-        let p = State.try_move st ~task:i ~machine:u in
-        let improves =
-          match !best with None -> p < current | Some (_, _, bp) -> p < bp
-        in
-        if improves then best := Some (i, u, p)
-      end
-    done
+      for v = u + 1 to m - 1 do
+        if (not !exhausted) && (not down.(u)) && not down.(v) then begin
+          if !evals >= budget then exhausted := true
+          else begin
+            let p = State.try_swap st ~u ~v in
+            incr evals;
+            if (!a < 0 && improves p !current) || (!a >= 0 && p < !best) then begin
+              a := u;
+              b := v;
+              swap := true;
+              best := p
+            end
+          end
+        end
+      done
+    done;
+    improved := !a >= 0;
+    if !improved then begin
+      if !swap then State.apply_swap st ~u:!a ~v:!b
+      else State.apply_move st ~task:!a ~machine:!b;
+      current := !best
+    end
   done;
-  !best
-
-let best_group_swap st current =
-  let m = Instance.machines (State.instance st) in
-  let best = ref None in
-  for u = 0 to m - 1 do
-    for v = u + 1 to m - 1 do
-      let p = State.try_swap st ~u ~v in
-      let improves = match !best with None -> p < current | Some (_, _, bp) -> p < bp in
-      if improves then best := Some (u, v, p)
-    done
-  done;
-  !best
-
-(* Descent rounds at most, for both implementations. *)
-let max_rounds = 100
+  !evals
 
 let improve inst mp =
   let st = State.of_mapping inst mp in
-  let current = ref (State.period st) in
-  let improved = ref true in
-  let rounds = ref 0 in
-  while !improved && !rounds < max_rounds do
-    incr rounds;
-    improved := false;
-    let move = best_task_move st !current in
-    let swap = best_group_swap st !current in
-    let apply_move (i, u, _) =
-      State.apply_move st ~task:i ~machine:u;
-      current := State.period st;
-      improved := true
-    in
-    let apply_swap (u, v, _) =
-      State.apply_swap st ~u ~v;
-      current := State.period st;
-      improved := true
-    in
-    match (move, swap) with
-    | None, None -> ()
-    | Some mv, None -> apply_move mv
-    | None, Some sw -> apply_swap sw
-    | Some ((_, _, pm) as mv), Some ((_, _, ps) as sw) ->
-      if pm <= ps then apply_move mv else apply_swap sw
-  done;
+  ignore (descend ~budget:max_int ~down:(Array.make (Instance.machines inst) false) st);
   State.mapping st
 
 (* ------------------------------------------------------------------ *)
@@ -79,7 +86,9 @@ let improve inst mp =
 
 (* The original full-recomputation search, kept as the differential-test
    and benchmark baseline: the mapping is a raw allocation array and every
-   candidate is scored by a from-scratch Period.period, O(n + m) each. *)
+   candidate is scored by a from-scratch Period.period, O(n + m) each.
+   Same candidates, margin and stop rule as [descend] with no machine
+   down and no budget. *)
 
 let period_of inst a = Period.period inst (Mapping.of_array inst a)
 
@@ -103,10 +112,10 @@ let best_task_move_reference inst a current =
         a.(i) <- u;
         let p = period_of inst a in
         a.(i) <- original;
-        let improves =
-          match !best with None -> p < current | Some (_, _, bp) -> p < bp
+        let better =
+          match !best with None -> improves p current | Some (_, _, bp) -> p < bp
         in
-        if improves then best := Some (i, u, p)
+        if better then best := Some (i, u, p)
       end
     done
   done;
@@ -123,8 +132,10 @@ let best_group_swap_reference inst a current =
       swap u v;
       let p = period_of inst a in
       swap u v;
-      let improves = match !best with None -> p < current | Some (_, _, bp) -> p < bp in
-      if improves then best := Some (u, v, p)
+      let better =
+        match !best with None -> improves p current | Some (_, _, bp) -> p < bp
+      in
+      if better then best := Some (u, v, p)
     done
   done;
   !best
@@ -133,9 +144,7 @@ let improve_reference inst mp =
   let a = Mapping.to_array mp in
   let current = ref (period_of inst a) in
   let improved = ref true in
-  let rounds = ref 0 in
-  while !improved && !rounds < max_rounds do
-    incr rounds;
+  while !improved do
     improved := false;
     let move = best_task_move_reference inst a !current in
     let swap = best_group_swap_reference inst a !current in

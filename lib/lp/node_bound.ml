@@ -31,10 +31,13 @@ type t = {
      the last LP solved at depth d.  The journal tail (compared
      physically) identifies the exact node the record belongs to, so a
      child can tell its own parent's solve from a stale sibling-subtree
-     one.  When the parent's optimum already puts zero rate on every
-     column the child's push kills, it is feasible — hence optimal —
-     for the child's LP too, and the child reuses the bound without
-     solving. *)
+     one.  When the parent's optimum puts zero rate on the pushed task's
+     columns off its chosen machine, the child reuses the parent's bound
+     without solving.  That check ignores the other tasks' columns a push
+     kills by locking its machine (to the task's type under Specialized,
+     wholly under One_to_one), where the parent's optimum may still
+     carry rate; the reused bound stays sound, since the child's LP only
+     loses columns, but it can be looser than the child's own optimum. *)
   sol_stack : (float array * float * (int * int * float * bool) list) option array;
   mutable solves : int;
   mutable reuses : int;
@@ -249,9 +252,12 @@ let locked_bound t =
   !best
 
 (* Does the parent's stored optimum assign (essentially) zero rate to
-   every machine column the latest push killed for its task?  If so the
-   parent optimum is feasible for this node's LP, so the bound carries
-   over exactly. *)
+   the pushed task's columns off its chosen machine?  If so the parent's
+   bound carries over.  It is exact when the push locked nothing new; a
+   push that locks its machine also kills other tasks' columns there,
+   which this does not check, and then the parent's bound is sound (the
+   child's LP only loses columns) but possibly looser than a fresh
+   solve's. *)
 let parent_solves_child t =
   match t.frames with
   | [] -> None

@@ -34,9 +34,11 @@
     new locks make singular, and running phase 1 from the stale vertex
     when it is infeasible — so staleness costs pivots, never soundness.
     All arithmetic is the deterministic float
-    simplex: for a fixed prefix the bound is a pure function of the
-    instance and rule, independent of thread schedule — parallel
-    searches using one oracle per subtree stay byte-identical across
+    simplex, and the warm starts and reuses depend only on this oracle's
+    own earlier calls: the bound is a deterministic function of the
+    sequence of [push]/[pop]/[bound] calls since {!create} (not of the
+    prefix alone), independent of thread schedule — parallel searches
+    using a fresh oracle per subtree stay byte-identical across
     [--jobs]. *)
 
 type t

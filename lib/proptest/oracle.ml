@@ -4,6 +4,7 @@ module Mapping = Mf_core.Mapping
 module Period = Mf_core.Period
 module State = Mf_eval.State
 module Registry = Mf_heuristics.Registry
+module Local_search = Mf_heuristics.Local_search
 module Dfs = Mf_exact.Dfs
 module Brute = Mf_exact.Brute
 module Symmetry = Mf_exact.Symmetry
@@ -1258,39 +1259,22 @@ let canary_check ~seed =
     Ok (Instance.task_count inst, Instance.machines inst)
 
 (* A second injected bug, for the dynamic layer: a re-mapper whose
-   refinement pass forgets the availability filter.  The greedy phase
+   refinement forgets the availability filter.  The greedy phase
    (correct) empties the dead machine, which leaves it with load 0 —
-   the most attractive move target the buggy refinement can find — so
-   the planner re-assigns work to a machine that is down.  The
-   remap-safety discipline (never assign to a down machine) must catch
-   it and shrink the repro.  Never called by production code. *)
+   the most attractive target of the descent that follows, here run
+   with every machine up — so the planner re-assigns work to a machine
+   that is down.  The remap-safety discipline (never assign to a down
+   machine) must catch it and shrink the repro.  Never called by
+   production code. *)
 let buggy_remap inst ~mapping ~down =
-  match Plan.repair (State.create inst) ~mapping ~down with
+  let st = State.create inst in
+  match Plan.repair st ~mapping ~down with
   | None -> None
-  | Some plan ->
-    let next = Array.copy mapping in
-    Array.iter (fun (i, v) -> next.(i) <- v) plan.Plan.moves;
-    let st = State.of_mapping inst (Mapping.of_array inst next) in
-    let n = Instance.task_count inst and m = Instance.machines inst in
-    let current = State.period st in
-    let best = ref None in
-    for i = 0 to n - 1 do
-      for v = 0 to m - 1 do
-        (* the bug: no [not down.(v)] in this condition *)
-        if v <> State.machine_of st i && State.move_allowed st ~task:i ~machine:v
-        then begin
-          let p = State.try_move st ~task:i ~machine:v in
-          let better =
-            match !best with
-            | None -> p < current *. (1.0 -. 1e-12)
-            | Some (_, _, bp) -> p < bp
-          in
-          if better then best := Some (i, v, p)
-        end
-      done
-    done;
-    (match !best with Some (i, v, _) -> next.(i) <- v | None -> ());
-    Some next
+  | Some _ ->
+    (* the bug: an all-up mask instead of [down] *)
+    let all_up = Array.make (Array.length down) false in
+    ignore (Local_search.descend ~budget:Plan.default_budget ~down:all_up st);
+    Some (State.to_array st)
 
 let remap_canary_gen =
   let* inst =

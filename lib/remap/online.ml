@@ -7,16 +7,6 @@ module State = Mf_eval.State
 let any_stranded ~down mapping =
   Array.exists (fun u -> down.(u)) mapping
 
-let feasible_over ~down arr =
-  not (Array.exists (fun u -> down.(u)) arr)
-
-let diff_moves ~from target =
-  let moves = ref [] in
-  for i = Array.length from - 1 downto 0 do
-    if from.(i) <> target.(i) then moves := (i, target.(i)) :: !moves
-  done;
-  Array.of_list !moves
-
 let remapper ?budget ?original inst : Desim.remapper =
   (* The designed mapping's period depends on nothing a decision changes:
      computed once, where the restore test first needs it. *)
@@ -56,7 +46,8 @@ let remapper ?budget ?original inst : Desim.remapper =
           let live_p = plan.Plan.greedy_period in
           let restore =
             match original with
-            | Some (orig, orig_p) when feasible_over ~down orig && orig <> mapping ->
+            | Some (orig, orig_p)
+              when (not (any_stranded ~down orig)) && orig <> mapping ->
               let orig_p = Lazy.force orig_p in
               (* prefer the designed mapping whenever it is at least as
                  good as the improved live one — and actually better than
@@ -69,7 +60,7 @@ let remapper ?budget ?original inst : Desim.remapper =
           in
           match restore with
           | Some orig ->
-            let moves = diff_moves ~from:mapping orig in
+            let moves = Plan.diff_moves ~from:mapping orig in
             Some { Desim.moves; evals = plan.Plan.evals + 1 }
           | None
             when strict_better plan.Plan.period live_p && Array.length plan.Plan.moves > 0 ->

@@ -1,6 +1,7 @@
 module Instance = Mf_core.Instance
 module Mapping = Mf_core.Mapping
 module State = Mf_eval.State
+module Local_search = Mf_heuristics.Local_search
 
 type t = {
   moves : (int * int) array;
@@ -11,9 +12,12 @@ type t = {
 
 let default_budget = 400
 
-(* Strict improvement threshold: a move must beat the incumbent by a
-   relative margin, or churn at ulp scale would re-map forever. *)
-let improves p current = p < current *. (1.0 -. 1e-12)
+let diff_moves ~from target =
+  let moves = ref [] in
+  for i = Array.length from - 1 downto 0 do
+    if from.(i) <> target.(i) then moves := (i, target.(i)) :: !moves
+  done;
+  Array.of_list !moves
 
 let repair ?(budget = default_budget) st ~mapping ~down =
   let inst = State.instance st in
@@ -58,79 +62,14 @@ let repair ?(budget = default_budget) st ~mapping ~down =
   if not !feasible then None
   else begin
     let greedy_period = State.period st in
-    (* Bounded local-search refinement over the surviving machines: best
-       task move or machine group swap per round, stopping at the first
-       non-improving round or when the evaluation budget runs out. *)
-    let current = ref greedy_period in
-    let exhausted = ref false in
-    let improved = ref true in
-    while !improved && not !exhausted do
-      improved := false;
-      let best_move = ref None in
-      for i = 0 to n - 1 do
-        let original = State.machine_of st i in
-        for v = 0 to m - 1 do
-          if (not !exhausted) && (not down.(v)) && v <> original
-             && State.move_allowed st ~task:i ~machine:v
-          then begin
-            if !evals >= budget then exhausted := true
-            else begin
-              let p = State.try_move st ~task:i ~machine:v in
-              incr evals;
-              let better =
-                match !best_move with
-                | None -> improves p !current
-                | Some (_, _, bp) -> p < bp
-              in
-              if better then best_move := Some (i, v, p)
-            end
-          end
-        done
-      done;
-      let best_swap = ref None in
-      for u = 0 to m - 1 do
-        for v = u + 1 to m - 1 do
-          if (not !exhausted) && (not down.(u)) && not down.(v) then begin
-            if !evals >= budget then exhausted := true
-            else begin
-              let p = State.try_swap st ~u ~v in
-              incr evals;
-              let better =
-                match !best_swap with
-                | None -> improves p !current
-                | Some (_, _, bp) -> p < bp
-              in
-              if better then best_swap := Some (u, v, p)
-            end
-          end
-        done
-      done;
-      (match (!best_move, !best_swap) with
-      | None, None -> ()
-      | Some (i, v, p), None ->
-        State.apply_move st ~task:i ~machine:v;
-        current := p;
-        improved := true
-      | None, Some (u, v, p) ->
-        State.apply_swap st ~u ~v;
-        current := p;
-        improved := true
-      | Some (i, v, pm), Some (u, w, ps) ->
-        if pm <= ps then State.apply_move st ~task:i ~machine:v
-        else State.apply_swap st ~u ~v:w;
-        current := Float.min pm ps;
-        improved := true)
-    done;
-    let final = State.to_array st in
-    let moves = ref [] in
-    for i = n - 1 downto 0 do
-      if final.(i) <> mapping.(i) then moves := (i, final.(i)) :: !moves
-    done;
+    (* Budget-bounded refinement over the surviving machines: the
+       greedy evaluations count against the budget too. *)
+    let refined = Local_search.descend ~budget:(budget - !evals) ~down st in
     Some
       {
-        moves = Array.of_list !moves;
+        moves = diff_moves ~from:mapping (State.to_array st);
         period = State.period st;
         greedy_period;
-        evals = !evals;
+        evals = !evals + refined;
       }
   end

@@ -2,9 +2,9 @@
 
     A plan is computed against a snapshot [(mapping, down)] of the live
     simulation state, on {!Mf_eval.State}'s O(subtree) incremental
-    move/swap evaluation — the same machinery the offline local search
-    uses, so a decision costs a counted number of incremental
-    evaluations rather than full O(n + m) re-scores.  Two phases:
+    move/swap evaluation, so a decision costs a counted number of
+    incremental evaluations rather than full O(n + m) re-scores.  Two
+    phases:
 
     + {b greedy repair} — every task stranded on a down machine moves to
       the surviving machine minimising the resulting period (specialized
@@ -12,10 +12,10 @@
       the lowest machine index).  This phase always completes: its
       evaluations count toward the reported latency but are never capped,
       so budget pressure degrades quality, never feasibility.
-    + {b bounded local search} — best-improving task moves and machine
-      group swaps over the surviving machines only, stopping at the
-      first non-improving round or when [budget] evaluations have been
-      spent in total.
+    + {b bounded local search} — the offline local search's own descent,
+      {!Mf_heuristics.Local_search.descend}, over the surviving machines
+      only, with the budget the greedy phase left: [budget] evaluations
+      in total.
 
     The planner never assigns a task to a down machine. *)
 
@@ -28,6 +28,11 @@ type t = {
 }
 
 val default_budget : int
+
+(** [diff_moves ~from target] lists the [(task, machine)] pairs where
+    the allocation [target] differs from [from], in task order: the
+    moves that turn [from] into [target]. *)
+val diff_moves : from:int array -> int array -> (int * int) array
 
 (** [repair ?budget st ~mapping ~down] plans the migration for [st]'s
     instance, working in [st]: it loads [mapping] into it

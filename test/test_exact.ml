@@ -366,17 +366,21 @@ let test_differential_general_setup () =
 
 (* --jobs must not change anything observable: every subtree search is a
    pure function of its inputs, and the reported mapping is the incumbent
-   carried across the deterministic rounds.  The [~pool] run uses an
-   explicitly created 3-domain pool because the [~jobs] path clamps to
-   the physical core count — on a 1-core CI host only the external pool
-   actually exercises workers and stealing. *)
+   carried across the deterministic rounds.  Besides the shared pool
+   [mfopt exact --jobs 4] passes, an explicitly created 3-domain pool
+   runs the search because [Pool.shared] clamps to the physical core
+   count — on a 1-core CI host only the external pool actually exercises
+   workers and stealing. *)
 let test_jobs_identity () =
   Mf_parallel.Pool.with_pool ~domains:3 (fun pool ->
       List.iter
         (fun (seed, n, p, m) ->
           let inst = chain_instance ~seed ~n ~p ~m () in
-          let r1 = Dfs.solve ~jobs:1 ~rule:Mapping.Specialized inst in
-          let r4 = Dfs.solve ~jobs:4 ~rule:Mapping.Specialized inst in
+          let r1 = Dfs.solve ~rule:Mapping.Specialized inst in
+          let r4 =
+            Dfs.solve ~pool:(Mf_parallel.Pool.shared ~domains:4) ~rule:Mapping.Specialized
+              inst
+          in
           let rp = Dfs.solve ~pool ~rule:Mapping.Specialized inst in
           Alcotest.(check bool) (Printf.sprintf "optimal (seed %d)" seed) true r1.Dfs.optimal;
           Alcotest.(check bool)
@@ -421,7 +425,7 @@ let test_exhausted_rerun_keeps_incumbent () =
         (Float.abs (Period.period inst r.Dfs.mapping -. r.Dfs.period) <= 1e-9 *. r.Dfs.period);
       (* The reported allocation comes out of the deterministic round
          structure, so exhaustion must not break the --jobs identity.
-         An explicit pool, not ~jobs: see [test_jobs_identity]. *)
+         An explicit pool, not the shared one: see [test_jobs_identity]. *)
       let r4 =
         Mf_parallel.Pool.with_pool ~domains:4 (fun pool ->
             Dfs.solve ~node_budget:budget ~pool ~rule:Mapping.Specialized inst)
@@ -821,7 +825,7 @@ let test_dfs_node_bound_agrees () =
   for seed = 1 to 8 do
     let inst = chain_instance ~seed ~n:9 ~p:3 ~m:4 () in
     (* Each oracle counts its [nb_bound] calls into [calls] (atomic: the
-       [~jobs:4] search calls from several domains), so the test sees
+       pooled search calls from several domains), so the test sees
        every node-LP evaluation, counted by the search or not. *)
     let factory calls () =
       let o = nb_oracle (Node_bound.create ~rule inst) in
@@ -836,7 +840,10 @@ let test_dfs_node_bound_agrees () =
     let calls = Atomic.make 0 and calls4 = Atomic.make 0 in
     let plain = Dfs.solve ~rule inst in
     let lp = Dfs.solve ~node_bound:(factory calls) ~rule inst in
-    let lp4 = Dfs.solve ~jobs:4 ~node_bound:(factory calls4) ~rule inst in
+    let lp4 =
+      Dfs.solve ~pool:(Mf_parallel.Pool.shared ~domains:4) ~node_bound:(factory calls4) ~rule
+        inst
+    in
     Alcotest.(check bool) (Printf.sprintf "plain optimal (seed %d)" seed) true plain.Dfs.optimal;
     Alcotest.(check bool) (Printf.sprintf "lp optimal (seed %d)" seed) true lp.Dfs.optimal;
     Alcotest.(check (float 1e-9))

@@ -299,6 +299,147 @@ let test_local_search_matches_reference () =
       (Float.abs (pi -. pr) <= 1e-9 *. pr)
   done
 
+(* MD5 of [improve]'s allocations and [%h] periods over 360 descents
+   (chains and in-trees, n = 12, 20 and 60, starts H1, H2 and H4w, seeds
+   1-20), recorded when [improve] still ran its own loop: candidates
+   kept on a plain [<], the committed state's period starting the next
+   round and at most 100 rounds.  The shared descent's relative margin,
+   tentative period and missing round cap change none of them. *)
+let improve_pin = "58513baa52f110533a216da11d3cc6ea"
+
+let test_local_search_result_pin () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun gen ->
+      List.iter
+        (fun (n, p, m) ->
+          for seed = 1 to 20 do
+            let inst = gen (Rng.create seed) (Gen.default ~tasks:n ~types:p ~machines:m) in
+            List.iter
+              (fun h ->
+                let mp = Local_search.improve inst (Registry.solve ~seed h inst) in
+                Array.iter (fun u -> Printf.bprintf buf "%d " u) (Mapping.to_array mp);
+                Printf.bprintf buf "%h\n" (Period.period inst mp))
+              [ Registry.H1; Registry.H2; Registry.H4w ]
+          done)
+        [ (12, 3, 5); (20, 4, 8); (60, 5, 12) ])
+    [ Gen.chain; Gen.in_tree ];
+  Alcotest.(check string) "MD5 of the improved mappings and periods" improve_pin
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+module State = Mf_eval.State
+
+(* Descent starts for [descend]'s contract: each task on the machine
+   numbered after its type, so machines p..m-1 start empty, on chains
+   and in-trees (n = 20, p = 4, m = 8). *)
+let descend_cases () =
+  List.concat_map
+    (fun gen ->
+      List.init 10 (fun k ->
+          let inst =
+            gen (Rng.create (k + 1)) (Gen.default ~tasks:20 ~types:4 ~machines:8)
+          in
+          let wf = Instance.workflow inst in
+          (inst, Array.init (Instance.task_count inst) (Workflow.ttype wf))))
+    [ Gen.chain; Gen.in_tree ]
+
+let down_of m machines =
+  let down = Array.make m false in
+  List.iter (fun u -> down.(u) <- true) machines;
+  down
+
+(* Down sets: a loaded machine, an empty one, and both.  Moves may take
+   tasks off a down machine but never onto one; and an empty down
+   machine shows any swap that touches it, since the swap would fill it
+   from a loaded up machine.  So no task may end on a down machine it
+   did not start on.  A mask of the wrong length raises. *)
+let test_descend_down_mask () =
+  let moved = ref 0 in
+  List.iter
+    (fun (inst, start) ->
+      let m = Instance.machines inst in
+      List.iter
+        (fun machines ->
+          let down = down_of m machines in
+          let st = State.of_mapping inst (Mapping.of_array inst start) in
+          let p0 = State.period st in
+          ignore (Local_search.descend ~budget:max_int ~down st);
+          let final = State.to_array st in
+          Array.iteri
+            (fun i u ->
+              if down.(u) && u <> start.(i) then
+                Alcotest.failf "T%d moved from M%d onto the down machine M%d" i start.(i) u;
+              if u <> start.(i) then incr moved)
+            final;
+          Alcotest.(check bool) "specialized" true
+            (Mapping.satisfies inst (State.mapping st) Mapping.Specialized);
+          Alcotest.(check bool) "never worse" true (State.period st <= p0))
+        [ [ 0 ]; [ m - 1 ]; [ 1; m - 2 ] ])
+    (descend_cases ());
+  Alcotest.(check bool) "the descents moved tasks" true (!moved > 0);
+  let inst, start = List.hd (descend_cases ()) in
+  let st = State.of_mapping inst (Mapping.of_array inst start) in
+  Alcotest.check_raises "down one short"
+    (Invalid_argument "Local_search.descend: down length differs from machine count")
+    (fun () ->
+      ignore
+        (Local_search.descend ~budget:max_int
+           ~down:(Array.make (Instance.machines inst - 1) false)
+           st))
+
+(* The first candidate [descend] evaluates in [st]: the allowed move
+   onto an up machine with the lowest task, then machine. *)
+let first_move st ~down =
+  let n = Instance.task_count (State.instance st) and m = Array.length down in
+  let rec go i u =
+    if i = n then None
+    else if u = m then go (i + 1) 0
+    else if (not down.(u)) && u <> State.machine_of st i
+            && State.move_allowed st ~task:i ~machine:u
+    then Some (i, u)
+    else go i (u + 1)
+  in
+  go 0 0
+
+(* The budget caps evaluations without changing the path: a run with
+   budget b spends min b e, where e is the unbounded run's count, and
+   with b >= e ends on the unbounded run's mapping; b = 0 spends and
+   changes nothing.  Budget 1 cuts the first round after its first
+   candidate, which that round still applies when it beats the start by
+   the margin. *)
+let test_descend_budget () =
+  let cut_applied = ref 0 in
+  List.iter
+    (fun (inst, start) ->
+      let m = Instance.machines inst in
+      let down = down_of m [ 0 ] in
+      let run budget =
+        let st = State.of_mapping inst (Mapping.of_array inst start) in
+        let spent = Local_search.descend ~budget ~down st in
+        (spent, State.to_array st)
+      in
+      let e, unbounded = run max_int in
+      Alcotest.(check bool) "the unbounded run evaluates" true (e > 0);
+      List.iter
+        (fun b ->
+          let spent, final = run b in
+          Alcotest.(check int) (Printf.sprintf "budget %d of %d" b e) (min b e) spent;
+          if b >= e then
+            Alcotest.(check (array int)) (Printf.sprintf "budget %d mapping" b) unbounded final;
+          if b = 0 then Alcotest.(check (array int)) "budget 0 changes nothing" start final)
+        [ 0; 1; e / 3; e - 1; e; e + 1; 2 * e ];
+      let st = State.of_mapping inst (Mapping.of_array inst start) in
+      let expected = Array.copy start in
+      (match first_move st ~down with
+      | Some (i, u)
+        when State.try_move st ~task:i ~machine:u < State.period st *. (1.0 -. 1e-12) ->
+        expected.(i) <- u;
+        incr cut_applied
+      | _ -> ());
+      Alcotest.(check (array int)) "budget 1 applies its one candidate" expected (snd (run 1)))
+    (descend_cases ());
+  Alcotest.(check bool) "some cut round applied a move" true (!cut_applied > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Prose variants of H2/H3                                             *)
 (* ------------------------------------------------------------------ *)
@@ -460,6 +601,9 @@ let () =
           Alcotest.test_case "never degrades" `Quick test_local_search_never_degrades;
           Alcotest.test_case "optimum is a fixed point" `Quick test_local_search_fixed_point_of_optimum;
           Alcotest.test_case "matches reference" `Quick test_local_search_matches_reference;
+          Alcotest.test_case "result pin" `Quick test_local_search_result_pin;
+          Alcotest.test_case "descend down mask" `Quick test_descend_down_mask;
+          Alcotest.test_case "descend budget" `Quick test_descend_budget;
         ] );
       ( "h2-variants",
         [
