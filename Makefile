@@ -14,23 +14,20 @@ build:
 test:
 	dune runtest
 
-# Gate: build + tests, then the parallel-determinism checks — the same
+# Gate: build + every test group once, under one timeout so a regression
+# that blows a search or a simplex up (the pool stress suite and the
+# exact, LP and portfolio differential suites run here) fails fast instead
+# of hanging the gate.  Then the parallel-determinism checks — the same
 # experiment grid at --jobs 1 and --jobs 4 must produce byte-identical CSV,
 # and so must the dynamic experiment at --jobs 1 and --jobs 2 (each
 # simulation's online re-mapper keeps its own evaluation state, which no
 # two domains may share), and `mfopt exact` on a generated n=16 chain at
 # --jobs 1 and --jobs 2 apart from its timing line (the CLI's path to
-# parallel root subtrees; both runs must prove optimality) —
-# the pool stress suite (shutdown-while-busy, concurrent/nested map_array,
-# exception-index determinism across chunk sizes) and the differential
-# suites under timeouts so a regression that blows
-# a search or a simplex up fails fast instead of hanging the gate: the exact
-# branch-and-bound one (all pruning rules against brute force) and the LP one
-# (float simplex against the exact-rational solver on 208 in-forest
-# instances).  The LP-bounds example runs end to end and exits 1 when the
-# MIP (9) branch-and-bound and the exact search disagree on its optimum.
+# parallel root subtrees; both runs must prove optimality).  The LP-bounds
+# example runs end to end and exits 1 when the MIP (9) branch-and-bound
+# and the exact search disagree on its optimum.
 verify:
-	dune build && dune runtest
+	dune build && timeout 300 dune runtest
 	dune exec bin/mfopt.exe -- experiment fig6 --replicates 2 --jobs 1 --csv > _build/verify_j1.csv
 	dune exec bin/mfopt.exe -- experiment fig6 --replicates 2 --jobs 4 --csv > _build/verify_j4.csv
 	cmp _build/verify_j1.csv _build/verify_j4.csv
@@ -44,10 +41,6 @@ verify:
 	  grep -v 'proved optimal in' _build/verify_exact_j$$j.raw > _build/verify_exact_j$$j.txt || exit 1; \
 	done
 	cmp _build/verify_exact_j1.txt _build/verify_exact_j2.txt
-	timeout 60 dune exec test/test_parallel.exe -- test pool-stress
-	timeout 60 dune exec test/test_exact.exe -- test dfs-differential
-	timeout 60 dune exec test/test_lp.exe -- test lp-differential
-	timeout 60 dune exec test/test_solve.exe -- test portfolio-differential
 	timeout 60 dune exec examples/lp_bounds.exe
 	timeout 60 sh scripts/daemon_smoke.sh
 	$(MAKE) fuzz-quick
@@ -73,16 +66,14 @@ fuzz:
 fuzz-replay:
 	dune exec test/fuzz/fuzz_main.exe -- --replay
 
-# Full benchmark run (figures + every BENCH_*.json section + bechamel
-# micro-benchmarks).  `--only NAME[,NAME...]` picks sections; an unknown
-# name lists them.
+# Full benchmark run (figures, ablations and every BENCH_*.json section).
+# `--only NAME[,NAME...]` picks sections; an unknown name lists them.
 bench:
 	dune exec bench/main.exe
 
-# Small-size benchmark: every section at the quick tier except the slow
-# bechamel micro-benchmarks.
+# Small-size benchmark: every section at the quick tier.
 bench-quick:
-	dune exec bench/main.exe -- --quick --only figures,ablation,eval,parallel,exact,lp,daemon,dynamic
+	dune exec bench/main.exe -- --quick
 
 # Exact-search benchmark only (writes BENCH_exact.json): node reduction vs
 # the static baseline, solvable-size scan, --jobs identity, pruning ablation.

@@ -1,8 +1,7 @@
 (* Benchmark harness: regenerates every figure of the paper's Section 7
    (period tables + normalisation factors), runs the ablation studies for
    the extensions, validates the analytic model against the simulator,
-   writes the machine-readable BENCH_*.json benchmarks, and finishes with
-   bechamel micro-benchmarks of the computational kernels.
+   and writes the machine-readable BENCH_*.json benchmarks.
 
    Usage: dune exec bench/main.exe [-- --quick] [-- --only NAME[,NAME...]]
                                    [-- --regress]
@@ -331,7 +330,8 @@ let bench_parallel () =
   let xs = if !quick then [ 50; 80 ] else List.init 11 (fun i -> 50 + (10 * i)) in
   let replicates = if !quick then 3 else 30 in
   let run_grid ~jobs =
-    Runner.run ~id:"bench-par" ~title:"fig5-shaped grid" ~x_label:"tasks" ~jobs ~xs ~replicates
+    let pool = if jobs > 1 then Some (Mf_parallel.Pool.shared ~domains:jobs) else None in
+    Runner.run ~id:"bench-par" ~title:"fig5-shaped grid" ~x_label:"tasks" ?pool ~xs ~replicates
       ~gen:(fun ~x ~seed ->
         Gen.chain (Rng.create seed) (Gen.default ~tasks:x ~types:5 ~machines:50))
       ~algos:(List.map Runner.heuristic Registry.all)
@@ -1227,102 +1227,6 @@ let bench_daemon () =
   Printf.printf "  (machine-readable copy written to %s)\n" json
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let micro_benchmarks () =
-  section "Micro-benchmarks (bechamel, monotonic clock)";
-  let open Bechamel in
-  let instance_fig5 =
-    Gen.chain (Rng.create 42) (Gen.default ~tasks:100 ~types:5 ~machines:50)
-  in
-  let instance_fig9 =
-    Gen.chain (Rng.create 43)
-      { (Gen.default ~tasks:100 ~types:20 ~machines:100) with Gen.task_attached_failures = true }
-  in
-  let instance_small = Gen.chain (Rng.create 44) (Gen.default ~tasks:10 ~types:2 ~machines:5) in
-  let instance_mip = Gen.chain (Rng.create 45) (Gen.default ~tasks:4 ~types:2 ~machines:3) in
-  let mapping_fig5 = Registry.solve Registry.H4w instance_fig5 in
-  let big = Mf_numeric.Bigint.of_string (String.make 200 '7') in
-  let heuristic_test h =
-    Test.make
-      ~name:(Printf.sprintf "fig5-kernel/%s" (Registry.name h))
-      (Staged.stage (fun () -> ignore (Registry.solve h instance_fig5)))
-  in
-  let tests =
-    List.map heuristic_test Registry.all
-    @ [
-        Test.make ~name:"fig9-kernel/OtO-bottleneck"
-          (Staged.stage (fun () -> ignore (Mf_exact.Oto.bottleneck instance_fig9)));
-        Test.make ~name:"fig10-kernel/exact-dfs-n10"
-          (Staged.stage (fun () -> ignore (Mf_exact.Dfs.specialized instance_small)));
-        Test.make ~name:"mip/build+relaxation-n4"
-          (Staged.stage (fun () ->
-               let { Mf_lp.Splitting.a; b; c } = Mf_lp.Micro_mip.build instance_mip in
-               ignore (Mf_lp.Simplex.Float_solver.solve_sparse_detailed ~a ~b ~c ())));
-        Test.make ~name:"splitting/lp-n10-m5"
-          (Staged.stage (fun () -> ignore (Mf_lp.Splitting.solve instance_small)));
-        Test.make ~name:"core/period-eval-n100"
-          (Staged.stage (fun () -> ignore (Period.period instance_fig5 mapping_fig5)));
-        Test.make ~name:"sim/desim-1e5ms"
-          (Staged.stage (fun () ->
-               ignore
-                 (Mf_sim.Desim.run ~warmup:1.0e4 ~horizon:1.0e5 ~seed:1 instance_small
-                    (Registry.solve Registry.H4w instance_small))));
-        Test.make ~name:"proptest/instance-gen-tree"
-          (Staged.stage
-             (let gen =
-                Mf_proptest.Instances.instance ~max_tasks:8 ~max_machines:4 ()
-              in
-              fun () ->
-                ignore
-                  (Mf_proptest.Tree.root
-                     (Mf_proptest.Gen.run gen (Mf_prng.Rng.create 7)))));
-        Test.make ~name:"proptest/oracle-eval-case"
-          (Staged.stage
-             (let eval_oracle = Option.get (Mf_proptest.Oracle.find "eval") in
-              fun () ->
-                ignore (Mf_proptest.Oracle.replay eval_oracle ~case_seed:123456)));
-        Test.make ~name:"numeric/bigint-mul-200digits"
-          (Staged.stage (fun () -> ignore (Mf_numeric.Bigint.mul big big)));
-        Test.make ~name:"graph/hungarian-100x100"
-          (Staged.stage
-             (let cost =
-                Array.init 100 (fun i ->
-                    Array.init 100 (fun j -> float_of_int (((i * 31) + (j * 17)) mod 997)))
-              in
-              fun () -> ignore (Mf_graph.Hungarian.solve cost)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw =
-    Benchmark.all cfg
-      [ Toolkit.Instance.monotonic_clock ]
-      (Test.make_grouped ~name:"micro" tests)
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name res acc ->
-        match Analyze.OLS.estimates res with
-        | Some (ns :: _) -> (name, ns) :: acc
-        | _ -> (name, nan) :: acc)
-      results []
-    |> List.sort compare
-  in
-  Printf.printf "  %-40s %15s\n" "kernel" "time/run";
-  let pp_time ns =
-    if ns >= 1e9 then Printf.sprintf "%8.2f s" (ns /. 1e9)
-    else if ns >= 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-    else if ns >= 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-    else Printf.sprintf "%8.0f ns" ns
-  in
-  List.iter (fun (name, ns) -> Printf.printf "  %-40s %15s\n" name (pp_time ns)) rows
-
-(* ------------------------------------------------------------------ *)
 (* Section registry and command line                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1344,7 +1248,6 @@ let sections =
     ("lp", "splitting-LP simplex (BENCH_lp.json)", bench_lp);
     ("daemon", "daemon client storm (BENCH_daemon.json)", bench_daemon);
     ("dynamic", "breakdowns and the online re-mapper (BENCH_dynamic.json)", bench_dynamic);
-    ("micro", "bechamel micro-benchmarks", micro_benchmarks);
   ]
 
 let usage () =

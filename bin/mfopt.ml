@@ -567,7 +567,8 @@ let experiment_cmd =
       Printf.eprintf "--jobs must be at least 1\n";
       exit 2
     end;
-    match List.assoc_opt figure (Mf_experiments.Figures.all ?replicates ~jobs ()) with
+    let pool = if jobs > 1 then Some (Mf_parallel.Pool.shared ~domains:jobs) else None in
+    match List.assoc_opt figure (Mf_experiments.Figures.all ?replicates ?pool ()) with
     | None ->
       Printf.eprintf "unknown figure %s (fig5..fig12, dynamic)\n" figure;
       exit 2

@@ -25,7 +25,8 @@ let jobs =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Domains for the exact engine's shared pool (outcomes are bit-identical for any N).")
+          "Domains for the exact engine's shared pool, at most the recommended domain count \
+           (outcomes are bit-identical for any N).")
 
 let cache_capacity =
   Arg.(

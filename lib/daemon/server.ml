@@ -161,7 +161,7 @@ let create ?(config = default_config) () =
     {
       config;
       cache = Cache.create ~capacity:config.cache_capacity ();
-      pool = (if config.jobs > 1 then Some (Pool.create ~domains:config.jobs) else None);
+      pool = (if config.jobs > 1 then Some (Pool.shared ~domains:config.jobs) else None);
       telemetry = Telemetry.create ();
       qlock = Mutex.create ();
       qcond = Condition.create ();

@@ -39,8 +39,9 @@ val default_config : config
     forced through (4). *)
 val starvation_bound : int
 
-(** [create ()] starts the worker threads; [jobs > 1] also spins up a
-    shared domain pool for the exact engine. *)
+(** [create ()] starts the worker threads; [jobs > 1] runs the exact
+    engine on {!Mf_parallel.Pool.shared} [~domains:jobs], clamped to the
+    core count like every [--jobs] flag and shut down at process exit. *)
 val create : ?config:config -> unit -> t
 
 (** [serve_client t ic oc] runs one connection's read loop in the

@@ -81,31 +81,25 @@ let min_contribution inst =
 (* Greedy injective assignment seeding the one-to-one search: backward
    tasks, each to the unused machine with the smallest x*w. *)
 let greedy_one_to_one inst =
-  let n = Instance.task_count inst and m = Instance.machines inst in
-  if m < n then invalid_arg "Dfs.greedy_one_to_one: fewer machines than tasks";
-  let wf = Instance.workflow inst in
-  let a = Array.make n (-1) in
-  let x = Array.make n nan in
-  let used = Array.make m false in
+  let m = Instance.machines inst in
+  if m < Instance.task_count inst then
+    invalid_arg "Dfs.greedy_one_to_one: fewer machines than tasks";
+  let st = State.create inst in
   Array.iter
     (fun task ->
-      let x_succ = match Workflow.successor wf task with None -> 1.0 | Some j -> x.(j) in
       let best = ref (-1) and best_cost = ref infinity in
       for u = 0 to m - 1 do
-        if not used.(u) then begin
-          let xi = x_succ /. (1.0 -. Instance.f inst task u) in
-          let cost = xi *. Instance.w inst task u in
+        if State.tasks_on st u = 0 then begin
+          let cost = State.x_candidate st ~task ~machine:u *. Instance.w inst task u in
           if cost < !best_cost then begin
             best := u;
             best_cost := cost
           end
         end
       done;
-      used.(!best) <- true;
-      a.(task) <- !best;
-      x.(task) <- x_succ /. (1.0 -. Instance.f inst task !best))
-    (Workflow.backward_order wf);
-  Mapping.of_array inst a
+      State.assign_task_with st ~extra:0.0 ~task ~machine:!best)
+    (Workflow.backward_order (Instance.workflow inst));
+  State.mapping st
 
 let check_rule_feasible rule inst =
   match rule with
@@ -132,44 +126,21 @@ let best_single_machine ~setup inst =
   done;
   match !best with Some r -> r | None -> assert false
 
-(* Incumbent of the PR-2 engine, kept verbatim so [solve_static] stays the
-   bench baseline it was: best of H2/H3/H4w only. *)
-let incumbent_static ~setup rule inst =
+(* The one per-rule seed, the best of [heuristics] where they apply.
+   Heuristic mappings are specialized, hence valid general mappings
+   paying no setup; one-to-one needs its own greedy seed because no
+   registry heuristic is injective.  The count is the mappings scored. *)
+let seed_of heuristics ?seed ~setup rule inst =
   match rule with
   | Mapping.One_to_one ->
     let mp = greedy_one_to_one inst in
-    (mp, Period.period inst mp)
+    ((mp, Period.period inst mp), 1)
+  | Mapping.General when Instance.machines inst < Instance.type_count inst ->
+    (best_single_machine ~setup inst, Instance.machines inst)
   | Mapping.Specialized | Mapping.General ->
-    if rule = Mapping.General && Instance.machines inst < Instance.type_count inst then
-      best_single_machine ~setup inst
-    else begin
-      (* A specialized mapping is also a valid general mapping, and hosts
-         one type per machine so it pays no setup. *)
-      let pick =
-        List.fold_left
-          (fun acc h ->
-            let mp = Registry.solve h inst in
-            let p = Period.period inst mp in
-            match acc with Some (_, bp) when bp <= p -> acc | _ -> Some (mp, p))
-          None
-          [ Registry.H2; Registry.H3; Registry.H4w ]
-      in
-      match pick with Some r -> r | None -> assert false
-    end
+    (Registry.best_of ?seed heuristics inst, List.length heuristics)
 
-(* Branch-and-bound incumbent: the best mapping over the whole heuristic
-   registry.  Heuristic mappings are specialized, hence valid general
-   mappings paying no setup; one-to-one still needs its own greedy seed
-   because no registry heuristic is injective. *)
-let seed_incumbent ~setup rule inst =
-  match rule with
-  | Mapping.One_to_one ->
-    let mp = greedy_one_to_one inst in
-    (mp, Period.period inst mp)
-  | Mapping.Specialized | Mapping.General ->
-    if rule = Mapping.General && Instance.machines inst < Instance.type_count inst then
-      best_single_machine ~setup inst
-    else Registry.best inst
+let seed_incumbent ?seed ~setup rule inst = seed_of Registry.all ?seed ~setup rule inst
 
 (* ------------------------------------------------------------------ *)
 (* PR-2 engine: static suffix bound only.  Kept as the bench baseline   *)
@@ -188,7 +159,9 @@ let solve_static ?(node_budget = 20_000_000) ?(setup = 0.0) ~rule inst =
   for k = n - 1 downto 0 do
     suffix_lb.(k) <- Float.max suffix_lb.(k + 1) contrib_lb.(order.(k))
   done;
-  let seed_mp, seed_p = incumbent_static ~setup rule inst in
+  (* The static engine's original incumbent, kept so this stays the
+     bench baseline it was: best of H2/H3/H4w only. *)
+  let (seed_mp, seed_p), _ = seed_of [ Registry.H2; Registry.H3; Registry.H4w ] ~setup rule inst in
   let best_mp = ref seed_mp and best_p = ref seed_p in
   (* x, allocation and load bookkeeping live in the shared incremental
      state; assignments are journalled and backtracked with State.undo. *)
@@ -919,17 +892,16 @@ let solve ?(node_budget = 20_000_000) ?(setup = 0.0) ?pool ?dominance
       node_bound <> None || has_repeated_task_profiles inst
   in
   let ctx = make_ctx ~rule ~setup ~dominance ~symmetry ~node_bound ~pivot_charge ~cancel inst in
-  let seed_mp, seed_p = seed_incumbent ~setup rule inst in
-  (* A caller-supplied incumbent (the portfolio's shared best-so-far) is
-     merged by strict minimum, so it can only tighten the seed.  It must
-     satisfy [rule] — checked, because an infeasible incumbent would let
-     the search "prove" a period no legal mapping attains. *)
+  (* A caller's incumbent (the portfolio's shared best-so-far) is the
+     seed.  It must satisfy [rule] — checked, because an infeasible
+     incumbent would let the search "prove" a period no legal mapping
+     attains. *)
   let seed_mp, seed_p =
     match incumbent with
-    | Some (mp, p) when p < seed_p ->
+    | Some ((mp, _) as inc) ->
       Mapping.check inst mp rule;
-      (mp, p)
-    | _ -> (seed_mp, seed_p)
+      inc
+    | None -> fst (seed_incumbent ~setup rule inst)
   in
   if met_bound seed_p then
     { mapping = seed_mp; period = seed_p; optimal = true; nodes = 0; stats = zero_stats }
@@ -1115,8 +1087,5 @@ let solve ?(node_budget = 20_000_000) ?(setup = 0.0) ?pool ?dominance
   end
 
 let specialized ?node_budget inst = solve ?node_budget ~rule:Mapping.Specialized inst
-
-let general ?node_budget ?setup inst =
-  solve ?node_budget ?setup ~rule:Mapping.General inst
-
-let one_to_one ?node_budget inst = solve ?node_budget ~rule:Mapping.One_to_one inst
+let general ?setup inst = solve ?setup ~rule:Mapping.General inst
+let one_to_one inst = solve ~rule:Mapping.One_to_one inst

@@ -7,8 +7,8 @@
 
     The engine prunes with, in increasing order of sophistication:
 
-    - the incumbent, seeded with the best mapping over the whole
-      {!Mf_heuristics.Registry} (greedy injective seed for one-to-one);
+    - the incumbent, seeded with the caller's incumbent or else
+      {!seed_incumbent};
     - an {e incremental} lower bound maintained during descent: committing
       a task fixes its product count and tightens each unassigned
       predecessor's optimistic contribution from the static optimum to
@@ -131,10 +131,11 @@ type result = {
     caller's contract: a bound that is not actually a lower bound can
     certify a suboptimal mapping.
 
-    [incumbent] is a caller-supplied starting incumbent — the shared
-    best-so-far of [Mf_solve.Portfolio]'s earlier stages — merged with
-    the internal heuristic seed by strict minimum, so it can only
-    tighten the search.  The pair is [(mapping, period)] where [period]
+    [incumbent] is the search's seed — the shared best-so-far of
+    [Mf_solve.Portfolio]'s earlier stages, which already ran
+    {!seed_incumbent} — used as given, not merged with another seed;
+    without it the search seeds itself with {!seed_incumbent} at the
+    default seed.  The pair is [(mapping, period)] where [period]
     is the mapping's {e penalised} period under the same [setup]
     convention the search optimises ({!Mf_core.Period.with_setup} for
     the general rule, {!Mf_core.Period.period} otherwise); supplying a
@@ -197,11 +198,30 @@ val solve_static :
   Mf_core.Instance.t ->
   result
 
+(** [seed_incumbent ?seed ~setup rule inst] is the one heuristic seed
+    under [rule], with the number of mappings it scored:
+
+    - [Specialized], and [General] when [m >= p]:
+      {!Mf_heuristics.Registry.best} [?seed], over all six heuristics.
+      Its mapping is specialized, so under [General] it pays no setup
+      and its period is also its {!Mf_core.Period.with_setup} period;
+    - [General] when [m < p]: {!best_single_machine}, [m] mappings;
+    - [One_to_one]: {!greedy_one_to_one}, one mapping.
+
+    [Mf_solve.Engine.heuristics] returns it for the request's seed, and
+    {!solve} seeds itself with it when no [incumbent] is given.
+    [seed] defaults to {!Mf_heuristics.Registry.default_seed}.
+    @raise Invalid_argument when no mapping satisfying [rule] exists. *)
+val seed_incumbent :
+  ?seed:int ->
+  setup:float ->
+  Mf_core.Mapping.rule ->
+  Mf_core.Instance.t ->
+  (Mf_core.Mapping.t * float) * int
+
 (** [greedy_one_to_one inst] is the injective greedy seed of the
     one-to-one search: tasks in backward order, each to the unused
-    machine minimising its [x * w] contribution.  Exposed so the
-    unified solver's heuristic stage has a one-to-one entry (no registry
-    heuristic is injective).
+    machine minimising its [x * w] contribution.
     @raise Invalid_argument when [m < n]. *)
 val greedy_one_to_one : Mf_core.Instance.t -> Mf_core.Mapping.t
 
@@ -215,7 +235,7 @@ val best_single_machine : setup:float -> Mf_core.Instance.t -> Mf_core.Mapping.t
 (** [specialized ?node_budget inst] is [solve ~rule:Specialized]. *)
 val specialized : ?node_budget:int -> Mf_core.Instance.t -> result
 
-(** [general ?node_budget ?setup inst] is [solve ~rule:General].
+(** [general ?setup inst] is [solve ~rule:General].
     With [setup > 0], a machine hosting [k >= 2] distinct task {e types}
     pays [k * setup] time units per period — the cyclic steady-state
     convention of {!Mf_core.Period.with_setup}, with which the reported
@@ -224,7 +244,7 @@ val specialized : ?node_budget:int -> Mf_core.Instance.t -> result
     general mappings.  Unlike the other rules, [m >= p] is {e not}
     required: when the specialized heuristics cannot seed the incumbent,
     the best single-machine mapping does. *)
-val general : ?node_budget:int -> ?setup:float -> Mf_core.Instance.t -> result
+val general : ?setup:float -> Mf_core.Instance.t -> result
 
-(** [one_to_one ?node_budget inst] is [solve ~rule:One_to_one]. *)
-val one_to_one : ?node_budget:int -> Mf_core.Instance.t -> result
+(** [one_to_one inst] is [solve ~rule:One_to_one]. *)
+val one_to_one : Mf_core.Instance.t -> result

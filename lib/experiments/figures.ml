@@ -8,35 +8,35 @@ let all_heuristics = List.map Runner.heuristic Registry.all
 
 let chain_gen params ~x:_ ~seed = Gen.chain (Rng.create seed) params
 
-let fig5 ?(replicates = 30) ?jobs () =
-  Runner.run ~id:"fig5" ?jobs ~title:"Specialized mappings, m=50, p=5" ~x_label:"number of tasks"
+let fig5 ?(replicates = 30) ?pool () =
+  Runner.run ~id:"fig5" ?pool ~title:"Specialized mappings, m=50, p=5" ~x_label:"number of tasks"
     ~xs:(range 50 150 10) ~replicates
     ~gen:(fun ~x ~seed -> chain_gen (Gen.default ~tasks:x ~types:5 ~machines:50) ~x ~seed)
     ~algos:all_heuristics ()
 
-let fig6 ?(replicates = 30) ?jobs () =
-  Runner.run ~id:"fig6" ?jobs ~title:"Specialized mappings, m=10, p=2" ~x_label:"number of tasks"
+let fig6 ?(replicates = 30) ?pool () =
+  Runner.run ~id:"fig6" ?pool ~title:"Specialized mappings, m=10, p=2" ~x_label:"number of tasks"
     ~xs:(range 10 100 10) ~replicates
     ~gen:(fun ~x ~seed -> chain_gen (Gen.default ~tasks:x ~types:2 ~machines:10) ~x ~seed)
     ~algos:(List.map Runner.heuristic [ Registry.H2; Registry.H3; Registry.H4; Registry.H4w ])
     ()
 
-let fig7 ?(replicates = 30) ?jobs () =
-  Runner.run ~id:"fig7" ?jobs ~title:"Large platform, m=100, p=5" ~x_label:"number of tasks"
+let fig7 ?(replicates = 30) ?pool () =
+  Runner.run ~id:"fig7" ?pool ~title:"Large platform, m=100, p=5" ~x_label:"number of tasks"
     ~xs:(range 100 200 10) ~replicates
     ~gen:(fun ~x ~seed -> chain_gen (Gen.default ~tasks:x ~types:5 ~machines:100) ~x ~seed)
     ~algos:(List.map Runner.heuristic [ Registry.H2; Registry.H3; Registry.H4w ])
     ()
 
-let fig8 ?(replicates = 30) ?jobs () =
-  Runner.run ~id:"fig8" ?jobs ~title:"High failure rates, m=10, p=5, f in [0,0.1]"
+let fig8 ?(replicates = 30) ?pool () =
+  Runner.run ~id:"fig8" ?pool ~title:"High failure rates, m=10, p=5, f in [0,0.1]"
     ~x_label:"number of tasks" ~xs:(range 10 100 10) ~replicates
     ~gen:(fun ~x ~seed ->
       chain_gen (Gen.with_high_failures (Gen.default ~tasks:x ~types:5 ~machines:10)) ~x ~seed)
     ~algos:all_heuristics ()
 
-let fig9 ?(replicates = 100) ?jobs () =
-  Runner.run ~id:"fig9" ?jobs ~title:"One-to-one regime, m=n=100, f(i,u)=f_i"
+let fig9 ?(replicates = 100) ?pool () =
+  Runner.run ~id:"fig9" ?pool ~title:"One-to-one regime, m=n=100, f(i,u)=f_i"
     ~x_label:"number of types" ~xs:(range 20 100 10) ~replicates
     ~notes:
       [
@@ -56,8 +56,8 @@ let fig9 ?(replicates = 100) ?jobs () =
 let small_exact_algos ~node_budget =
   all_heuristics @ [ Runner.exact_dfs ~node_budget ]
 
-let fig10 ?(replicates = 30) ?(node_budget = 2_000_000) ?jobs () =
-  Runner.run ~id:"fig10" ?jobs ~title:"Small instances vs exact optimum, m=5, p=2"
+let fig10 ?(replicates = 30) ?(node_budget = 2_000_000) ?pool () =
+  Runner.run ~id:"fig10" ?pool ~title:"Small instances vs exact optimum, m=5, p=2"
     ~x_label:"number of tasks" ~xs:(range 2 15 1) ~replicates
     ~notes:
       [
@@ -69,8 +69,8 @@ let fig10 ?(replicates = 30) ?(node_budget = 2_000_000) ?jobs () =
     ()
 
 (* Fig. 11 is Fig. 10 normalised per instance by the exact optimum. *)
-let fig11 ?replicates ?node_budget ?jobs () =
-  let base = fig10 ?replicates ?node_budget ?jobs () in
+let fig11 ?replicates ?node_budget ?pool () =
+  let base = fig10 ?replicates ?node_budget ?pool () in
   let points =
     List.map
       (fun (pt : Runner.point) ->
@@ -115,8 +115,8 @@ let fig11 ?replicates ?node_budget ?jobs () =
     Runner.notes = [ "Values are per-instance ratios heuristic/optimal (1.0 = optimal)." ];
   }
 
-let fig12 ?(replicates = 30) ?(node_budget = 2_000_000) ?jobs () =
-  Runner.run ~id:"fig12" ?jobs ~title:"Exact comparison on m=9, p=4" ~x_label:"number of tasks"
+let fig12 ?(replicates = 30) ?(node_budget = 2_000_000) ?pool () =
+  Runner.run ~id:"fig12" ?pool ~title:"Exact comparison on m=9, p=4" ~x_label:"number of tasks"
     ~xs:(range 5 20 1) ~replicates
     ~notes:
       [
@@ -138,8 +138,9 @@ let fig12 ?(replicates = 30) ?(node_budget = 2_000_000) ?jobs () =
 let dynamic_mtbf_periods = 48.0
 
 let dynamic_mttr_periods = 16.0
+let dynamic_horizon_periods = 600.0
 
-let dynamic_sim label ~remap ~horizon_periods =
+let dynamic_sim label ~remap =
   {
     Runner.label;
     solve =
@@ -151,7 +152,7 @@ let dynamic_sim label ~remap ~horizon_periods =
             ~mtbf:(dynamic_mtbf_periods *. p) ~mttr:(dynamic_mttr_periods *. p)
             ~crews:1 ()
         in
-        let horizon = p *. horizon_periods in
+        let horizon = p *. dynamic_horizon_periods in
         let r =
           if remap then
             Mf_remap.Online.simulate ~breakdowns:bd ~horizon ~seed inst mp
@@ -177,8 +178,8 @@ let dynamic_bound =
         if tp > 0.0 then Some (1.0 /. tp) else None)
   }
 
-let dynamic ?(replicates = 10) ?(horizon_periods = 600.0) ?jobs () =
-  Runner.run ~id:"dynamic" ?jobs
+let dynamic ?(replicates = 10) ?pool () =
+  Runner.run ~id:"dynamic" ?pool
     ~title:
       (Printf.sprintf "Breakdowns and online re-mapping, m=6, p=2, mtbf=%gp, mttr=%gp"
          dynamic_mtbf_periods dynamic_mttr_periods)
@@ -195,20 +196,20 @@ let dynamic ?(replicates = 10) ?(horizon_periods = 600.0) ?jobs () =
     ~algos:
       [
         dynamic_bound;
-        dynamic_sim "static" ~remap:false ~horizon_periods;
-        dynamic_sim "remap" ~remap:true ~horizon_periods;
+        dynamic_sim "static" ~remap:false;
+        dynamic_sim "remap" ~remap:true;
       ]
     ()
 
-let all ?replicates ?node_budget ?jobs () =
+let all ?replicates ?node_budget ?pool () =
   [
-    ("fig5", fun () -> fig5 ?replicates ?jobs ());
-    ("fig6", fun () -> fig6 ?replicates ?jobs ());
-    ("fig7", fun () -> fig7 ?replicates ?jobs ());
-    ("fig8", fun () -> fig8 ?replicates ?jobs ());
-    ("fig9", fun () -> fig9 ?replicates ?jobs ());
-    ("fig10", fun () -> fig10 ?replicates ?node_budget ?jobs ());
-    ("fig11", fun () -> fig11 ?replicates ?node_budget ?jobs ());
-    ("fig12", fun () -> fig12 ?replicates ?node_budget ?jobs ());
-    ("dynamic", fun () -> dynamic ?replicates ?jobs ());
+    ("fig5", fun () -> fig5 ?replicates ?pool ());
+    ("fig6", fun () -> fig6 ?replicates ?pool ());
+    ("fig7", fun () -> fig7 ?replicates ?pool ());
+    ("fig8", fun () -> fig8 ?replicates ?pool ());
+    ("fig9", fun () -> fig9 ?replicates ?pool ());
+    ("fig10", fun () -> fig10 ?replicates ?node_budget ?pool ());
+    ("fig11", fun () -> fig11 ?replicates ?node_budget ?pool ());
+    ("fig12", fun () -> fig12 ?replicates ?node_budget ?pool ());
+    ("dynamic", fun () -> dynamic ?replicates ?pool ());
   ]

@@ -55,8 +55,7 @@ let derive_seed ~id ~x ~rep =
   acc := absorb !acc (Int64.of_int rep);
   Int64.to_int (Int64.logand !acc 0x3FFFFFFFFFFFFFFFL)
 
-let run ~id ~title ~x_label ?(notes = []) ?(jobs = 1) ?pool ?chunk ~xs ~replicates ~gen ~algos ()
-    =
+let run ~id ~title ~x_label ?(notes = []) ?pool ?chunk ~xs ~replicates ~gen ~algos () =
   let algos = Array.of_list algos in
   let n_algos = Array.length algos in
   let xs_arr = Array.of_list xs in
@@ -67,7 +66,7 @@ let run ~id ~title ~x_label ?(notes = []) ?(jobs = 1) ?pool ?chunk ~xs ~replicat
      entire grid out in a single batch gives the pool coarse chunks to
      amortise synchronisation over.  Each unit is a pure function of
      (id, x, rep), and results are placed by index, so the figure is
-     identical for any jobs and chunk value. *)
+     identical with or without a pool, for any chunk value. *)
   let solve_unit k =
     let xi = k / replicates and rep = k mod replicates in
     let x = xs_arr.(xi) in
@@ -79,11 +78,7 @@ let run ~id ~title ~x_label ?(notes = []) ?(jobs = 1) ?pool ?chunk ~xs ~replicat
   let slots =
     match pool with
     | Some pool -> Mf_parallel.Pool.map_array ?chunk pool units ~f:solve_unit
-    | None ->
-      if jobs <= 1 then Array.map solve_unit units
-      else
-        Mf_parallel.Pool.map_array ?chunk (Mf_parallel.Pool.shared ~domains:jobs) units
-          ~f:solve_unit
+    | None -> Array.map solve_unit units
   in
   let points =
     List.init nx (fun xi ->

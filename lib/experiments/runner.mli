@@ -57,21 +57,19 @@ val exact_dfs : node_budget:int -> algo
     instance [algos] times), and the whole grid goes out as a single
     batch so the pool can amortise synchronisation over coarse chunks.
     Each unit derives its own seed from [(id, x, rep)], so the returned
-    figure is {e identical} — same floats, same order — for any [jobs],
-    [pool] and [chunk] value; [gen] and the algorithms must be pure
-    functions of their arguments (all of this repository's are).
+    figure is {e identical} — same floats, same order — with or without
+    a [pool] and for any [chunk] value; [gen] and the algorithms must be
+    pure functions of their arguments (all of this repository's are).
 
-    [pool] runs the grid on that pool, ignoring [jobs].  Otherwise
-    [jobs] (default 1: serial in the calling domain) runs it on the
-    process-wide {!Mf_parallel.Pool.shared} pool of that many domains —
-    amortized across figures, no spawn/join per call.  [chunk] is passed
-    through to {!Mf_parallel.Pool.map_array}. *)
+    [pool] runs the grid on that pool (the CLI and the bench pass
+    {!Mf_parallel.Pool.shared}, amortized across figures); without one
+    it runs serially in the calling domain.  [chunk] is passed through
+    to {!Mf_parallel.Pool.map_array}. *)
 val run :
   id:string ->
   title:string ->
   x_label:string ->
   ?notes:string list ->
-  ?jobs:int ->
   ?pool:Mf_parallel.Pool.t ->
   ?chunk:int ->
   xs:int list ->

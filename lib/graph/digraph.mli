@@ -1,7 +1,8 @@
 (** Directed graphs over integer vertices [0 .. n-1].
 
-    Backs the application-graph validation of {!Mf_core.Workflow}: cycle
-    detection, topological orders and degree queries. *)
+    Cycle detection, topological orders and degree queries over a
+    general graph.  {!Mf_core.Workflow} validates its in-forest itself;
+    {!Mf_core.Workflow.to_digraph} exports one into this form. *)
 
 type t
 

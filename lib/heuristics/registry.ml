@@ -36,18 +36,17 @@ let solve ?(seed = default_seed) h inst =
   | H4w -> H4_family.h4w inst
   | H4f -> H4_family.h4f inst
 
-(* The same default as [solve], applied once here and threaded
-   explicitly: every catalogue entry sees the caller's seed (H1 is the
-   only consumer today, but the contract covers future randomized
-   heuristics too) — a caller-supplied seed is never silently replaced
-   by the default for a subset of the runs. *)
-let best ?(seed = default_seed) inst =
+(* One seed for every listed heuristic: a caller's seed is never
+   replaced by the default for a subset of the runs. *)
+let best_of ?(seed = default_seed) hs inst =
   let pick =
     List.fold_left
       (fun acc h ->
         let mp = solve ~seed h inst in
         let p = Mf_core.Period.period inst mp in
         match acc with Some (_, bp) when bp <= p -> acc | _ -> Some (mp, p))
-      None all
+      None hs
   in
-  match pick with Some r -> r | None -> assert false
+  match pick with Some r -> r | None -> invalid_arg "Registry.best_of: no heuristic"
+
+let best ?seed inst = best_of ?seed all inst

@@ -7,8 +7,8 @@
     feeds the random draws of the randomized heuristics — today only H1;
     the informed heuristics H2..H4f ignore it — and defaults to
     {!default_seed} everywhere, so omitting it is itself deterministic.
-    {!solve} and {!best} treat [seed] identically: [best] threads the
-    caller's seed to {e every} catalogue entry (a caller-supplied seed is
+    {!solve} and {!best_of} treat [seed] identically: [best_of] threads
+    the caller's seed to {e every} listed entry (a caller-supplied seed is
     never silently replaced by the default for a subset of the runs). *)
 
 type t = H1 | H2 | H3 | H4 | H4w | H4f
@@ -36,12 +36,16 @@ val default_seed : int
     @raise Invalid_argument when [m < p]. *)
 val solve : ?seed:int -> t -> Mf_core.Instance.t -> Mf_core.Mapping.t
 
-(** [best ?seed inst] runs {e every} heuristic of {!all} — each with the
-    same [seed] — and returns the mapping with the smallest period
-    together with that period.  Ties keep the earliest heuristic in the
-    catalogue order, so the result is deterministic.  This is the
-    incumbent seed of the exact branch-and-bound: a tighter initial
-    incumbent prunes exponentially more of the search tree than the cost
-    of the extra heuristic runs.
+(** [best_of ?seed hs inst] runs every heuristic of [hs] in list order —
+    each with the same [seed] — and returns the mapping with the smallest
+    period together with that period.  Ties keep the earliest heuristic
+    of [hs], so the result is deterministic.
+    @raise Invalid_argument when [hs] is empty or [m < p]. *)
+val best_of : ?seed:int -> t list -> Mf_core.Instance.t -> Mf_core.Mapping.t * float
+
+(** [best ?seed inst] is [best_of ?seed all inst]: the incumbent seed of
+    the exact branch-and-bound ({!Mf_exact.Dfs.seed_incumbent}), where a
+    tighter initial incumbent prunes exponentially more of the search
+    tree than the extra heuristic runs cost.
     @raise Invalid_argument when [m < p]. *)
 val best : ?seed:int -> Mf_core.Instance.t -> Mf_core.Mapping.t * float

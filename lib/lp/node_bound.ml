@@ -80,7 +80,7 @@ let add_stats a b =
     repairs = a.repairs + b.repairs;
   }
 
-let create ?(rule = Mapping.General) inst =
+let create ~rule inst =
   let n = Instance.task_count inst and m = Instance.machines inst in
   let wf = Instance.workflow inst in
   let succ =

@@ -43,11 +43,10 @@
 
 type t
 
-(** [create ?rule inst] builds the oracle; [rule] (default
-    [General]) must match the search's rule — a stricter rule yields
-    tighter, still sound, bounds for that rule's completions only.
-    O(n + m) state; no solve yet. *)
-val create : ?rule:Mf_core.Mapping.rule -> Mf_core.Instance.t -> t
+(** [create ~rule inst] builds the oracle; [rule] must match the
+    search's rule — a stricter rule yields tighter, still sound, bounds
+    for that rule's completions only.  O(n + m) state; no solve yet. *)
+val create : rule:Mf_core.Mapping.rule -> Mf_core.Instance.t -> t
 
 (** [push t ~task ~machine] commits [task] to [machine].
     @raise Invalid_argument when [task] is already committed or its

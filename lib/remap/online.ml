@@ -7,16 +7,11 @@ module State = Mf_eval.State
 let any_stranded ~down mapping =
   Array.exists (fun u -> down.(u)) mapping
 
-let remapper ?budget ?original inst : Desim.remapper =
+let remapper ?budget ~original inst : Desim.remapper =
+  let orig = Mapping.to_array original in
   (* The designed mapping's period depends on nothing a decision changes:
      computed once, where the restore test first needs it. *)
-  let original =
-    Option.map
-      (fun mp ->
-        let orig = Mapping.to_array mp in
-        (orig, lazy (Period.period inst (Mapping.of_array inst orig))))
-      original
-  in
+  let orig_p = lazy (Period.period inst original) in
   (* One evaluation state for every decision of this re-mapper: each
      [Plan.repair] reloads it from the live mapping. *)
   let st = State.create inst in
@@ -44,30 +39,21 @@ let remapper ?budget ?original inst : Desim.remapper =
         | None -> None
         | Some plan ->
           let live_p = plan.Plan.greedy_period in
+          (* prefer the designed mapping whenever it is at least as good
+             as the improved live one — and actually better than live *)
           let restore =
-            match original with
-            | Some (orig, orig_p)
-              when (not (any_stranded ~down orig)) && orig <> mapping ->
-              let orig_p = Lazy.force orig_p in
-              (* prefer the designed mapping whenever it is at least as
-                 good as the improved live one — and actually better than
-                 live *)
-              if strict_better orig_p live_p
-                 && orig_p <= plan.Plan.period *. (1.0 +. 1e-12)
-              then Some orig
-              else None
-            | _ -> None
+            (not (any_stranded ~down orig))
+            && orig <> mapping
+            && strict_better (Lazy.force orig_p) live_p
+            && Lazy.force orig_p <= plan.Plan.period *. (1.0 +. 1e-12)
           in
-          match restore with
-          | Some orig ->
-            let moves = Plan.diff_moves ~from:mapping orig in
-            Some { Desim.moves; evals = plan.Plan.evals + 1 }
-          | None
-            when strict_better plan.Plan.period live_p && Array.length plan.Plan.moves > 0 ->
+          if restore then
+            Some { Desim.moves = Plan.diff_moves ~from:mapping orig; evals = plan.Plan.evals + 1 }
+          else if strict_better plan.Plan.period live_p && Array.length plan.Plan.moves > 0 then
             Some { Desim.moves = plan.Plan.moves; evals = plan.Plan.evals }
-          | None -> None
+          else None
       end
 
-let simulate ?warmup ?buffer_capacity ?budget ~breakdowns ~horizon ~seed ?on_event inst mp =
+let simulate ?budget ~breakdowns ~horizon ~seed ?on_event inst mp =
   let rm = remapper ?budget ~original:mp inst in
-  Desim.run ?warmup ?buffer_capacity ~breakdowns ~remapper:rm ~horizon ~seed ?on_event inst mp
+  Desim.run ~breakdowns ~remapper:rm ~horizon ~seed ?on_event inst mp

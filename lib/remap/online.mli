@@ -19,7 +19,7 @@
     turns it into simulated latency; the commit races the next
     availability change and is dropped when it loses. *)
 
-(** [remapper ?budget ?original inst] builds the decision procedure.
+(** [remapper ?budget ~original inst] builds the decision procedure.
     [budget] bounds the local-search evaluations per decision
     ({!Plan.default_budget} by default); [original] is the designed
     mapping restored after repairs when that wins.
@@ -30,16 +30,14 @@
     {!simulate} does. *)
 val remapper :
   ?budget:int ->
-  ?original:Mf_core.Mapping.t ->
+  original:Mf_core.Mapping.t ->
   Mf_core.Instance.t ->
   Mf_sim.Desim.remapper
 
-(** [simulate ~breakdowns ~horizon ~seed inst mp] is
-    {!Mf_sim.Desim.run} with the online re-mapper wired in, restoring
-    toward [mp]. *)
+(** [simulate ?budget ~breakdowns ~horizon ~seed inst mp] is
+    {!Mf_sim.Desim.run} (default warm-up and buffer capacity) with the
+    online re-mapper wired in, restoring toward [mp]. *)
 val simulate :
-  ?warmup:float ->
-  ?buffer_capacity:int ->
   ?budget:int ->
   breakdowns:Mf_sim.Breakdown.t ->
   horizon:float ->

@@ -105,7 +105,7 @@ let report inst mp r =
     (loss_summary inst mp r);
   Buffer.contents buf
 
-let dynamic_report ?model inst mp (r : Desim.result) =
+let dynamic_report ~model inst mp (r : Desim.result) =
   let buf = Buffer.create 512 in
   let total_breakdowns = Array.fold_left ( + ) 0 r.Desim.breakdowns in
   Buffer.add_string buf
@@ -119,12 +119,9 @@ let dynamic_report ?model inst mp (r : Desim.result) =
           (Printf.sprintf "  M%d: %d breakdowns, down %.0f (availability %5.1f%%)\n"
              u r.Desim.breakdowns.(u) r.Desim.downtime.(u) (100.0 *. a)))
     avail;
-  (match model with
-  | None -> ()
-  | Some model ->
-    Buffer.add_string buf
-      (Printf.sprintf "availability-adjusted analytic throughput: %.6g /unit (measured %.6g)\n"
-         (adjusted_throughput inst mp model) r.Desim.throughput));
+  Buffer.add_string buf
+    (Printf.sprintf "availability-adjusted analytic throughput: %.6g /unit (measured %.6g)\n"
+       (adjusted_throughput inst mp model) r.Desim.throughput);
   (match lost_per_breakdown inst mp r with
   | None -> Buffer.add_string buf "products lost per breakdown: n/a\n"
   | Some l -> Buffer.add_string buf (Printf.sprintf "products lost per breakdown: %.2f\n" l));

@@ -58,12 +58,12 @@ val lost_per_breakdown :
     re-map landed). *)
 val remap_latency_histogram : Desim.result -> (float * float * int) list
 
-(** [dynamic_report ?model inst mp result] renders the availability
+(** [dynamic_report ~model inst mp result] renders the availability
     metrics as text: breakdown/downtime per machine, measured vs analytic
-    availability-adjusted throughput (when [model] is given), products
-    lost per breakdown and the re-map latency histogram. *)
+    availability-adjusted throughput under [model], products lost per
+    breakdown and the re-map latency histogram. *)
 val dynamic_report :
-  ?model:Breakdown.t ->
+  model:Breakdown.t ->
   Mf_core.Instance.t ->
   Mf_core.Mapping.t ->
   Desim.result ->

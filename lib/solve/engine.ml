@@ -1,6 +1,5 @@
 module Instance = Mf_core.Instance
 module Mapping = Mf_core.Mapping
-module Period = Mf_core.Period
 module Registry = Mf_heuristics.Registry
 module Splitting = Mf_lp.Splitting
 module Dfs = Mf_exact.Dfs
@@ -17,23 +16,10 @@ let infeasible engine =
   }
 
 let heuristics (req : request) =
-  let inst = req.instance in
-  if not (feasible req.rule inst) then infeasible Heuristics
+  if not (feasible req.rule req.instance) then infeasible Heuristics
   else
     let (mp, p), runs =
-      match req.rule with
-      | Mapping.Specialized ->
-        (Registry.best ~seed:req.seed inst, List.length Registry.all)
-      | Mapping.General ->
-        if Instance.machines inst >= Instance.type_count inst then
-          let mp, _ = Registry.best ~seed:req.seed inst in
-          (* re-score: the registry reports the raw period, the general
-             objective may carry a setup penalty *)
-          ((mp, score req mp), List.length Registry.all)
-        else (Dfs.best_single_machine ~setup:req.setup inst, Instance.machines inst)
-      | Mapping.One_to_one ->
-        let mp = Dfs.greedy_one_to_one inst in
-        ((mp, score req mp), 1)
+      Dfs.seed_incumbent ~seed:req.seed ~setup:req.setup req.rule req.instance
     in
     {
       status = Feasible infinity;

@@ -5,15 +5,13 @@
     [Infeasible] outcomes, LP failures as typed statuses — and
     deterministic for a fixed request (see the contract in {!Solver}). *)
 
-(** Best mapping from the heuristic stack under the request's rule:
-
-    - [Specialized]: best over the whole {!Mf_heuristics.Registry}
-      (requires [m >= p]);
-    - [General]: the registry best when [m >= p], otherwise the best
-      single-machine mapping (always feasible), scored with the
-      request's setup penalty;
-    - [One_to_one]: the injective greedy seed
-      {!Mf_exact.Dfs.greedy_one_to_one} (requires [m >= n]).
+(** The heuristic stage: {!Mf_exact.Dfs.seed_incumbent} under the
+    request's rule, seed and setup — the registry best (specialized, and
+    general when [m >= p]), the best single-machine mapping (general
+    when [m < p]) or the injective greedy seed (one-to-one, [m >= n]) —
+    with [heuristic_runs] the number of mappings it scored.  The
+    portfolio hands this mapping to {!exact} as its incumbent, so a
+    request runs the heuristics once.
 
     Status is always [Feasible infinity] (no certified bound) or
     [Infeasible]. *)

@@ -1,8 +1,8 @@
 (** Array-based binary min-heap, polymorphic in the element type.
 
-    The ordering is supplied at creation time.  This is the event calendar
-    of the discrete-event simulator and the frontier of the branch-and-bound
-    solvers. *)
+    The ordering is supplied at creation time.  The node queue of
+    {!Mf_lp.Micro_mip}'s best-first branch-and-bound is its only library
+    user; the simulator's event calendar is {!Mf_sim.Calendar}. *)
 
 type 'a t
 

@@ -82,6 +82,29 @@ let test_dfs_node_budget () =
   Alcotest.(check bool) "mapping valid" true
     (Mapping.satisfies inst r.Dfs.mapping Mapping.Specialized)
 
+(* A caller's incumbent is the search's seed, not merged with the
+   registry's: handed a valid mapping strictly worse than
+   [Registry.best] and one node of budget, the search can complete no
+   mapping and must hand the caller's pair back unchanged. *)
+let test_dfs_incumbent_is_the_seed () =
+  let inst = chain_instance ~seed:2 ~n:14 ~p:3 ~m:6 () in
+  let ((_, best_p) as best) = Mf_heuristics.Registry.best inst in
+  let mp, p =
+    List.fold_left
+      (fun ((_, wp) as acc) h ->
+        let mp = Mf_heuristics.Registry.solve h inst in
+        let p = Period.period inst mp in
+        if p > wp then (mp, p) else acc)
+      best Mf_heuristics.Registry.all
+  in
+  Alcotest.(check bool) "incumbent strictly worse than the registry best" true (p > best_p);
+  let r = Dfs.solve ~node_budget:1 ~incumbent:(mp, p) ~rule:Mapping.Specialized inst in
+  Alcotest.(check bool) "not optimal" false r.Dfs.optimal;
+  Alcotest.(check (array int)) "the caller's mapping" (Mapping.to_array mp)
+    (Mapping.to_array r.Dfs.mapping);
+  Alcotest.(check int64) "the caller's period" (Int64.bits_of_float p)
+    (Int64.bits_of_float r.Dfs.period)
+
 let test_dfs_beats_or_matches_heuristics () =
   for seed = 1 to 8 do
     let inst = chain_instance ~seed ~n:10 ~p:3 ~m:5 () in
@@ -897,6 +920,7 @@ let () =
           Alcotest.test_case "matches brute (chains)" `Slow test_dfs_matches_brute;
           Alcotest.test_case "matches brute (trees)" `Slow test_dfs_matches_brute_on_trees;
           Alcotest.test_case "node budget" `Quick test_dfs_node_budget;
+          Alcotest.test_case "incumbent is the seed" `Quick test_dfs_incumbent_is_the_seed;
           Alcotest.test_case "dominates heuristics" `Slow test_dfs_beats_or_matches_heuristics;
         ] );
       ( "dfs-rules",

@@ -273,8 +273,8 @@ let test_shared_pools () =
 (* Runner jobs-invariance                                              *)
 (* ------------------------------------------------------------------ *)
 
-let small_figure ?jobs ?pool ?chunk () =
-  Runner.run ~id:"par" ~title:"par" ~x_label:"n" ?jobs ?pool ?chunk ~xs:[ 4; 6; 8 ]
+let small_figure ?pool ?chunk () =
+  Runner.run ~id:"par" ~title:"par" ~x_label:"n" ?pool ?chunk ~xs:[ 4; 6; 8 ]
     ~replicates:4
     ~gen:(fun ~x ~seed ->
       Mf_workload.Gen.chain (Mf_prng.Rng.create seed)
@@ -283,10 +283,10 @@ let small_figure ?jobs ?pool ?chunk () =
     ()
 
 let test_runner_jobs_invariant () =
-  let serial = small_figure ~jobs:1 () in
+  let serial = small_figure () in
   List.iter
     (fun jobs ->
-      let fig = small_figure ~jobs () in
+      let fig = small_figure ~pool:(Pool.shared ~domains:jobs) () in
       (* Structural equality down to the raw float bits of every replicate:
          the whole point of per-unit seed derivation. *)
       Alcotest.(check bool)
@@ -298,12 +298,12 @@ let test_runner_jobs_invariant () =
 let test_runner_chunk_invariant () =
   (* The figure must also be bit-identical across chunk sizes and on an
      external pool — the acceptance pin for the coarse-chunked runner. *)
-  let serial = small_figure ~jobs:1 () in
+  let serial = small_figure () in
   List.iter
     (fun chunk ->
       List.iter
         (fun jobs ->
-          let fig = small_figure ~jobs ~chunk () in
+          let fig = small_figure ~pool:(Pool.shared ~domains:jobs) ~chunk () in
           Alcotest.(check bool)
             (Printf.sprintf "jobs=%d chunk=%d identical to serial" jobs chunk)
             true

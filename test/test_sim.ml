@@ -682,11 +682,11 @@ let test_dyn_jobs_identity () =
     Some r.Desim.throughput
   in
   let algos = [ { Runner.label = "dyn-remap"; solve } ] in
-  let run jobs =
+  let run ?pool () =
     Runner.run ~id:"dyn-jobs" ~title:"dynamic jobs identity" ~x_label:"tasks"
-      ~xs:[ 5; 8 ] ~replicates:2 ~gen ~algos ~jobs ()
+      ~xs:[ 5; 8 ] ~replicates:2 ~gen ~algos ?pool ()
   in
-  let fig1 = run 1 and fig2 = run 2 in
+  let fig1 = run () and fig2 = run ~pool:(Mf_parallel.Pool.shared ~domains:2) () in
   List.iter2
     (fun (p1 : Runner.point) (p2 : Runner.point) ->
       Alcotest.(check int) "same x" p1.Runner.x p2.Runner.x;

@@ -260,6 +260,57 @@ let test_general_below_p () =
     true
     (Float.abs (p -. expected) <= 1e-9 *. expected)
 
+(* The heuristic stage is [Dfs.seed_incumbent] at the request's seed,
+   bit for bit, on one request per branch of its rule match; each also
+   pins the mapping, period and run count the stage reported before it
+   delegated (registry best re-scored through [Solver.score] under
+   general with setup: [Period.with_setup] adds exactly 0.0 on a
+   one-type machine). *)
+let test_heuristics_is_seed_incumbent () =
+  let module Registry = Mf_heuristics.Registry in
+  let seed = 7 in
+  let spec = chain ~tasks:12 ~types:3 ~machines:5 4 in
+  let below_p = chain ~tasks:8 ~types:4 ~machines:3 5 in
+  let oto = chain ~tasks:6 ~types:2 ~machines:8 6 in
+  let registry req =
+    let mp, _ = Registry.best ~seed req.Solver.instance in
+    ((mp, Solver.score req mp), List.length Registry.all)
+  in
+  List.iter
+    (fun (name, req, expected) ->
+      let out = Engine.heuristics req in
+      let (seed_mp, seed_p), seed_runs =
+        Dfs.seed_incumbent ~seed:req.Solver.seed ~setup:req.Solver.setup req.Solver.rule
+          req.Solver.instance
+      in
+      let (mp, p), runs = expected req in
+      let alloc = Option.map Mapping.to_array out.Solver.mapping in
+      Alcotest.(check (option (array int))) (name ^ ": mapping = seed_incumbent")
+        (Some (Mapping.to_array seed_mp)) alloc;
+      Alcotest.(check (option int64)) (name ^ ": period = seed_incumbent")
+        (Some (bits seed_p)) (opt_bits out.Solver.period);
+      Alcotest.(check int) (name ^ ": runs = seed_incumbent") seed_runs
+        out.Solver.stats.Solver.heuristic_runs;
+      Alcotest.(check (option (array int))) (name ^ ": mapping pinned")
+        (Some (Mapping.to_array mp)) alloc;
+      Alcotest.(check (option int64)) (name ^ ": period pinned") (Some (bits p))
+        (opt_bits out.Solver.period);
+      Alcotest.(check int) (name ^ ": runs pinned") runs out.Solver.stats.Solver.heuristic_runs)
+    [
+      ("specialized", Solver.request_exn ~seed spec, registry);
+      ( "general m >= p, setup 50",
+        Solver.request_exn ~rule:Mapping.General ~seed ~setup:50.0 spec,
+        registry );
+      ( "general m < p",
+        Solver.request_exn ~rule:Mapping.General ~seed ~setup:50.0 below_p,
+        fun _ -> (Dfs.best_single_machine ~setup:50.0 below_p, 3) );
+      ( "one-to-one",
+        Solver.request_exn ~rule:Mapping.One_to_one ~seed oto,
+        fun _ ->
+          let mp = Dfs.greedy_one_to_one oto in
+          ((mp, Period.period oto mp), 1) );
+    ]
+
 let test_engine_lp_statuses () =
   let inst = chain ~tasks:6 ~types:3 ~machines:4 5 in
   (* one-to-one: bound only, no rounding *)
@@ -388,6 +439,8 @@ let () =
           Alcotest.test_case "node allowance overflow clamp" `Quick test_node_allowance_clamp;
           Alcotest.test_case "infeasible rules" `Quick test_engine_infeasible;
           Alcotest.test_case "general below p" `Quick test_general_below_p;
+          Alcotest.test_case "heuristics = seed_incumbent" `Quick
+            test_heuristics_is_seed_incumbent;
           Alcotest.test_case "lp statuses" `Quick test_engine_lp_statuses;
         ] );
       ( "cache",
